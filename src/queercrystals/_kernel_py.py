@@ -112,30 +112,27 @@ def _conjugating_word(i: int) -> tuple:
     return tuple(range(2, i + 1)) + tuple(range(1, i))
 
 
-def apply_fbar(w: bytes, i: int):
-    """Odd lowering operator for index i >= 2 via Weyl conjugation."""
+def _conjugated_odd(w: bytes, i: int, odd1):
+    """odd1 (apply_ebar1 or apply_fbar1) moved from index 1 to index i >= 2."""
     rw = _conjugating_word(i)
     for s in reversed(rw):
         w = weyl_s(w, s)
-    w = apply_fbar1(w)
+    w = odd1(w)
     if w is None:
         return None
     for s in rw:
         w = weyl_s(w, s)
     return w
+
+
+def apply_fbar(w: bytes, i: int):
+    """Odd lowering operator for index i >= 2 via Weyl conjugation."""
+    return _conjugated_odd(w, i, apply_fbar1)
 
 
 def apply_ebar(w: bytes, i: int):
     """Odd raising operator for index i >= 2 via Weyl conjugation."""
-    rw = _conjugating_word(i)
-    for s in reversed(rw):
-        w = weyl_s(w, s)
-    w = apply_ebar1(w)
-    if w is None:
-        return None
-    for s in rw:
-        w = weyl_s(w, s)
-    return w
+    return _conjugated_odd(w, i, apply_ebar1)
 
 
 def is_gl_highest(w: bytes, n: int) -> bool:

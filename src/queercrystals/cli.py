@@ -83,13 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_graph(args, parser) -> int:
     n = args.rank
-    if n < 1:
-        parser.error(f"rank must be >= 1, got {n}")
     if args.vector:
         graph = vector_crystal(n)
     elif args.tensor is not None:
-        if args.tensor < 0:
-            parser.error("tensor power must be >= 0")
         graph = tensor_power_graph(n, args.tensor)
     else:
         parts = _parse_shape(args.shape, parser, n)
@@ -142,6 +138,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args, parser)
         return cmd_conjecture(args, parser)
+    except ValueError as exc:
+        # the library rejects out-of-range arguments before doing any work
+        parser.error(str(exc))
     except (VerificationError, StructureError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1

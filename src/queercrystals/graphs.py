@@ -6,6 +6,9 @@ for the conjugated odd operators fbar_i (i >= 2) are derived data and are
 recomputed on demand rather than stored: they are determined by the
 stored structure through the Weyl-group action.
 
+Each graph stores its arrow tables once: per label a src -> dst and a
+dst -> src map, built in one pass over the edges on first request.
+
 Canonical node order: weight descending lexicographically, then a
 kind-specific payload key.  This makes serialization and component
 splitting reproducible run to run.
@@ -46,17 +49,30 @@ class CrystalGraph:
     def __post_init__(self):
         object.__setattr__(
             self, "_index", {b: k for k, b in enumerate(self.nodes)})
+        object.__setattr__(self, "_arrows", None)
 
     @property
     def node_index(self) -> dict:
         return self._index
 
+    def _arrow_tables(self) -> tuple:
+        """(successor maps, predecessor maps) by label, built on first use."""
+        if self._arrows is None:
+            succ = {lab: {} for lab in all_labels(self.n)}
+            pred = {lab: {} for lab in all_labels(self.n)}
+            for s, lab, d in self.edges:
+                succ.setdefault(lab, {})[s] = d
+                pred.setdefault(lab, {})[d] = s
+            object.__setattr__(self, "_arrows", (succ, pred))
+        return self._arrows
+
     def successors(self, label) -> dict:
-        """Map src index -> dst index for one label."""
-        return {s: d for s, lab, d in self.edges if lab == label}
+        """Map src index -> dst index for one label (shared, read-only)."""
+        return self._arrow_tables()[0].get(label, {})
 
     def predecessors(self, label) -> dict:
-        return {d: s for s, lab, d in self.edges if lab == label}
+        """Map dst index -> src index for one label (shared, read-only)."""
+        return self._arrow_tables()[1].get(label, {})
 
     def __len__(self):
         return len(self.nodes)
@@ -129,37 +145,18 @@ class GraphOps:
         return self.graph.node_index[b]
 
 
-def _phi_table(graph: CrystalGraph, i) -> list:
-    """f_i-string length from every node, by walking stored chains."""
-    succ = graph.successors(i)
-    out = [-1] * len(graph.nodes)
-    for start in range(len(graph.nodes)):
+def _string_lengths(step: dict, size: int) -> list:
+    """Chain length from every node along a map: phi_i from successors,
+    eps_i from predecessors."""
+    out = [-1] * size
+    for start in range(size):
         if out[start] >= 0:
             continue
         chain = []
         v = start
-        while out[v] < 0 and v in succ:
+        while out[v] < 0 and v in step:
             chain.append(v)
-            v = succ[v]
-        base = out[v] if out[v] >= 0 else 0
-        if out[v] < 0:
-            out[v] = 0
-        for k, u in enumerate(reversed(chain)):
-            out[u] = base + k + 1
-    return out
-
-
-def _eps_table(graph: CrystalGraph, i) -> list:
-    pred = graph.predecessors(i)
-    out = [-1] * len(graph.nodes)
-    for start in range(len(graph.nodes)):
-        if out[start] >= 0:
-            continue
-        chain = []
-        v = start
-        while out[v] < 0 and v in pred:
-            chain.append(v)
-            v = pred[v]
+            v = step[v]
         base = out[v] if out[v] >= 0 else 0
         if out[v] < 0:
             out[v] = 0
@@ -180,12 +177,14 @@ class TensorOps:
         self.left = left
         self.right = right
         n = self.n
-        self._phi1 = {i: _phi_table(left, i) for i in even_labels(n)}
-        self._eps2 = {i: _eps_table(right, i) for i in even_labels(n)}
         self._succ1 = {lab: left.successors(lab) for lab in all_labels(n)}
         self._pred1 = {lab: left.predecessors(lab) for lab in all_labels(n)}
         self._succ2 = {lab: right.successors(lab) for lab in all_labels(n)}
         self._pred2 = {lab: right.predecessors(lab) for lab in all_labels(n)}
+        self._phi1 = {i: _string_lengths(self._succ1[i], len(left))
+                      for i in even_labels(n)}
+        self._eps2 = {i: _string_lengths(self._pred2[i], len(right))
+                      for i in even_labels(n)}
 
     def elements(self):
         for a in self.left.nodes:
@@ -260,34 +259,29 @@ def weyl_s_ops(ops, i, b):
     return b
 
 
-def ebar_ops(ops, i, b):
-    """Odd raising operator for any index i through an ops adapter."""
+def _conjugated_odd(ops, i, b, odd1):
+    """odd1 (ops.ebar1 or ops.fbar1) moved from index 1 to index i."""
     if i == 1:
-        return ops.ebar1(b)
+        return odd1(b)
     rw = conjugating_word(i)
     for s in reversed(rw):
         b = weyl_s_ops(ops, s, b)
-    b = ops.ebar1(b)
+    b = odd1(b)
     if b is None:
         return None
     for s in rw:
         b = weyl_s_ops(ops, s, b)
     return b
+
+
+def ebar_ops(ops, i, b):
+    """Odd raising operator for any index i through an ops adapter."""
+    return _conjugated_odd(ops, i, b, ops.ebar1)
 
 
 def fbar_ops(ops, i, b):
     """Odd lowering operator for any index i through an ops adapter."""
-    if i == 1:
-        return ops.fbar1(b)
-    rw = conjugating_word(i)
-    for s in reversed(rw):
-        b = weyl_s_ops(ops, s, b)
-    b = ops.fbar1(b)
-    if b is None:
-        return None
-    for s in rw:
-        b = weyl_s_ops(ops, s, b)
-    return b
+    return _conjugated_odd(ops, i, b, ops.fbar1)
 
 
 def is_highest_weight_ops(ops, b) -> bool:
@@ -396,11 +390,10 @@ def graph_components(graph: CrystalGraph) -> list:
 def highest_weight_nodes(graph: CrystalGraph) -> list:
     """Nodes annihilated by every raising operator, in canonical order."""
     ops = GraphOps(graph)
-    pred_even = [ops._pred[i] for i in even_labels(graph.n)]
-    pred_odd = ops._pred[ODD] if graph.n >= 2 else {}
+    preds = [graph.predecessors(lab) for lab in all_labels(graph.n)]
     out = []
     for k, b in enumerate(graph.nodes):
-        if any(k in p for p in pred_even) or k in pred_odd:
+        if any(k in p for p in preds):
             continue
         if all(ebar_ops(ops, i, b) is None for i in range(2, graph.n)):
             out.append(b)
@@ -436,19 +429,21 @@ def isomorphic(g1: CrystalGraph, g2: CrystalGraph):
     the map is grown from the highest-weight pair along stored arrows.
     Returns a node mapping, or None when the graphs are not isomorphic.
     """
+    tops = []
     for g in (g1, g2):
         if len(graph_components(g)) != 1:
             raise ValueError("isomorphic() needs connected graphs")
-        if len(highest_weight_nodes(g)) != 1:
+        hw = highest_weight_nodes(g)
+        if len(hw) != 1:
             raise ValueError("isomorphic() needs a unique highest-weight node")
+        tops.append(g.node_index[hw[0]])
     if len(g1) != len(g2) or len(g1.edges) != len(g2.edges):
         return None
-    h1 = g1.node_index[highest_weight_nodes(g1)[0]]
-    h2 = g2.node_index[highest_weight_nodes(g2)[0]]
-    succ1 = {lab: g1.successors(lab) for lab in all_labels(g1.n)}
-    pred1 = {lab: g1.predecessors(lab) for lab in all_labels(g1.n)}
-    succ2 = {lab: g2.successors(lab) for lab in all_labels(g2.n)}
-    pred2 = {lab: g2.predecessors(lab) for lab in all_labels(g2.n)}
+    h1, h2 = tops
+    tables = []
+    for lab in all_labels(g1.n):
+        tables.append((g1.successors(lab), g2.successors(lab)))
+        tables.append((g1.predecessors(lab), g2.predecessors(lab)))
     mapping = {h1: h2}
     todo = [h1]
     while todo:
@@ -456,20 +451,19 @@ def isomorphic(g1: CrystalGraph, g2: CrystalGraph):
         w = mapping[v]
         if g1.weights[v] != g2.weights[w]:
             return None
-        for lab in all_labels(g1.n):
-            for t1, t2 in ((succ1[lab], succ2[lab]), (pred1[lab], pred2[lab])):
-                a = t1.get(v)
-                b = t2.get(w)
-                if (a is None) != (b is None):
+        for t1, t2 in tables:
+            a = t1.get(v)
+            b = t2.get(w)
+            if (a is None) != (b is None):
+                return None
+            if a is None:
+                continue
+            if a in mapping:
+                if mapping[a] != b:
                     return None
-                if a is None:
-                    continue
-                if a in mapping:
-                    if mapping[a] != b:
-                        return None
-                else:
-                    mapping[a] = b
-                    todo.append(a)
+            else:
+                mapping[a] = b
+                todo.append(a)
     if len(mapping) != len(g1):
         return None
     edges2 = {(mapping[s], lab, mapping[d]) for s, lab, d in g1.edges}

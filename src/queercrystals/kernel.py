@@ -1,20 +1,10 @@
-"""Select the word-operator kernel: compiled extension or pure fallback.
+"""Select the word-operator kernel: the compiled extension when it is
+importable, else the pure-Python fallback."""
 
-Set the environment variable ``QUEERCRYSTALS_PURE=1`` to force the pure
-Python kernel even when the compiled one is importable.
-"""
-
-import os
-
-from . import _kernel_py
-
-if os.environ.get("QUEERCRYSTALS_PURE"):
-    _impl = _kernel_py
-else:
-    try:
-        from . import _fastops as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernel_py
+try:
+    from . import _fastops as _impl
+except ImportError:
+    from . import _kernel_py as _impl  # type: ignore[no-redef]
 
 IMPLEMENTATION = _impl.IMPLEMENTATION
 

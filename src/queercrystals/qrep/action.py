@@ -26,20 +26,6 @@ from .tensorspace import vec_add, vec_scale, vec_sum
 # primitive symbols: ("qh", h-tuple), ("e", i), ("f", i), ("kbar1",)
 
 
-def _unit_h(n: int, j: int, c: int = 1) -> tuple:
-    h = [0] * n
-    h[j - 1] = c
-    return tuple(h)
-
-
-def _qh(n: int, *pairs) -> tuple:
-    """("qh", h) with h = sum of c * k_j over (j, c) pairs."""
-    h = [0] * n
-    for j, c in pairs:
-        h[j - 1] += c
-    return ("qh", tuple(h))
-
-
 def prim_parity(sym) -> int:
     return 1 if sym[0] == "kbar1" else 0
 
@@ -123,6 +109,14 @@ def identity_expr() -> tuple:
     return ((ONE, ()),)
 
 
+def qh_expr(n: int, *pairs) -> tuple:
+    """The operator q^h with h = sum of c * k_j over (j, c) pairs."""
+    h = [0] * n
+    for j, c in pairs:
+        h[j - 1] += c
+    return op(("qh", tuple(h)))
+
+
 def compose(a, b) -> tuple:
     """a after b: rightmost symbols act first."""
     return tuple((ca * cb, sa + sb) for ca, sa in a for cb, sb in b)
@@ -160,11 +154,11 @@ def kbar_expr(j: int, n: int) -> tuple:
         return op(("kbar1",))
     i = j - 1
     inner = expr_sum(
-        compose(kbar_expr(i, n), op(_qh(n, (j, 1)))),
+        compose(kbar_expr(i, n), qh_expr(n, (j, 1))),
         scale(-ONE, compose(ebar_expr(i, n), op(("f", i)))),
         compose(op(("f", i)), ebar_expr(i, n)),
     )
-    return compose(inner, op(_qh(n, (i, -1))))
+    return compose(inner, qh_expr(n, (i, -1)))
 
 
 @lru_cache(maxsize=None)
@@ -174,7 +168,7 @@ def ebar_expr(i: int, n: int) -> tuple:
         compose(kbar_expr(i, n), op(("e", i))),
         scale(-Q, compose(op(("e", i)), kbar_expr(i, n))),
     )
-    return compose(inner, op(_qh(n, (i, 1))))
+    return compose(inner, qh_expr(n, (i, 1)))
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +178,7 @@ def fbar_expr(i: int, n: int) -> tuple:
         compose(kbar_expr(i, n), op(("f", i))),
         scale(-Q, compose(op(("f", i)), kbar_expr(i, n))),
     )
-    return scale(-ONE, compose(inner, op(_qh(n, (i, -1)))))
+    return scale(-ONE, compose(inner, qh_expr(n, (i, -1))))
 
 
 def generator_expr(g, n: int) -> tuple:

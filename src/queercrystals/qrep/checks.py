@@ -14,22 +14,25 @@ from itertools import product
 
 from .. import kernel as word_kernel
 from ..reports import record, report
-from .action import (act_expr, compose, expr_sum, generator_expr, op, scale)
+from ..words import check_rank
+from .action import (act_expr, compose, expr_sum, generator_expr, op, qh_expr,
+                     scale)
 from .laurent import ONE, Q, RatFunc
-from .tensorspace import (basis, lattice_basis, pattern, unit, vec_sub)
+from .tensorspace import (basis, lattice_basis, pattern, unit, vec_add,
+                          vec_sub)
 from .kashiwara import (tilde_e, tilde_ebar1, tilde_ebar1_expr, tilde_f,
                         tilde_fbar1, tilde_fbar1_expr, tilde_k1, ktilde1_expr)
 
 
-def _qh(n, *pairs):
-    h = [0] * n
-    for j, c in pairs:
-        h[j - 1] += c
-    return op(("qh", tuple(h)))
-
-
 def _gen(g, n):
     return generator_expr(g, n)
+
+
+def _check_rank_and_power(n: int, N: int) -> None:
+    """Reject instances with no basis tensor to evaluate."""
+    check_rank(n)
+    if N < 1:
+        raise ValueError(f"tensor power must be >= 1, got {N}")
 
 
 def relations_catalogue(n: int) -> list:
@@ -75,8 +78,8 @@ def relations_catalogue(n: int) -> list:
             if i == j:
                 coeff = ONE / (Q - qinv)
                 rhs = expr_sum(
-                    scale(coeff, _qh(n, (i, 1), (i + 1, -1))),
-                    scale(-coeff, _qh(n, (i, -1), (i + 1, 1))))
+                    scale(coeff, qh_expr(n, (i, 1), (i + 1, -1))),
+                    scale(-coeff, qh_expr(n, (i, -1), (i + 1, 1))))
             else:
                 rhs = zero
             rels.append((f"e-f-commutator i={i} j={j}", lhs, rhs))
@@ -106,8 +109,8 @@ def relations_catalogue(n: int) -> list:
         rels.append((
             f"kbar-squared i={i}",
             compose(_gen(("kbar", i), n), _gen(("kbar", i), n)),
-            expr_sum(scale(coeff, _qh(n, (i, 2))),
-                     scale(-coeff, _qh(n, (i, -2))))))
+            expr_sum(scale(coeff, qh_expr(n, (i, 2))),
+                     scale(-coeff, qh_expr(n, (i, -2))))))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:
@@ -122,12 +125,12 @@ def relations_catalogue(n: int) -> list:
             f"kbar-e-twist i={i}",
             expr_sum(compose(_gen(("kbar", i), n), _gen(("e", i), n)),
                      scale(-Q, compose(_gen(("e", i), n), _gen(("kbar", i), n)))),
-            compose(_gen(("ebar", i), n), _qh(n, (i, -1)))))
+            compose(_gen(("ebar", i), n), qh_expr(n, (i, -1)))))
         rels.append((
             f"kbar-f-twist i={i}",
             expr_sum(compose(_gen(("kbar", i), n), _gen(("f", i), n)),
                      scale(-Q, compose(_gen(("f", i), n), _gen(("kbar", i), n)))),
-            scale(-ONE, compose(_gen(("fbar", i), n), _qh(n, (i, 1))))))
+            scale(-ONE, compose(_gen(("fbar", i), n), qh_expr(n, (i, 1))))))
     for i in range(1, n):
         for j in range(1, n):
             lhs = expr_sum(
@@ -135,8 +138,8 @@ def relations_catalogue(n: int) -> list:
                 scale(-ONE, compose(_gen(("fbar", j), n), _gen(("e", i), n))))
             if i == j:
                 rhs = expr_sum(
-                    compose(_gen(("kbar", i), n), _qh(n, (i + 1, -1))),
-                    scale(-ONE, compose(_gen(("kbar", i + 1), n), _qh(n, (i, -1)))))
+                    compose(_gen(("kbar", i), n), qh_expr(n, (i + 1, -1))),
+                    scale(-ONE, compose(_gen(("kbar", i + 1), n), qh_expr(n, (i, -1)))))
             else:
                 rhs = zero
             rels.append((f"e-fbar-commutator i={i} j={j}", lhs, rhs))
@@ -145,8 +148,8 @@ def relations_catalogue(n: int) -> list:
                 scale(-ONE, compose(_gen(("f", j), n), _gen(("ebar", i), n))))
             if i == j:
                 rhs = expr_sum(
-                    compose(_gen(("kbar", i), n), _qh(n, (i + 1, 1))),
-                    scale(-ONE, compose(_gen(("kbar", i + 1), n), _qh(n, (i, 1)))))
+                    compose(_gen(("kbar", i), n), qh_expr(n, (i + 1, 1))),
+                    scale(-ONE, compose(_gen(("kbar", i + 1), n), qh_expr(n, (i, 1)))))
             else:
                 rhs = zero
             rels.append((f"ebar-f-commutator i={i} j={j}", lhs, rhs))
@@ -197,6 +200,7 @@ def verify_relations(n: int, N: int, which: str | None = None) -> dict:
 
     ``which`` filters relation names by substring.
     """
+    _check_rank_and_power(n, N)
     records = []
     tensors = basis(n, N)
     for name, lhs, rhs in relations_catalogue(n):
@@ -230,14 +234,7 @@ def _assemble_two_factor(terms, n: int, x, y) -> dict:
         by = act_expr(b_expr, unit(y))
         for tx, cx in ax.items():
             for ty, cy in by.items():
-                t = tx + ty
-                c = sign * coeff * cx * cy
-                cur = out.get(t)
-                s = c if cur is None else cur + c
-                if s:
-                    out[t] = s
-                elif cur is not None:
-                    del out[t]
+                vec_add(out, tx + ty, sign * coeff * cx * cy)
     return out
 
 
@@ -248,17 +245,17 @@ def comult_formulas(n: int) -> list:
     etilde = tilde_ebar1_expr(n)
     ftilde = tilde_fbar1_expr(n)
     one_minus_q2 = ONE - Q * Q
-    q12 = _qh(n, (1, 1), (2, 1))
+    q12 = qh_expr(n, (1, 1), (2, 1))
     return [
         ("ktilde1", ktilde, [
-            (ONE, ktilde, _qh(n, (1, 2)), 0),
+            (ONE, ktilde, qh_expr(n, (1, 2)), 0),
             (ONE, ident, ktilde, 1),
         ]),
         ("tilde-ebar1", etilde, [
             (ONE, etilde, q12, 0),
             (ONE, ident, etilde, 1),
             (-one_minus_q2, ktilde,
-             compose(op(("e", 1)), _qh(n, (1, 2))), 0),
+             compose(op(("e", 1)), qh_expr(n, (1, 2))), 0),
         ]),
         ("tilde-fbar1", ftilde, [
             (ONE, ftilde, q12, 0),
@@ -271,6 +268,8 @@ def comult_formulas(n: int) -> list:
 
 def verify_comult_odd(n: int) -> dict:
     """Odd operators on V (x) V match their comultiplication formulas."""
+    if n < 2:
+        raise ValueError(f"odd comultiplication needs rank >= 2, got {n}")
     records = []
     singles = basis(n, 1)
     for name, whole_expr, terms in comult_formulas(n):
@@ -342,6 +341,7 @@ def residue_check(n: int, N: int) -> dict:
     ktilde_1 must preserve each l_b.  The nonzero residue maps must
     reproduce the word-crystal arrows exactly.
     """
+    _check_rank_and_power(n, N)
     records = []
     edges = _word_edges(n, N)
     q_ops = {}

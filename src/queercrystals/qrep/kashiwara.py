@@ -18,7 +18,8 @@ The odd operators are plain operator polynomials:
 
 from functools import lru_cache
 
-from .action import act_expr, act_prim, compose, expr_sum, op, scale
+from .action import (act_expr, act_prim, compose, expr_sum, op, qh_expr,
+                     scale)
 from .laurent import ONE, Q, RatFunc, gauss_factorial
 from .tensorspace import basis, tensor_weight, vec_scale, vec_sub, vec_sum
 
@@ -184,16 +185,10 @@ def tilde_f(i: int, vec: dict, n: int) -> dict:
 # odd operators
 
 
-def _qh1(n: int, j: int, c: int = 1):
-    h = [0] * n
-    h[j - 1] = c
-    return op(("qh", tuple(h)))
-
-
 @lru_cache(maxsize=None)
 def ktilde1_expr(n: int) -> tuple:
     """q^{k_1 - 1} kbar_1."""
-    return scale(ONE / Q, compose(_qh1(n, 1), op(("kbar1",))))
+    return scale(ONE / Q, compose(qh_expr(n, (1, 1)), op(("kbar1",))))
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +198,7 @@ def tilde_ebar1_expr(n: int) -> tuple:
         compose(op(("e", 1)), op(("kbar1",))),
         scale(-Q, compose(op(("kbar1",)), op(("e", 1)))),
     )
-    return scale(-(ONE / Q), compose(inner, _qh1(n, 1)))
+    return scale(-(ONE / Q), compose(inner, qh_expr(n, (1, 1))))
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +208,7 @@ def tilde_fbar1_expr(n: int) -> tuple:
         compose(op(("kbar1",)), op(("f", 1))),
         scale(-Q, compose(op(("f", 1)), op(("kbar1",)))),
     )
-    return scale(-(ONE / Q), compose(inner, _qh1(n, 2)))
+    return scale(-(ONE / Q), compose(inner, qh_expr(n, (2, 1))))
 
 
 def tilde_k1(vec: dict, n: int) -> dict:

@@ -26,12 +26,14 @@ from functools import lru_cache
 from . import kernel
 from .errors import StructureError, VerificationError
 from .graphs import ODD, build_graph, closure
+from .words import check_rank
 
 Parts = tuple  # strict partition as a tuple of parts
 
 
 def check_strict_partition(parts, n: int) -> Parts:
     """Validate and normalize a strict partition with at most n parts."""
+    check_rank(n)
     parts = tuple(int(p) for p in parts)
     if not parts:
         raise ValueError("empty partition")

@@ -30,11 +30,15 @@ from .tableaux import (TableauOps, b_lambda, check_strict_partition,
 
 def vector_crystal(n: int):
     """The rank-n letter crystal, as a graph on one-letter words."""
+    words.check_rank(n)
     return build_graph(WordOps(n), [bytes([a]) for a in range(1, n + 1)])
 
 
 def tensor_power_graph(n: int, N: int):
     """Crystal graph on all words of length N (all components at once)."""
+    words.check_rank(n)
+    if N < 0:
+        raise ValueError(f"tensor power must be >= 0, got {N}")
     return build_graph(WordOps(n), list(words.all_words(n, N)))
 
 
@@ -220,6 +224,8 @@ def explore_conjecture(parts, n: int, max_depth: int | None = None) -> dict:
     descriptive: nothing is asserted about what must be found.
     """
     parts = check_strict_partition(parts, n)
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     graph = crystal_of_shape(parts, n)
     ops = GraphOps(graph)
     blam = b_lambda(parts, n)

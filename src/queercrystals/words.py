@@ -28,9 +28,14 @@ def letters(w: Word) -> tuple:
     return tuple(w)
 
 
+def check_rank(n: int) -> None:
+    """A word stores one letter per byte, which caps the rank at 255."""
+    if not 1 <= n <= 255:
+        raise ValueError(f"rank must be in 1..255, got {n}")
+
+
 def check_word(w: Word, n: int) -> None:
-    if n < 1:
-        raise ValueError(f"rank must be >= 1, got {n}")
+    check_rank(n)
     for a in w:
         if not 1 <= a <= n:
             raise ValueError(f"letter {a} out of range 1..{n}")

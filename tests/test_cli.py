@@ -103,6 +103,23 @@ def test_invalid_shape_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--qrep", "relations", "-n", "2", "-N", "0"],
+    ["verify", "--qrep", "residue", "-n", "2", "-N", "0"],
+    ["verify", "--qrep", "comult", "-n", "1"],
+    ["graph", "--vector", "-n", "300"],
+    ["verify", "--qrep", "relations", "-n", "0"],
+    ["conjecture", "--shape", "1", "-n", "2", "--max-depth", "-1"],
+])
+def test_out_of_range_argument_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_missing_selector_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "-n", "2"])

@@ -2,10 +2,11 @@
 
 import pytest
 
-from queercrystals import (ODD, WordOps, all_words, closure, components,
-                           crystal_of_shape, highest_weight_nodes, isomorphic,
-                           tensor, tensor_power_graph, vector_crystal, word)
-from queercrystals.graphs import build_graph, validate
+from queercrystals import (ODD, CrystalGraph, WordOps, all_words, closure,
+                           components, crystal_of_shape, full_ssyt_graph,
+                           highest_weight_nodes, isomorphic, tensor,
+                           tensor_power_graph, vector_crystal, word)
+from queercrystals.graphs import all_labels, build_graph, validate
 
 
 def W(*letters):
@@ -79,6 +80,29 @@ def test_component_weights_are_strict_partitions_with_unique_hw():
                 pos = [x for x in wt if x > 0]
                 assert list(wt)[:len(pos)] == pos
                 assert all(a > b for a, b in zip(pos, pos[1:]))
+
+
+def test_arrow_tables_equal_a_scan_of_the_edges():
+    graphs = [tensor_power_graph(3, 3), full_ssyt_graph((2, 1), 3),
+              tensor(crystal_of_shape((2, 1), 3), vector_crystal(3))]
+    assert [g.kind for g in graphs] == ["word", "tableau", "pair"]
+    for g in graphs:
+        for lab in all_labels(g.n):
+            assert g.successors(lab) == {s: d for s, l, d in g.edges
+                                         if l == lab}
+            assert g.predecessors(lab) == {d: s for s, l, d in g.edges
+                                           if l == lab}
+            assert g.successors(lab) is g.successors(lab)
+            assert g.predecessors(lab) is g.predecessors(lab)
+
+
+def test_validate_rejects_a_label_that_is_not_a_partial_matching():
+    # two 1-arrows out of one node: a src -> dst table would keep only one
+    g = CrystalGraph(n=2, kind="word", nodes=(W(1), W(2), W(2, 2)),
+                     weights=((1, 0), (0, 1), (0, 1)),
+                     edges=((0, 1, 1), (0, 1, 2)))
+    with pytest.raises(ValueError, match="partial matching"):
+        validate(g)
 
 
 def test_graph_invariants_across_tensor_powers():

@@ -36,15 +36,3 @@ def test_twins_agree_exhaustively():
                     assert fast.apply_fbar(w, i) == \
                         _kernel_py.apply_fbar(w, i)
 
-
-def test_selector_honors_environment(monkeypatch):
-    import importlib
-
-    import queercrystals.kernel as kernel_mod
-    monkeypatch.setenv("QUEERCRYSTALS_PURE", "1")
-    mod = importlib.reload(kernel_mod)
-    try:
-        assert mod.IMPLEMENTATION == "pure"
-    finally:
-        monkeypatch.delenv("QUEERCRYSTALS_PURE")
-        importlib.reload(kernel_mod)
