@@ -112,6 +112,8 @@ def cmd_verify(args, parser) -> int:
         else:
             rep = verify_reading_independence(parts, n)
     else:
+        if args.shape:
+            parser.error("--shape does not apply to --qrep checks")
         if args.qrep == "relations":
             rep = verify_relations(n, args.power)
         elif args.qrep == "comult":

@@ -41,6 +41,8 @@ def relations_catalogue(n: int) -> list:
     qinv = ONE / Q
     h_samples = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
     h_samples.append(tuple(range(1, n + 1)))
+    # at rank 1 the sum sample (1,) is also the unit sample: list it once
+    h_samples = list(dict.fromkeys(h_samples))
 
     def qh(h):
         return op(("qh", tuple(h)))

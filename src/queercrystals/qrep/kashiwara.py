@@ -6,8 +6,15 @@ weight vector u,
     u = sum_k f_i^(k) u_k   with  e_i u_k = 0,  f_i^(k) = f_i^k / [k]!,
 
 via tilde_e u = sum f_i^(k-1) u_k and tilde_f u = sum f_i^(k+1) u_k.  The
-decomposition is found by solving a dense linear system over the rational
-functions, one weight space at a time, and is verified by resubstitution.
+decomposition is linear in u and depends only on i and the weight space, so
+each (i, weight space) is solved once and cached: the string tops w_j of
+ker e_i whose strings pass through the space, the matrix C whose columns
+are their images f_i^(k_j) w_j, and C^-1 from one dense RREF over the
+rational functions.  The solve raises unless C is square and invertible,
+and the result is verified as the exact identity C . C^-1 = I on every
+basis tensor of the space.  After that, the coefficients of u are C^-1 u,
+and tilde_e, tilde_f are the same combinations of the cached images
+f_i^(k_j - 1) w_j and f_i^(k_j + 1) w_j.
 
 The odd operators are plain operator polynomials:
 
@@ -17,11 +24,13 @@ The odd operators are plain operator polynomials:
 """
 
 from functools import lru_cache
+from typing import NamedTuple
 
 from .action import (act_expr, act_prim, compose, expr_sum, op, qh_expr,
                      scale)
-from .laurent import ONE, Q, RatFunc, gauss_factorial
-from .tensorspace import basis, tensor_weight, vec_scale, vec_sub, vec_sum
+from .laurent import ONE, Q, RatFunc, gauss_factorial, gauss_int
+from .tensorspace import (basis, tensor_weight, unit, vec_add, vec_scale,
+                          vec_sum)
 
 # ---------------------------------------------------------------------------
 # linear algebra over the fraction field
@@ -57,25 +66,24 @@ def _rref(rows: list) -> tuple:
     return rows, pivots
 
 
-def solve_in_span(vectors: list, target: dict, index: dict) -> list:
-    """Unique coefficients expressing target in the given vectors.
+def solve_in_span(vectors: list, targets: list, index: dict) -> list:
+    """Unique coefficients expressing each target in the given vectors.
 
-    Raises ArithmeticError when the system is inconsistent or the vectors
-    are dependent; with a complete string decomposition neither happens,
-    so a failure here means a bug rather than bad input.
+    One RREF of [vectors | targets] serves every target; the result holds
+    one coefficient list per target.  Raises ArithmeticError when a target
+    lies outside the span or the vectors are dependent; with a complete
+    string decomposition neither happens, so a failure here means a bug
+    rather than bad input.
     """
     m = len(vectors)
-    cols = [_coords(v, index) for v in vectors] + [_coords(target, index)]
+    cols = [_coords(v, index) for v in vectors + targets]
     rows = [[col[r] for col in cols] for r in range(len(index))]
     rows, pivots = _rref(rows)
-    if m in pivots:
+    if any(p >= m for p in pivots):
         raise ArithmeticError("target outside the span")
     if pivots != list(range(m)):
         raise ArithmeticError("dependent string vectors; singular system")
-    coeffs = [RatFunc(()) for _ in range(m)]
-    for r, col in enumerate(pivots):
-        coeffs[col] = rows[r][m]
-    return coeffs
+    return [[rows[r][m + s] for r in range(m)] for s in range(len(targets))]
 
 
 def kernel_on_weight_space(i: int, tensors: list, n: int) -> list:
@@ -128,15 +136,45 @@ def apply_f_power(vec: dict, i: int, k: int) -> dict:
     return vec
 
 
-def string_decomposition(vec: dict, i: int, n: int) -> list:
-    """Pairs (k, u_k) with vec = sum_k f_i^(k) u_k and e_i u_k = 0."""
-    if not vec:
-        return []
-    N = len(next(iter(vec)))
-    mu = _homogeneous_weight(vec, n)
+def _combination(coeffs, vectors) -> dict:
+    """sum_j c_j vectors[j] over the pairs (j, c_j)."""
+    out = {}
+    for j, c in coeffs:
+        for t, x in vectors[j].items():
+            vec_add(out, t, c * x)
+    return out
+
+
+def _divided_step(vec: dict, i: int, m: int) -> dict:
+    """f_i^(m) w from vec = f_i^(m-1) w."""
+    vec = act_prim(("f", i), vec)
+    return vec_scale(ONE / gauss_int(m), vec) if m >= 2 else vec
+
+
+class StringBasis(NamedTuple):
+    """The i-strings through one weight space mu, indexed by candidate j.
+
+    levels[j] = (k_j, w_j): a string top w_j in ker e_i whose image
+    f_i^(k_j) w_j lies in mu.  With C the matrix whose columns are those
+    images, inverse[t] lists the nonzero (j, (C^-1)[j, t]) of the column of
+    C^-1 at the basis tensor t.  raised[j] = f_i^(k_j - 1) w_j (empty at
+    k_j = 0) and lowered[j] = f_i^(k_j + 1) w_j are the images of
+    f_i^(k_j) w_j under tilde_e and tilde_f.
+    """
+
+    levels: tuple
+    inverse: dict
+    raised: tuple
+    lowered: tuple
+
+
+@lru_cache(maxsize=None)
+def _string_basis(i: int, mu: tuple, n: int, N: int) -> StringBasis:
+    """The i-string basis of the weight space mu of V^(x)N, solved once."""
     spaces = _weight_spaces(n, N)
-    index = {t: k for k, t in enumerate(spaces[mu])}
-    candidates = []  # (k, kernel vector, f^(k) kernel vector)
+    tensors = spaces[mu]
+    index = {t: k for k, t in enumerate(tensors)}
+    levels = []  # (k, string top)
     for k in range(mu[i] + 1):
         wt = list(mu)
         wt[i - 1] += k
@@ -145,40 +183,65 @@ def string_decomposition(vec: dict, i: int, n: int) -> list:
         # so shorter strings cannot reach back to mu
         if wt[i - 1] - wt[i] < k:
             continue
-        tensors = spaces.get(tuple(wt))
-        if not tensors:
-            continue
-        for w in kernel_on_weight_space(i, tensors, n):
-            candidates.append((k, w, apply_f_power(w, i, k)))
-    coeffs = solve_in_span([v for _, _, v in candidates], vec, index)
+        tops = spaces.get(tuple(wt))
+        if tops:
+            levels.extend((k, w) for w in kernel_on_weight_space(i, tops, n))
+    raised, images, lowered = [], [], []
+    for k, w in levels:
+        # one f_i chain per string top: f^(k-1) w, then f^(k) w, f^(k+1) w
+        # by one step each, using f_i^(m) = f_i f_i^(m-1) / [m]
+        above = apply_f_power(w, i, k - 1) if k else {}
+        image = _divided_step(above, i, k) if k else w
+        raised.append(above)
+        images.append(image)
+        lowered.append(_divided_step(image, i, k + 1))
+    columns = solve_in_span(images, [unit(t) for t in tensors], index)
+    inverse = {t: tuple((j, c) for j, c in enumerate(col) if c)
+               for t, col in zip(tensors, columns)}
+    # resubstitution check: C . C^-1 = I, one basis tensor per column
+    for t in tensors:
+        if _combination(inverse[t], images) != unit(t):
+            raise ArithmeticError("string decomposition failed to reconstruct")
+    return StringBasis(tuple(levels), inverse, tuple(raised), tuple(lowered))
+
+
+def _string_coefficients(vec: dict, i: int, n: int) -> tuple:
+    """(string basis of vec's weight space, C^-1 vec as {j: coefficient})."""
+    mu = _homogeneous_weight(vec, n)
+    string_basis = _string_basis(i, mu, n, len(next(iter(vec))))
+    coeffs = {}
+    for t, x in vec.items():
+        for j, c in string_basis.inverse[t]:
+            vec_add(coeffs, j, c * x)
+    return string_basis, coeffs
+
+
+def string_decomposition(vec: dict, i: int, n: int) -> list:
+    """Pairs (k, u_k) with vec = sum_k f_i^(k) u_k and e_i u_k = 0."""
+    if not vec:
+        return []
+    string_basis, coeffs = _string_coefficients(vec, i, n)
     by_level = {}
-    for (k, w, _), c in zip(candidates, coeffs):
-        if c:
-            by_level[k] = vec_sum(by_level.get(k, {}), vec_scale(c, w))
-    # resubstitution check: the decomposition must reproduce the input
-    recon = {}
-    for k, u_k in by_level.items():
-        recon = vec_sum(recon, apply_f_power(u_k, i, k))
-    if vec_sub(recon, vec):
-        raise ArithmeticError("string decomposition failed to reconstruct")
+    for j, c in coeffs.items():
+        k, w = string_basis.levels[j]
+        by_level[k] = vec_sum(by_level.get(k, {}), vec_scale(c, w))
     return sorted(by_level.items())
 
 
 def tilde_e(i: int, vec: dict, n: int) -> dict:
-    """Even Kashiwara raising operator at q-level."""
-    out = {}
-    for k, u_k in string_decomposition(vec, i, n):
-        if k >= 1:
-            out = vec_sum(out, apply_f_power(u_k, i, k - 1))
-    return out
+    """Even Kashiwara raising operator at q-level: sum f_i^(k-1) u_k."""
+    if not vec:
+        return {}
+    string_basis, coeffs = _string_coefficients(vec, i, n)
+    return _combination(coeffs.items(), string_basis.raised)
 
 
 def tilde_f(i: int, vec: dict, n: int) -> dict:
-    """Even Kashiwara lowering operator at q-level."""
-    out = {}
-    for k, u_k in string_decomposition(vec, i, n):
-        out = vec_sum(out, apply_f_power(u_k, i, k + 1))
-    return out
+    """Even Kashiwara lowering operator at q-level: sum f_i^(k+1) u_k."""
+    if not vec:
+        return {}
+    string_basis, coeffs = _string_coefficients(vec, i, n)
+    return _combination(coeffs.items(), string_basis.lowered)
 
 
 # ---------------------------------------------------------------------------

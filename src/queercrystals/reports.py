@@ -9,10 +9,12 @@ def record(check: str, instance: str, status: str, witness=None) -> dict:
 
 
 def passed(records) -> bool:
-    return all(r["status"] != "fail" for r in records)
+    """At least one record and none failed: an empty report checked nothing."""
+    return bool(records) and all(r["status"] != "fail" for r in records)
 
 
 def report(records, **extra) -> dict:
-    out = {"records": list(records), "passed": passed(records)}
+    records = list(records)
+    out = {"records": records, "passed": passed(records)}
     out.update(extra)
     return out

@@ -110,6 +110,7 @@ def test_invalid_shape_is_a_usage_error(capsys):
     ["graph", "--vector", "-n", "300"],
     ["verify", "--qrep", "relations", "-n", "0"],
     ["conjecture", "--shape", "1", "-n", "2", "--max-depth", "-1"],
+    ["verify", "--qrep", "residue", "-n", "2", "-N", "1", "--shape", "5"],
 ])
 def test_out_of_range_argument_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@
 
 from queercrystals.qrep.checks import (relations_catalogue, residue_check,
                                        verify_comult_odd, verify_relations)
+from queercrystals.reports import passed, record
 
 
 def _failures(rep):
@@ -21,6 +22,15 @@ def test_catalogue_covers_the_relation_families():
     assert any("e-e-distant-commute" in nm for nm in names4)
 
 
+def test_catalogue_names_are_unique():
+    for n in range(1, 5):
+        names = [name for name, _, _ in relations_catalogue(n)]
+        assert len(names) == len(set(names)), n
+    assert [name for name, _, _ in relations_catalogue(1)] == [
+        "qh-additivity h1=(1,) h2=(1,)", "qh-kbar-commute j=1",
+        "kbar-squared i=1"]
+
+
 def test_relations_hold_on_v():
     rep = verify_relations(2, 1)
     assert rep["passed"], _failures(rep)
@@ -34,6 +44,14 @@ def test_relations_hold_on_v_squared():
 def test_relation_filter():
     rep = verify_relations(2, 1, which="kbar-squared")
     assert rep["passed"] and len(rep["records"]) == 2
+
+
+def test_a_report_without_records_fails():
+    assert not passed([])
+    assert passed([record("x", "y", "pass")])
+    assert not passed([record("x", "y", "pass"), record("x", "z", "fail")])
+    rep = verify_relations(2, 1, which="no-such-relation")
+    assert rep["records"] == [] and rep["passed"] is False
 
 
 def test_comultiplication_of_odd_operators():

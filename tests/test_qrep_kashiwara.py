@@ -2,12 +2,14 @@
 
 import pytest
 
+from queercrystals.qrep import kashiwara
 from queercrystals.qrep.action import act_prim
-from queercrystals.qrep.kashiwara import (apply_f_power, string_decomposition,
-                                          tilde_e, tilde_ebar1, tilde_f,
-                                          tilde_fbar1, tilde_k1)
-from queercrystals.qrep.laurent import ONE, Q
-from queercrystals.qrep.tensorspace import basis, unit, vec_sum
+from queercrystals.qrep.kashiwara import (apply_f_power, solve_in_span,
+                                          string_decomposition, tilde_e,
+                                          tilde_ebar1, tilde_f, tilde_fbar1,
+                                          tilde_k1)
+from queercrystals.qrep.laurent import ONE, Q, ZERO
+from queercrystals.qrep.tensorspace import basis, unit, vec_scale, vec_sum
 
 
 def v(*symbols):
@@ -27,13 +29,84 @@ def test_examples_on_v():
     assert tilde_ebar1(unit(v(-2)), n) == unit(v(1))
 
 
+def _recompose(decomposition, i, shift):
+    """sum_k f_i^(k + shift) u_k over the levels with k + shift >= 0."""
+    out = {}
+    for k, u_k in decomposition:
+        if k + shift >= 0:
+            out = vec_sum(out, apply_f_power(u_k, i, k + shift))
+    return out
+
+
+def _check_string_decomposition(vec, i, n):
+    """Recompose with apply_f_power, independently of the cached images."""
+    decomposition = string_decomposition(vec, i, n)
+    assert _recompose(decomposition, i, 0) == vec
+    for k, u_k in decomposition:
+        assert u_k and act_prim(("e", i), u_k) == {}
+    assert tilde_e(i, vec, n) == _recompose(decomposition, i, -1)
+    assert tilde_f(i, vec, n) == _recompose(decomposition, i, 1)
+
+
 def test_string_decomposition_reconstructs_every_basis_tensor():
-    for n, N in ((2, 1), (2, 2), (3, 2)):
+    # the string basis is verified once per weight space (C . C^-1 = I);
+    # this recomposes each decomposition separately
+    for n, N in ((2, 1), (2, 2), (3, 2), (2, 3)):
         for t in basis(n, N):
             for i in range(1, n):
-                # reconstruction is asserted inside; also check e kills tops
-                for k, u_k in string_decomposition(unit(t), i, n):
-                    assert act_prim(("e", i), u_k) == {}
+                _check_string_decomposition(unit(t), i, n)
+
+
+def test_operators_are_linear_on_a_weight_space():
+    n = 2
+    coeffs = {v(1, 1, 2): Q, v(-1, 2, 1): ONE + Q * Q,
+              v(2, -1, -1): (Q - ONE) / (Q + 2 * ONE), v(1, -2, 1): -ONE / Q}
+    _check_string_decomposition(coeffs, 1, n)
+    for op in (tilde_e, tilde_f):
+        expected = {}
+        for t, c in coeffs.items():
+            expected = vec_sum(expected, vec_scale(c, op(1, unit(t), n)))
+        assert op(1, coeffs, n) == expected
+
+
+def test_solve_in_span_rejects_singular_systems():
+    a, b = v(1, 2), v(2, 1)
+    index = {a: 0, b: 1}
+    with pytest.raises(ArithmeticError, match="dependent"):
+        solve_in_span([unit(a), vec_scale(Q, unit(a))], [unit(a)], index)
+    with pytest.raises(ArithmeticError, match="outside"):
+        solve_in_span([unit(a)], [unit(b)], index)
+    assert solve_in_span([unit(a), vec_sum(unit(a), unit(b))],
+                         [unit(a), unit(b)], index) == [[ONE, ZERO],
+                                                        [-ONE, ONE]]
+
+
+@pytest.fixture
+def fresh_string_bases():
+    kashiwara._string_basis.cache_clear()
+    yield
+    kashiwara._string_basis.cache_clear()
+
+
+def test_dependent_string_tops_raise(monkeypatch, fresh_string_bases):
+    kernel = kashiwara.kernel_on_weight_space
+    monkeypatch.setattr(kashiwara, "kernel_on_weight_space",
+                        lambda i, tensors, n: 2 * kernel(i, tensors, n))
+    with pytest.raises(ArithmeticError, match="dependent"):
+        tilde_f(1, unit(v(1, 2)), 2)
+
+
+def test_a_wrong_inverse_fails_resubstitution(monkeypatch, fresh_string_bases):
+    solve = kashiwara.solve_in_span
+
+    def off_by_one(vectors, targets, index):
+        columns = solve(vectors, targets, index)
+        columns[0][0] = columns[0][0] + ONE
+        return columns
+
+    monkeypatch.setattr(kashiwara, "solve_in_span", off_by_one)
+    with pytest.raises(ArithmeticError, match="reconstruct"):
+        tilde_e(1, unit(v(2, 1)), 2)
 
 
 def test_divided_powers():
@@ -58,8 +131,10 @@ def test_even_operators_on_a_two_fold_tensor():
 def test_rejects_non_weight_vectors():
     n = 2
     mixed = vec_sum(unit(v(1)), unit(v(2)))
-    with pytest.raises(ValueError):
-        string_decomposition(mixed, 1, n)
+    for fn in (lambda: string_decomposition(mixed, 1, n),
+               lambda: tilde_e(1, mixed, n), lambda: tilde_f(1, mixed, n)):
+        with pytest.raises(ValueError):
+            fn()
 
 
 def test_odd_nilpotence_is_exact_only_at_q_zero():
