@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument("--shape", metavar="PARTS",
                       help="strict partition, e.g. 3,1")
     g.add_argument("-n", "--rank", type=int, required=True)
-    g.add_argument("--reading", choices=("row", "col"), default="row")
+    g.add_argument("--reading", choices=("row", "col"),
+                   help="reading word for --shape (default row)")
     g.add_argument("--format", choices=("dot", "json"), default="dot")
     g.add_argument("-o", "--output", metavar="PATH")
 
@@ -68,8 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exact-arithmetic checks on tensor powers of V")
     v.add_argument("--shape", metavar="PARTS")
     v.add_argument("-n", "--rank", type=int, required=True)
-    v.add_argument("-N", "--power", type=int, default=2,
-                   help="tensor power for --qrep relations/residue")
+    v.add_argument("-N", "--power", type=int,
+                   help="tensor power for --qrep relations/residue "
+                        "(default 2)")
     v.add_argument("-o", "--output", metavar="PATH")
 
     c = sub.add_parser("conjecture",
@@ -83,13 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_graph(args, parser) -> int:
     n = args.rank
+    if args.reading and not args.shape:
+        parser.error("--reading applies only to --shape")
     if args.vector:
         graph = vector_crystal(n)
     elif args.tensor is not None:
         graph = tensor_power_graph(n, args.tensor)
     else:
         parts = _parse_shape(args.shape, parser, n)
-        graph = crystal_of_shape(parts, n, args.reading)
+        graph = crystal_of_shape(parts, n, args.reading or "row")
     if args.format == "dot":
         _emit(graph_to_dot(graph), args.output)
     else:
@@ -99,6 +103,9 @@ def cmd_graph(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     n = args.rank
+    if args.power is not None and args.qrep not in ("relations", "residue"):
+        parser.error("-N/--power applies only to --qrep relations/residue")
+    N = 2 if args.power is None else args.power
     if args.theorem or args.reading_independence:
         if not args.shape:
             parser.error("--shape is required for this check")
@@ -115,11 +122,11 @@ def cmd_verify(args, parser) -> int:
         if args.shape:
             parser.error("--shape does not apply to --qrep checks")
         if args.qrep == "relations":
-            rep = verify_relations(n, args.power)
+            rep = verify_relations(n, N)
         elif args.qrep == "comult":
             rep = verify_comult_odd(n)
         else:
-            rep = residue_check(n, args.power)
+            rep = residue_check(n, N)
     _emit(report_to_json(rep), args.output)
     return 0 if rep["passed"] else 1
 

@@ -1,7 +1,7 @@
 """Action of the quantum queer superalgebra on V and its tensor powers.
 
 Four primitive generators act through explicit formulas: q^h, e_i, f_i
-(even) and kbar_1 (odd).  On a tensor power the action comes from iterated
+(even) and kbar_1 (odd).  On a tensor power the action comes from the
 comultiplication
 
     D(q^h)    = q^h (x) q^h
@@ -10,6 +10,11 @@ comultiplication
     D(kbar_1) = kbar_1 (x) q^{k_1} + q^{-k_1} (x) kbar_1
 
 with the super sign rule (a (x) b)(x (x) y) = (-1)^{|b||x|} ax (x) by.
+Since q^h is group-like, coassociativity makes the N-fold coproduct put
+e_i, f_i or kbar_1 on one factor p at a time: e_i takes q^{-k_i+k_{i+1}}
+from every factor right of p, f_i takes q^{k_i-k_{i+1}} from every factor
+left of p, and kbar_1 takes q^{k_1} from the right, q^{-k_1} from the left
+and, moving past the factors left of p, the sign (-1)^(bars left of p).
 
 Everything else is generated: ebar_i, fbar_i and kbar_j for j >= 2 are
 operator polynomials in the primitives obtained by solving the defining
@@ -26,66 +31,37 @@ from .tensorspace import vec_add, vec_scale, vec_sum
 # primitive symbols: ("qh", h-tuple), ("e", i), ("f", i), ("kbar1",)
 
 
-def prim_parity(sym) -> int:
-    return 1 if sym[0] == "kbar1" else 0
-
-
 @lru_cache(maxsize=None)
 def _act_prim_tensor(sym, t) -> tuple:
-    """Primitive symbol applied to one basis tensor: ((tensor, coeff), ...)."""
+    """Primitive symbol applied to one basis tensor: ((tensor, coeff), ...),
+    in increasing order of the factor acted on."""
     kind = sym[0]
-    if len(t) == 1:
-        ((j, s),) = t
-        if kind == "qh":
-            return ((t, RatFunc.q_power(sym[1][j - 1])),)
-        if kind == "e":
-            i = sym[1]
-            return ((((i, s),), ONE),) if j == i + 1 else ()
-        if kind == "f":
-            i = sym[1]
-            return ((((i + 1, s),), ONE),) if j == i else ()
-        if kind == "kbar1":
-            return ((((1, 1 - s),), ONE),) if j == 1 else ()
-        raise ValueError(f"unknown symbol {sym!r}")
-    x, y = t[:-1], t[-1:]
     if kind == "qh":
-        terms = ((sym, sym),)
-    elif kind == "e":
+        h = sym[1]
+        return ((t, RatFunc.q_power(sum(h[j - 1] for j, _ in t))),)
+    # (letter acted on, letter produced, bar flip, exponent per letter of
+    # each factor left of it, exponent per letter of each factor right)
+    if kind == "e":
         i = sym[1]
-        terms = ((sym, ("qh_rel", (-1, i), (1, i + 1))), (None, sym))
+        src, dst, flip, left, right = i + 1, i, 0, {}, {i: -1, i + 1: 1}
     elif kind == "f":
         i = sym[1]
-        terms = ((sym, None), (("qh_rel", (1, i), (-1, i + 1)), sym))
+        src, dst, flip, left, right = i, i + 1, 0, {i: 1, i + 1: -1}, {}
     elif kind == "kbar1":
-        terms = ((sym, ("qh_rel", (1, 1))), (("qh_rel", (-1, 1)), sym))
+        src, dst, flip, left, right = 1, 1, 1, {1: -1}, {1: 1}
     else:
         raise ValueError(f"unknown symbol {sym!r}")
-    px = sum(s for _, s in x) & 1
-    out = {}
-    for a_sym, b_sym in terms:
-        odd_b = b_sym is not None and b_sym[0] == "kbar1"
-        sign = -1 if (odd_b and px) else 1
-        for y2, cb in _resolve(b_sym, y):
-            for x2, ca in _resolve(a_sym, x):
-                c = ca * cb
-                if sign < 0:
-                    c = -c
-                vec_add(out, x2 + y2, c)
-    return tuple(out.items())
-
-
-def _resolve(sym, t):
-    """Apply a possibly-relative symbol (or identity None) to a basis tensor."""
-    if sym is None:
-        return ((t, ONE),)
-    if sym[0] == "qh_rel":
-        # q^h with h expressed by (coeff, index) pairs, padded to the rank
-        # seen on the tensor: exponent = sum coeff * (#letters equal to index)
-        k = 0
-        for c, j in sym[1:]:
-            k += c * sum(1 for a, _ in t if a == j)
-        return ((t, RatFunc.q_power(k)),)
-    return _act_prim_tensor(sym, t)
+    out = []
+    for p, (j, s) in enumerate(t):
+        if j != src:
+            continue
+        k = (sum(left.get(a, 0) for a, _ in t[:p])
+             + sum(right.get(a, 0) for a, _ in t[p + 1:]))
+        c = RatFunc.q_power(k)
+        if flip and sum(b for _, b in t[:p]) & 1:
+            c = -c
+        out.append((t[:p] + ((dst, s ^ flip),) + t[p + 1:], c))
+    return tuple(out)
 
 
 def act_prim(sym, vec: dict) -> dict:

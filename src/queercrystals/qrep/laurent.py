@@ -5,7 +5,8 @@ coefficient arising from the algebra action on finite tensor powers; no
 power-series truncation is ever needed.  A fraction is kept in reduced
 normal form: numerator and denominator are coprime integer polynomials and
 the denominator has a positive leading coefficient, so equality is plain
-tuple comparison.
+tuple comparison.  Normalizing stays on integers: the gcd is a primitive
+pseudo-remainder sequence and dividing by it is integer long division.
 
 Polynomials are tuples of integer coefficients, lowest degree first, with
 no trailing zeros; the zero polynomial is the empty tuple.
@@ -53,60 +54,49 @@ def pcontent(a) -> int:
     return g
 
 
-def _qdivmod(a, b):
-    """Division with remainder over Q; inputs integer tuples."""
-    r = [Fraction(c) for c in a]
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    db = len(b) - 1
-    lb = Fraction(b[-1])
-    while len(r) - 1 >= db:
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        k = len(r) - 1 - db
-        c = r[-1] / lb
-        q[k] = c
-        for t, cb in enumerate(b):
-            r[k + t] -= c * cb
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
 def pdiv_exact(a, b) -> tuple:
-    """Exact quotient a/b; raises if b does not divide a over Z."""
+    """Exact quotient a/b by integer long division; raises unless b divides
+    a over Z (a step that does not divide leaves a nonzero remainder)."""
     if not a:
         return ()
-    q, r = _qdivmod(a, b)
-    if r:
-        raise ArithmeticError(f"{b} does not divide {a}")
-    if any(c.denominator != 1 for c in q):
-        raise ArithmeticError(f"quotient of {a} by {b} is not integral")
-    return pnorm(int(c) for c in q)
+    r = list(a)
+    db = len(b) - 1
+    q = [0] * max(0, len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + db] // b[-1]
+        for t, cb in enumerate(b):
+            r[k + t] -= c * cb
+    if any(r):
+        raise ArithmeticError(f"{b} does not divide {a} over Z")
+    return pnorm(q)
 
 
 def pgcd(a, b) -> tuple:
-    """Primitive gcd over Z with a positive leading coefficient."""
+    """Primitive gcd over Z with a positive leading coefficient.
+
+    Primitive remainder sequence: (a, b) becomes (b, prem(a, b) / content),
+    where the pseudo-remainder scales a by powers of b's leading
+    coefficient so that every step stays in Z[q].
+    """
     while b:
-        _, r = _qdivmod(a, b)
-        a, b = b, pnorm(r)
-        if b:
-            # clear denominators and content to keep integer tuples
-            lcm = 1
-            for c in b:
-                lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-            ints = [int(c * lcm) for c in b]
-            g = pcontent(ints)
-            b = tuple(c // g for c in ints)
+        r = list(a)
+        db = len(b) - 1
+        lb = b[-1]
+        while len(r) > db:
+            g = gcd(r[-1], lb)
+            mr, mb = r[-1] // g, lb // g
+            k = len(r) - 1 - db
+            r = [mb * c for c in r]
+            for t, cb in enumerate(b):
+                r[k + t] -= mr * cb
+            while r and r[-1] == 0:
+                r.pop()
+        g = pcontent(r)
+        a, b = b, tuple(c // g for c in r)
     if not a:
         return ()
-    ints = [int(c) for c in a]
-    g = pcontent(ints)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+    g = pcontent(a) if a[-1] > 0 else -pcontent(a)
+    return tuple(c // g for c in a)
 
 
 def poly_str(a, var: str = "q") -> str:

@@ -111,6 +111,9 @@ def test_invalid_shape_is_a_usage_error(capsys):
     ["verify", "--qrep", "relations", "-n", "0"],
     ["conjecture", "--shape", "1", "-n", "2", "--max-depth", "-1"],
     ["verify", "--qrep", "residue", "-n", "2", "-N", "1", "--shape", "5"],
+    ["verify", "--qrep", "comult", "-n", "2", "-N", "7"],
+    ["verify", "--theorem", "b", "--shape", "2,1", "-n", "3", "-N", "0"],
+    ["graph", "--tensor", "3", "-n", "2", "--reading", "col"],
 ])
 def test_out_of_range_argument_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

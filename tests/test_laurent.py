@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queercrystals.qrep.laurent import (ONE, Q, ZERO, RatFunc, gauss_factorial,
-                                        gauss_int, pgcd, pmul, pnorm)
+                                        gauss_int, pdiv_exact, pgcd, pmul,
+                                        pnorm)
 
 coeffs = st.lists(st.integers(min_value=-9, max_value=9), min_size=0,
                   max_size=5)
@@ -24,6 +26,28 @@ def ratfuncs(draw, allow_zero=True):
     if not allow_zero and not num:
         num = (1,)
     return RatFunc(num, den)
+
+
+@st.composite
+def poly_pairs(draw):
+    """(num, den) with a common factor half of the time, den nonzero."""
+    num = pnorm(draw(coeffs))
+    den = nonzero_poly(draw(coeffs))
+    if draw(st.booleans()):
+        common = nonzero_poly(draw(coeffs))
+        num, den = pmul(num, common), pmul(den, common)
+    return num, den
+
+
+_q = sympy.Symbol("q")
+
+
+def _to_sympy(a):
+    return sympy.Poly(list(reversed(a)) or [0], _q, domain="ZZ")
+
+
+def _from_sympy(p):
+    return pnorm(int(c) for c in reversed(p.all_coeffs()))
 
 
 def test_basic_values():
@@ -100,3 +124,39 @@ def test_q_powers_multiply(k):
 def test_pmul_agrees_with_int_polynomials():
     assert pmul((1, 1), (1, -1)) == (1, 0, -1)
     assert pmul((), (1, 2)) == ()
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_pairs())
+def test_normal_form_equals_sympy_cancellation(pair):
+    num, den = pair
+    x = RatFunc(num, den)
+    n, d = _to_sympy(num), _to_sympy(den)
+    g = n.gcd(d)  # over Z: the content gcd times the primitive gcd
+    n, d = n.exquo(g), d.exquo(g)
+    if d.LC() < 0:
+        n, d = -n, -d
+    assert (x.num, x.den) == (_from_sympy(n), _from_sympy(d))
+    assert x.den[-1] > 0
+    assert _to_sympy(x.num).gcd(_to_sympy(x.den)).as_expr() == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_pairs())
+def test_pgcd_equals_sympy_primitive_gcd(pair):
+    a, b = pair
+    if not a:
+        a, b = b, a  # also cover a zero second argument
+    g = _to_sympy(a).gcd(_to_sympy(b)).primitive()[1]
+    if g.LC() < 0:
+        g = -g
+    assert pgcd(a, b) == _from_sympy(g)
+
+
+def test_pdiv_exact_rejects_inexact_division():
+    assert pdiv_exact((1, 0, -1), (1, 1)) == (1, -1)
+    assert pdiv_exact((), (3, 1)) == ()
+    with pytest.raises(ArithmeticError):
+        pdiv_exact((1, 1), (2,))  # quotient (1 + q)/2 is not integral
+    with pytest.raises(ArithmeticError):
+        pdiv_exact((1, 0, 1), (1, 1))  # remainder 2

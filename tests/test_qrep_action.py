@@ -73,6 +73,29 @@ def test_tensor_action_examples():
     assert img == {v(-1, 2): ONE}
 
 
+def test_three_factor_coproduct_examples():
+    """Hand-computed images on N = 3 from the two-factor coproduct, iterated."""
+    n = 3
+    qinv = ONE / Q
+    # e_1 on factor p takes q^{-k_1 + k_2} from each factor right of p
+    img = act_on_tensor(("e", 1), unit(v(2, 2, 1)), n)
+    assert img == {v(1, 2, 1): ONE, v(2, 1, 1): qinv}
+    img = act_on_tensor(("e", 1), unit(v(-2, 2, 1)), n)
+    assert img == {v(-1, 2, 1): ONE, v(-2, 1, 1): qinv}
+    # f_1 on factor p takes q^{k_1 - k_2} from each factor left of p
+    img = act_on_tensor(("f", 1), unit(v(1, 1, 2)), n)
+    assert img == {v(2, 1, 2): ONE, v(1, 2, 2): Q}
+    img = act_on_tensor(("f", 1), unit(v(-1, 1, 1)), n)
+    assert img == {v(-2, 1, 1): ONE, v(-1, 2, 1): Q, v(-1, 1, 2): Q * Q}
+    # kbar_1 on factor p: q^{k_1} from the right, q^{-k_1} from the left,
+    # and a sign for the odd vbar_1 it passes on the left
+    img = act_on_tensor(("kbar", 1), unit(v(-1, 1, 1)), n)
+    assert img == {v(1, 1, 1): Q * Q, v(-1, -1, 1): -ONE,
+                   v(-1, 1, -1): -qinv * qinv}
+    img = act_on_tensor(("kbar", 1), unit(v(2, -1, 1)), n)
+    assert img == {v(2, 1, 1): Q, v(2, -1, -1): -qinv}
+
+
 def test_super_sign_in_the_coproduct():
     """kbar_1 through an odd first factor picks up the sign."""
     n = 2

@@ -1,7 +1,10 @@
 """Relation catalogue, odd comultiplication, residue checks (small sizes)."""
 
-from queercrystals.qrep.checks import (relations_catalogue, residue_check,
-                                       verify_comult_odd, verify_relations)
+from queercrystals.qrep import checks
+from queercrystals.qrep.action import compose, op
+from queercrystals.qrep.checks import (comult_formulas, relations_catalogue,
+                                       residue_check, verify_comult_odd,
+                                       verify_relations)
 from queercrystals.reports import passed, record
 
 
@@ -52,6 +55,42 @@ def test_a_report_without_records_fails():
     assert not passed([record("x", "y", "pass"), record("x", "z", "fail")])
     rep = verify_relations(2, 1, which="no-such-relation")
     assert rep["records"] == [] and rep["passed"] is False
+
+
+def test_a_false_relation_fails_with_a_witness(monkeypatch):
+    """q^{k_1} e_1 = e_1 q^{k_1} drops the factor q of the true relation."""
+    qk1, e1 = op(("qh", (1, 0))), op(("e", 1))
+    false = ("false qh-e", compose(qk1, e1), compose(e1, qk1))
+    monkeypatch.setattr(checks, "relations_catalogue",
+                        lambda n: relations_catalogue(n) + [false])
+    rep = verify_relations(2, 1)
+    assert rep["passed"] is False
+    failed = _failures(rep)
+    assert [r["instance"] for r in failed] == ["n=2 N=1 false qh-e"]
+    # first on v_2: q^{k_1} e_1 v_2 = q v_1 but e_1 q^{k_1} v_2 = v_1
+    assert failed[0]["witness"] == {"tensor": "((2, 0),)",
+                                    "component": "((1, 0),)",
+                                    "coefficient": "q - 1"}
+
+
+def test_a_comultiplication_without_the_super_sign_fails(monkeypatch):
+    """Dropping the odd flag of 1 (x) ktilde_1 loses the sign on an odd x."""
+    def unsigned(n):
+        formulas = comult_formulas(n)
+        name, whole, terms = formulas[0]
+        terms = [(c, a, b, 0) for c, a, b, _ in terms]
+        return [(name, whole, terms)] + formulas[1:]
+
+    monkeypatch.setattr(checks, "comult_formulas", unsigned)
+    rep = verify_comult_odd(2)
+    assert rep["passed"] is False
+    (failed,) = _failures(rep)
+    assert failed["instance"] == "n=2 ktilde1"
+    # first at x = vbar_1 (odd), y = v_1: the signed term -vbar_1 (x) vbar_1
+    # and the unsigned one differ by twice that
+    assert failed["witness"] == {"tensor": "((1, 1), (1, 0))",
+                                 "component": "((1, 1), (1, 1))",
+                                 "coefficient": "-2"}
 
 
 def test_comultiplication_of_odd_operators():
