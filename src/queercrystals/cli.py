@@ -57,6 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reading word for --shape (default row)")
     g.add_argument("--format", choices=("dot", "json"), default="dot")
     g.add_argument("-o", "--output", metavar="PATH")
+    g.set_defaults(handler=cmd_graph, subparser=g)
 
     v = sub.add_parser("verify", help="run a verifier, emit a JSON report")
     which = v.add_mutually_exclusive_group(required=True)
@@ -73,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tensor power for --qrep relations/residue "
                         "(default 2)")
     v.add_argument("-o", "--output", metavar="PATH")
+    v.set_defaults(handler=cmd_verify, subparser=v)
 
     c = sub.add_parser("conjecture",
                        help="survey highest-weight vectors of B(lam) (x) B")
@@ -80,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("-n", "--rank", type=int, required=True)
     c.add_argument("--max-depth", type=int, default=None)
     c.add_argument("-o", "--output", metavar="PATH")
+    c.set_defaults(handler=cmd_conjecture, subparser=c)
     return parser
 
 
@@ -141,15 +144,12 @@ def cmd_conjecture(args, parser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # usage errors are reported with the subcommand's own usage line
     try:
-        if args.command == "graph":
-            return cmd_graph(args, parser)
-        if args.command == "verify":
-            return cmd_verify(args, parser)
-        return cmd_conjecture(args, parser)
+        return args.handler(args, args.subparser)
     except ValueError as exc:
         # the library rejects out-of-range arguments before doing any work
-        parser.error(str(exc))
+        args.subparser.error(str(exc))
     except (VerificationError, StructureError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1

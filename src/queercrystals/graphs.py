@@ -15,12 +15,15 @@ splitting reproducible run to run.
 
 Operator access is through small "ops" adapters (words, tableaux, stored
 graphs, tensor products) so that closure, highest-weight detection and
-the Weyl action can be written once.
+the Weyl action can be written once.  A stored graph is split into
+components on node indices along its arrow tables (``graph_components``);
+``components`` splits any element set through an ops adapter.
 """
 
 from dataclasses import dataclass
 
 from . import kernel
+from .errors import StructureError
 from .weyl import conjugating_word
 
 ODD = "1bar"
@@ -332,15 +335,19 @@ def build_graph(ops, elements) -> CrystalGraph:
     )
     index = {b: k for k, b in enumerate(nodes)}
     edges = []
-    for k, b in enumerate(nodes):
-        for i in even_labels(ops.n):
-            x = ops.f(i, b)
-            if x is not None:
-                edges.append((k, i, index[x]))
-        if ops.n >= 2:
-            x = ops.fbar1(b)
-            if x is not None:
-                edges.append((k, ODD, index[x]))
+    try:
+        for k, b in enumerate(nodes):
+            for i in even_labels(ops.n):
+                x = ops.f(i, b)
+                if x is not None:
+                    edges.append((k, i, index[x]))
+            if ops.n >= 2:
+                x = ops.fbar1(b)
+                if x is not None:
+                    edges.append((k, ODD, index[x]))
+    except KeyError as exc:
+        raise StructureError(
+            f"an operator leaves the element set at {exc.args[0]!r}") from None
     edges.sort(key=lambda e: (e[0], label_key(e[1]), e[2]))
     return CrystalGraph(
         n=ops.n,
@@ -383,8 +390,53 @@ def tensor(left: CrystalGraph, right: CrystalGraph) -> CrystalGraph:
 
 
 def graph_components(graph: CrystalGraph) -> list:
-    """Components of a stored graph, via its own edges."""
-    return components(GraphOps(graph), graph.nodes)
+    """Components of a stored graph, split on node indices.
+
+    A search along the stored arrow tables collects each component's
+    indices; its nodes, weights and edges are then sliced out in the
+    parent's (canonical) order.  Components come in the order of their
+    first node, and a connected graph is returned as it is.
+    """
+    tables = [graph.successors(lab) for lab in all_labels(graph.n)]
+    tables += [graph.predecessors(lab) for lab in all_labels(graph.n)]
+    component = [-1] * len(graph)
+    members = []
+    for start in range(len(graph)):
+        if component[start] >= 0:
+            continue
+        c = len(members)
+        component[start] = c
+        found = [start]
+        todo = [start]
+        while todo:
+            v = todo.pop()
+            for table in tables:
+                u = table.get(v)
+                if u is not None and component[u] < 0:
+                    component[u] = c
+                    found.append(u)
+                    todo.append(u)
+        found.sort()
+        members.append(found)
+    if len(members) == 1:
+        return [graph]
+    local = [0] * len(graph)
+    for found in members:
+        for j, k in enumerate(found):
+            local[k] = j
+    edges = [[] for _ in members]
+    for s, lab, d in graph.edges:
+        edges[component[s]].append((local[s], lab, local[d]))
+    return [
+        CrystalGraph(
+            n=graph.n,
+            kind=graph.kind,
+            nodes=tuple(graph.nodes[k] for k in found),
+            weights=tuple(graph.weights[k] for k in found),
+            edges=tuple(comp_edges),
+        )
+        for found, comp_edges in zip(members, edges)
+    ]
 
 
 def highest_weight_nodes(graph: CrystalGraph) -> list:

@@ -11,6 +11,13 @@ and the word operators pull back to tableau operators.  Two readings are
 provided; they induce the same tableau operators, which the test suite
 checks exhaustively.
 
+Tableau crystal graphs are built on the reading words with the kernel's
+word operators, with nodes ordered by the tableau's canonical key
+(weight, then entries in box order).  Each node is then decoded once
+into a ``Tableau``, and decoding checks that it is semistandard; every
+operator result is a node, so every result is checked.  ``TableauOps``
+applies single operators to ``Tableau`` objects directly.
+
 The full set of semistandard fillings is stable under the operators but
 is in general a disjoint union of several connected crystals (already for
 lam = (3): three free boxes read onto the whole of B^(x)3, which splits).
@@ -25,7 +32,7 @@ from functools import lru_cache
 
 from . import kernel
 from .errors import StructureError, VerificationError
-from .graphs import ODD, build_graph, closure
+from .graphs import ODD, CrystalGraph, WordOps, build_graph, closure
 from .words import check_rank
 
 Parts = tuple  # strict partition as a tuple of parts
@@ -72,6 +79,10 @@ class SkewShape:
 class Tableau:
     shape: SkewShape
     entries: tuple  # aligned with shape.boxes
+
+    def __hash__(self):
+        # equal tableaux have equal entries; the shape only breaks ties
+        return hash(self.entries)
 
     def entry(self, box):
         return self.entries[self.shape.boxes.index(box)]
@@ -172,48 +183,75 @@ class TableauOps:
         self.n = n
         self.reading = reading
         self.order = reading_order(shape.boxes, reading)
+        # reading position of each box, in box order
+        self.positions = tuple(
+            sorted(range(len(self.order)), key=self.order.__getitem__))
 
     def encode(self, t: Tableau) -> bytes:
-        return bytes(t.entries[k] for k in self.order)
+        return bytes(map(t.entries.__getitem__, self.order))
 
     def decode(self, w: bytes) -> Tableau:
-        entries = [0] * len(self.order)
-        for pos, k in enumerate(self.order):
-            entries[k] = w[pos]
-        entries = tuple(entries)
+        entries = tuple(w[p] for p in self.positions)
         if not is_semistandard(self.shape, entries):
             raise StructureError(
                 f"operator produced a non-semistandard filling {entries} "
                 f"on shape {self.shape.partition}")
         return Tableau(shape=self.shape, entries=entries)
 
-    def _lift(self, w):
+    def lift(self, w):
+        """Decode an operator result; None (the crystal zero) stays None."""
         return None if w is None else self.decode(w)
 
     def weight(self, t: Tableau) -> tuple:
         return t.weight(self.n)
 
     def e(self, i, t):
-        return self._lift(kernel.apply_e(self.encode(t), i))
+        return self.lift(kernel.apply_e(self.encode(t), i))
 
     def f(self, i, t):
-        return self._lift(kernel.apply_f(self.encode(t), i))
+        return self.lift(kernel.apply_f(self.encode(t), i))
 
     def ebar1(self, t):
         if self.n < 2:
             return None
-        return self._lift(kernel.apply_ebar1(self.encode(t)))
+        return self.lift(kernel.apply_ebar1(self.encode(t)))
 
     def fbar1(self, t):
         if self.n < 2:
             return None
-        return self._lift(kernel.apply_fbar1(self.encode(t)))
+        return self.lift(kernel.apply_fbar1(self.encode(t)))
 
     def sort_key(self, t: Tableau):
         return t.entries
 
     def is_highest_weight(self, t: Tableau) -> bool:
         return kernel.is_q_highest(self.encode(t), self.n)
+
+
+class _ReadingWordOps(WordOps):
+    """Word operators on the reading words of one tableau shape.
+
+    Words sort like the tableaux they read (weight, then entries), so a
+    graph built on them has the tableau graph's node order.
+    """
+
+    def __init__(self, ops: TableauOps):
+        super().__init__(ops.n)
+        self.positions = ops.positions
+
+    def sort_key(self, w):
+        return bytes(w[p] for p in self.positions)
+
+
+def _decoded(ops: TableauOps, words: CrystalGraph) -> CrystalGraph:
+    """A graph on reading words as a tableau graph.
+
+    Every node is decoded, and so checked to be semistandard, once; every
+    operator result is a node, so this covers all of them.
+    """
+    return CrystalGraph(n=words.n, kind=ops.kind,
+                        nodes=tuple(map(ops.decode, words.nodes)),
+                        weights=words.weights, edges=words.edges)
 
 
 def tableau_operator(direction: str, label, t: Tableau, n: int,
@@ -263,7 +301,7 @@ def crystal_of_shape(parts, n: int, reading: str = "row"):
     parts = check_strict_partition(parts, n)
     t = b_lambda(parts, n)
     ops = TableauOps(t.shape, n, reading)
-    return closure(ops, t)
+    return _decoded(ops, closure(_ReadingWordOps(ops), ops.encode(t)))
 
 
 def full_ssyt_graph(parts, n: int, reading: str = "row"):
@@ -271,7 +309,8 @@ def full_ssyt_graph(parts, n: int, reading: str = "row"):
     parts = check_strict_partition(parts, n)
     shape = shape_from_partition(parts, n)
     ops = TableauOps(shape, n, reading)
-    return build_graph(ops, enumerate_ssyt(shape, n))
+    fillings = [ops.encode(t) for t in enumerate_ssyt(shape, n)]
+    return _decoded(ops, build_graph(_ReadingWordOps(ops), fillings))
 
 
 def tableau_json(t: Tableau) -> dict:

@@ -95,6 +95,7 @@ def test_invalid_shape_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["graph", "--shape", "2,2", "-n", "3"])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: queercrystals graph ")
     with pytest.raises(SystemExit) as exc:
         main(["graph", "--shape", "", "-n", "3"])
     assert exc.value.code == 2
@@ -120,14 +121,33 @@ def test_out_of_range_argument_is_a_usage_error(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
+    # the subcommand's own usage line, not the top-level one
+    assert err.startswith(f"usage: queercrystals {argv[0]} ")
     assert "error:" in err
     assert "Traceback" not in err
 
 
-def test_missing_selector_is_a_usage_error():
+def test_missing_selector_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "-n", "2"])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: queercrystals verify ")
+
+
+def test_package_runs_as_a_module():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "queercrystals", "graph", "--vector", "-n", "2"],
+        capture_output=True, env=env, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("digraph crystal {")
+    assert proc.stdout.count("->") == 2
 
 
 def test_verify_passes_and_reports(capsys):

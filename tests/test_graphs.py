@@ -6,7 +6,8 @@ from queercrystals import (ODD, CrystalGraph, WordOps, all_words, closure,
                            components, crystal_of_shape, full_ssyt_graph,
                            highest_weight_nodes, isomorphic, tensor,
                            tensor_power_graph, vector_crystal, word)
-from queercrystals.graphs import all_labels, build_graph, validate
+from queercrystals.graphs import (GraphOps, all_labels, build_graph,
+                                  graph_components, validate)
 
 
 def W(*letters):
@@ -68,6 +69,29 @@ def test_components_of_a_single_closure_is_itself():
     assert len(comps) == 1
     assert comps[0].nodes == g.nodes
     assert comps[0].edges == g.edges
+
+
+def test_graph_components_equal_the_generic_split():
+    # the generic closure over the stored graph is the oracle
+    cases = [
+        tensor_power_graph(2, 4),
+        tensor_power_graph(3, 3),
+        full_ssyt_graph((3,), 2),
+        full_ssyt_graph((3, 1), 3, "col"),
+        tensor(vector_crystal(3), crystal_of_shape((2, 1), 3)),
+    ]
+    for g in cases:
+        got = graph_components(g)
+        oracle = components(GraphOps(g), g.nodes)
+        assert [(c.n, c.kind, c.nodes, c.weights, c.edges) for c in got] == \
+            [(c.n, c.kind, c.nodes, c.weights, c.edges) for c in oracle]
+        assert sum(len(c) for c in got) == len(g)
+        for c in got:
+            validate(c)
+    connected = crystal_of_shape((2, 1), 3)
+    (comp,) = graph_components(connected)
+    assert comp is connected
+    assert graph_components(tensor_power_graph(2, 0)) == [tensor_power_graph(2, 0)]
 
 
 def test_component_weights_are_strict_partitions_with_unique_hw():

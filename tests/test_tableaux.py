@@ -4,10 +4,11 @@ import pytest
 
 from queercrystals import (WordOps, b_lambda, closure, crystal_of_shape,
                            enumerate_ssyt, full_ssyt_graph, isomorphic,
-                           reading_word, shape_from_partition,
+                           kernel, reading_word, shape_from_partition,
                            tableau_operator, word)
 from queercrystals.errors import StructureError
-from queercrystals.graphs import ODD, graph_components, highest_weight_nodes
+from queercrystals.graphs import (ODD, build_graph, graph_components,
+                                  highest_weight_nodes)
 from queercrystals.tableaux import (Tableau, TableauOps,
                                     check_strict_partition, strict_partitions,
                                     tableau_json)
@@ -129,11 +130,60 @@ def test_canonical_tableau_is_the_only_hw_of_its_weight_in_the_full_set():
 
 
 def test_operator_stability_never_breaks_semistandardness():
-    # decode() raises if an operator ever leaves the filling set
+    # building the graph raises StructureError if an operator ever leaves
+    # the filling set
     for n in (2, 3):
         for lam in strict_partitions(5, n):
             full_ssyt_graph(lam, n, "row")
             full_ssyt_graph(lam, n, "col")
+
+
+def graph_fields(g):
+    return (g.n, g.kind, g.nodes, g.weights, g.edges)
+
+
+def test_crystal_of_shape_equals_the_generic_closure_on_tableaux():
+    # the generic closure over TableauOps is the oracle for the word route
+    for n in (1, 2, 3, 4):
+        for lam in strict_partitions(6, n):
+            t = b_lambda(lam, n)
+            for reading in ("row", "col"):
+                oracle = closure(TableauOps(t.shape, n, reading), t)
+                got = crystal_of_shape(lam, n, reading)
+                assert graph_fields(got) == graph_fields(oracle), \
+                    (n, lam, reading)
+
+
+def test_full_ssyt_graph_equals_the_generic_build_on_tableaux():
+    for n in (1, 2, 3, 4):
+        for lam in strict_partitions(6, n):
+            shape = shape_from_partition(lam, n)
+            for reading in ("row", "col"):
+                oracle = build_graph(TableauOps(shape, n, reading),
+                                     enumerate_ssyt(shape, n))
+                got = full_ssyt_graph(lam, n, reading)
+                assert graph_fields(got) == graph_fields(oracle), \
+                    (n, lam, reading)
+
+
+def test_an_operator_leaving_the_fillings_raises(monkeypatch):
+    # every node of a built graph is decoded and checked semistandard
+    monkeypatch.setattr(kernel, "apply_f", lambda w, i: bytes([3] * len(w)))
+    with pytest.raises(StructureError):
+        crystal_of_shape((2, 1), 3)
+    with pytest.raises(StructureError):
+        full_ssyt_graph((2, 1), 3)
+
+
+def test_tableau_hash_and_equality():
+    t = b_lambda((2, 1), 3)
+    same = Tableau(shape=shape_from_partition((2, 1), 3), entries=t.entries)
+    assert same == t and hash(same) == hash(t)
+    assert len({t, same}) == 1
+    # equal entries on different shapes are different tableaux
+    other = Tableau(shape=shape_from_partition((3,), 3), entries=t.entries)
+    assert other != t
+    assert len({t, other}) == 2
 
 
 def test_tableau_json_schema():

@@ -9,7 +9,8 @@ from queercrystals import (crystal_of_shape, decompose_product,
                            verify_highest_weight_formula,
                            verify_reading_independence,
                            verify_unique_highest_weight)
-from queercrystals.errors import VerificationError
+from queercrystals import kernel, tableaux
+from queercrystals.errors import StructureError, VerificationError
 from queercrystals.tableaux import strict_partitions
 from queercrystals.theorems import highest_weight_formula_side
 
@@ -68,7 +69,7 @@ def test_decompose_flags_a_component_without_strict_highest_weight():
 
 
 def test_highest_weight_formula_examples():
-    side = highest_weight_formula_side((1,), 3)
+    side = highest_weight_formula_side((1,), 3, crystal_of_shape((1,), 3))
     assert list(side) == [1]
     rep = verify_highest_weight_formula((1,), 3)
     assert rep["passed"] and rep["count_actual"] == 1
@@ -98,6 +99,67 @@ def test_reading_independence_small_sweep():
     for n in (2, 3):
         for lam in strict_partitions(5, n):
             assert verify_reading_independence(lam, n)["passed"]
+
+
+def test_a_reading_that_is_not_admissible_fails_with_a_witness(monkeypatch):
+    # reversing the row reading is not admissible: on lam = (2) the two
+    # boxes swap roles, and f_1 lowers the other box of the first filling
+    real = tableaux.reading_order
+
+    def reversed_column(boxes, reading):
+        order = real(boxes, "row")
+        return order[::-1] if reading == "col" else order
+
+    monkeypatch.setattr(tableaux, "reading_order", reversed_column)
+    rep = verify_reading_independence((2,), 2)
+    assert rep["passed"] is False
+    (rec,) = rep["records"]
+    assert rec["status"] == "fail"
+    assert rec["witness"] == {"tableau": [1, 1], "op": "f_1"}
+
+
+def test_reading_independence_applies_every_operator_to_both_words(monkeypatch):
+    calls = {}
+
+    def counting(name):
+        real = getattr(kernel, name)
+
+        def op(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        return op
+
+    names = ("apply_f", "apply_e", "apply_fbar1", "apply_ebar1")
+    for name in names:
+        monkeypatch.setattr(kernel, name, counting(name))
+    n, lam = 3, (3, 1)
+    assert verify_reading_independence(lam, n)["passed"]
+    fillings = len(tableaux.enumerate_ssyt(tableaux.shape_from_partition(lam, n), n))
+    assert calls == {"apply_f": 2 * (n - 1) * fillings,
+                     "apply_e": 2 * (n - 1) * fillings,
+                     "apply_fbar1": 2 * fillings,
+                     "apply_ebar1": 2 * fillings}
+
+
+@pytest.mark.parametrize("broken", ["every word", "column words"])
+def test_a_non_semistandard_result_raises_under_either_reading(monkeypatch,
+                                                              broken):
+    # on lam = (3, 2, 1) no column word is also a row word, so breaking f_i
+    # on column words alone leaves every row result semistandard
+    n, lam = 3, (3, 2, 1)
+    fillings = tableaux.enumerate_ssyt(tableaux.shape_from_partition(lam, n), n)
+    column_words = {tableaux.reading_word(t, "col") for t in fillings}
+    assert not column_words & {tableaux.reading_word(t) for t in fillings}
+    real = kernel.apply_f
+
+    def f(w, i):
+        if broken == "every word" or w in column_words:
+            return bytes([n] * len(w))
+        return real(w, i)
+
+    monkeypatch.setattr(kernel, "apply_f", f)
+    with pytest.raises(StructureError):
+        verify_reading_independence(lam, n)
 
 
 def test_conjecture_reports_are_descriptive():
