@@ -37,10 +37,6 @@ def all_labels(n: int) -> tuple:
     return even_labels(n) + ((ODD,) if n >= 2 else ())
 
 
-def label_key(label):
-    return (1, 0) if label == ODD else (0, label)
-
-
 @dataclass(frozen=True)
 class CrystalGraph:
     n: int
@@ -348,7 +344,7 @@ def build_graph(ops, elements) -> CrystalGraph:
     except KeyError as exc:
         raise StructureError(
             f"an operator leaves the element set at {exc.args[0]!r}") from None
-    edges.sort(key=lambda e: (e[0], label_key(e[1]), e[2]))
+    # appended by source, then label in all_labels order: already sorted
     return CrystalGraph(
         n=ops.n,
         kind=ops.kind,

@@ -21,24 +21,28 @@ operator polynomials in the primitives obtained by solving the defining
 relations, so their tensor action needs no comultiplication formula of its
 own.  On V itself the composite operators reproduce the defining action
 table, which the tests check symbol by symbol.
+
+Every operator is a sparse matrix stored by column (``Operator``): column t
+is the image of the basis tensor t, of any length N.  Sums and scalings act
+column by column, and column t of a . b is a applied to column t of b.
 """
 
 from functools import lru_cache
 
 from .laurent import ONE, Q, RatFunc
-from .tensorspace import vec_add, vec_scale, vec_sum
+from .tensorspace import unit, vec_add, vec_scale, vec_sum
 
 # primitive symbols: ("qh", h-tuple), ("e", i), ("f", i), ("kbar1",)
 
 
 @lru_cache(maxsize=None)
-def _act_prim_tensor(sym, t) -> tuple:
-    """Primitive symbol applied to one basis tensor: ((tensor, coeff), ...),
-    in increasing order of the factor acted on."""
+def _act_prim_tensor(sym, t) -> dict:
+    """Primitive symbol applied to one basis tensor: its column {tensor:
+    coeff}, in increasing order of the factor acted on.  Shared: read only."""
     kind = sym[0]
     if kind == "qh":
         h = sym[1]
-        return ((t, RatFunc.q_power(sum(h[j - 1] for j, _ in t))),)
+        return {t: RatFunc.q_power(sum(h[j - 1] for j, _ in t))}
     # (letter acted on, letter produced, bar flip, exponent per letter of
     # each factor left of it, exponent per letter of each factor right)
     if kind == "e":
@@ -51,7 +55,7 @@ def _act_prim_tensor(sym, t) -> tuple:
         src, dst, flip, left, right = 1, 1, 1, {1: -1}, {1: 1}
     else:
         raise ValueError(f"unknown symbol {sym!r}")
-    out = []
+    out = {}
     for p, (j, s) in enumerate(t):
         if j != src:
             continue
@@ -60,32 +64,36 @@ def _act_prim_tensor(sym, t) -> tuple:
         c = RatFunc.q_power(k)
         if flip and sum(b for _, b in t[:p]) & 1:
             c = -c
-        out.append((t[:p] + ((dst, s ^ flip),) + t[p + 1:], c))
-    return tuple(out)
+        out[t[:p] + ((dst, s ^ flip),) + t[p + 1:]] = c
+    return out
+
+
+class Operator(dict):
+    """Basis tensor -> image vector; a column is computed on first read by
+    ``column(t)`` and kept.  Columns are shared: read only."""
+
+    def __init__(self, column):
+        self.column = column
+
+    def __missing__(self, t):
+        image = self[t] = self.column(t)
+        return image
 
 
 def act_prim(sym, vec: dict) -> dict:
     """Primitive symbol acting on a vector."""
-    out = {}
-    for t, c in vec.items():
-        for t2, c2 in _act_prim_tensor(sym, t):
-            vec_add(out, t2, c * c2)
-    return out
+    return act_expr(op(sym), vec)
 
 
-# ---------------------------------------------------------------------------
-# operator expressions: sums of scaled compositions of primitive symbols
+def op(sym) -> Operator:
+    return Operator(lambda t: _act_prim_tensor(sym, t))
 
 
-def op(sym) -> tuple:
-    return ((ONE, (sym,)),)
+def identity_expr() -> Operator:
+    return Operator(unit)
 
 
-def identity_expr() -> tuple:
-    return ((ONE, ()),)
-
-
-def qh_expr(n: int, *pairs) -> tuple:
+def qh_expr(n: int, *pairs) -> Operator:
     """The operator q^h with h = sum of c * k_j over (j, c) pairs."""
     h = [0] * n
     for j, c in pairs:
@@ -93,34 +101,31 @@ def qh_expr(n: int, *pairs) -> tuple:
     return op(("qh", tuple(h)))
 
 
-def compose(a, b) -> tuple:
-    """a after b: rightmost symbols act first."""
-    return tuple((ca * cb, sa + sb) for ca, sa in a for cb, sb in b)
+def compose(a, b) -> Operator:
+    """a after b: column t is a applied to column t of b."""
+    return Operator(lambda t: act_expr(a, b[t]))
 
 
-def expr_sum(*exprs) -> tuple:
-    out = []
-    for e in exprs:
-        out.extend(e)
-    return tuple(out)
+def expr_sum(*exprs) -> Operator:
+    """The sum of the operators; with no arguments, the zero operator."""
+    return Operator(lambda t: vec_sum(*(e[t] for e in exprs)))
 
 
-def scale(c: RatFunc, a) -> tuple:
-    return tuple((c * ca, sa) for ca, sa in a)
+def scale(c: RatFunc, a) -> Operator:
+    return Operator(lambda t: vec_scale(c, a[t]))
 
 
 def act_expr(expr, vec: dict) -> dict:
+    """The operator applied to a vector: sum of c * expr[t] over vec."""
     out = {}
-    for c, syms in expr:
-        v = vec
-        for sym in reversed(syms):
-            v = act_prim(sym, v)
-        out = vec_sum(out, vec_scale(c, v))
+    for t, c in vec.items():
+        for t2, x in expr[t].items():
+            vec_add(out, t2, c * x)
     return out
 
 
 @lru_cache(maxsize=None)
-def kbar_expr(j: int, n: int) -> tuple:
+def kbar_expr(j: int, n: int) -> Operator:
     """kbar_j as an operator polynomial in the primitives.
 
     kbar_1 is primitive; higher ones come from the mixed commutator
@@ -138,7 +143,7 @@ def kbar_expr(j: int, n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def ebar_expr(i: int, n: int) -> tuple:
+def ebar_expr(i: int, n: int) -> Operator:
     """ebar_i = (kbar_i e_i - q e_i kbar_i) q^{k_i}."""
     inner = expr_sum(
         compose(kbar_expr(i, n), op(("e", i))),
@@ -148,7 +153,7 @@ def ebar_expr(i: int, n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def fbar_expr(i: int, n: int) -> tuple:
+def fbar_expr(i: int, n: int) -> Operator:
     """fbar_i = -(kbar_i f_i - q f_i kbar_i) q^{-k_i}."""
     inner = expr_sum(
         compose(kbar_expr(i, n), op(("f", i))),
@@ -157,8 +162,8 @@ def fbar_expr(i: int, n: int) -> tuple:
     return scale(-ONE, compose(inner, qh_expr(n, (i, -1))))
 
 
-def generator_expr(g, n: int) -> tuple:
-    """Operator expression of any generator symbol.
+def generator_expr(g, n: int) -> Operator:
+    """The operator of any generator symbol.
 
     g is ("qh", h-tuple), ("e", i), ("f", i), ("kbar", j), ("ebar", i) or
     ("fbar", i).

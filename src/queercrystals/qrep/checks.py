@@ -15,17 +15,13 @@ from itertools import product
 from .. import kernel as word_kernel
 from ..reports import record, report
 from ..words import check_rank
-from .action import (act_expr, compose, expr_sum, generator_expr, op, qh_expr,
-                     scale)
+from .action import (compose, expr_sum, generator_expr, identity_expr, op,
+                     qh_expr, scale)
 from .laurent import ONE, Q, RatFunc
-from .tensorspace import (basis, lattice_basis, pattern, unit, vec_add,
-                          vec_sub)
+from .tensorspace import (basis, lattice_basis, parity, pattern, unit,
+                          vec_add, vec_sub)
 from .kashiwara import (tilde_e, tilde_ebar1, tilde_ebar1_expr, tilde_f,
                         tilde_fbar1, tilde_fbar1_expr, tilde_k1, ktilde1_expr)
-
-
-def _gen(g, n):
-    return generator_expr(g, n)
 
 
 def _check_rank_and_power(n: int, N: int) -> None:
@@ -50,7 +46,10 @@ def relations_catalogue(n: int) -> list:
     def alpha_pairing(i, h):
         return h[i - 1] - h[i]
 
-    zero = ()
+    e, f, ebar, fbar = ({i: generator_expr((kind, i), n) for i in range(1, n)}
+                        for kind in ("e", "f", "ebar", "fbar"))
+    kbar = {j: generator_expr(("kbar", j), n) for j in range(1, n + 1)}
+    zero = expr_sum()
     for a, h1 in enumerate(h_samples):
         h2 = h_samples[(a + 1) % len(h_samples)]
         hsum = tuple(x + y for x, y in zip(h1, h2))
@@ -60,23 +59,23 @@ def relations_catalogue(n: int) -> list:
         for h in h_samples[:2]:
             rels.append((
                 f"qh-e-commutation i={i} h={h}",
-                compose(compose(qh(h), _gen(("e", i), n)), qh(tuple(-x for x in h))),
-                scale(RatFunc.q_power(alpha_pairing(i, h)), _gen(("e", i), n))))
+                compose(compose(qh(h), e[i]), qh(tuple(-x for x in h))),
+                scale(RatFunc.q_power(alpha_pairing(i, h)), e[i])))
             rels.append((
                 f"qh-f-commutation i={i} h={h}",
-                compose(compose(qh(h), _gen(("f", i), n)), qh(tuple(-x for x in h))),
-                scale(RatFunc.q_power(-alpha_pairing(i, h)), _gen(("f", i), n))))
+                compose(compose(qh(h), f[i]), qh(tuple(-x for x in h))),
+                scale(RatFunc.q_power(-alpha_pairing(i, h)), f[i])))
     for j in range(1, n + 1):
         h = h_samples[-1]
         rels.append((
             f"qh-kbar-commute j={j}",
-            compose(qh(h), _gen(("kbar", j), n)),
-            compose(_gen(("kbar", j), n), qh(h))))
+            compose(qh(h), kbar[j]),
+            compose(kbar[j], qh(h))))
     for i in range(1, n):
         for j in range(1, n):
             lhs = expr_sum(
-                compose(_gen(("e", i), n), _gen(("f", j), n)),
-                scale(-ONE, compose(_gen(("f", j), n), _gen(("e", i), n))))
+                compose(e[i], f[j]),
+                scale(-ONE, compose(f[j], e[i])))
             if i == j:
                 coeff = ONE / (Q - qinv)
                 rhs = expr_sum(
@@ -90,15 +89,15 @@ def relations_catalogue(n: int) -> list:
             if abs(i - j) > 1:
                 rels.append((
                     f"e-e-distant-commute i={i} j={j}",
-                    compose(_gen(("e", i), n), _gen(("e", j), n)),
-                    compose(_gen(("e", j), n), _gen(("e", i), n))))
+                    compose(e[i], e[j]),
+                    compose(e[j], e[i])))
                 rels.append((
                     f"f-f-distant-commute i={i} j={j}",
-                    compose(_gen(("f", i), n), _gen(("f", j), n)),
-                    compose(_gen(("f", j), n), _gen(("f", i), n))))
+                    compose(f[i], f[j]),
+                    compose(f[j], f[i])))
             if abs(i - j) == 1:
-                for kind in ("e", "f"):
-                    a, b = _gen((kind, i), n), _gen((kind, j), n)
+                for kind, gens in (("e", e), ("f", f)):
+                    a, b = gens[i], gens[j]
                     rels.append((
                         f"{kind}-serre i={i} j={j}",
                         expr_sum(compose(compose(a, a), b),
@@ -110,7 +109,7 @@ def relations_catalogue(n: int) -> list:
         coeff = ONE / (q2 - ONE / q2)
         rels.append((
             f"kbar-squared i={i}",
-            compose(_gen(("kbar", i), n), _gen(("kbar", i), n)),
+            compose(kbar[i], kbar[i]),
             expr_sum(scale(coeff, qh_expr(n, (i, 2))),
                      scale(-coeff, qh_expr(n, (i, -2))))))
     for i in range(1, n + 1):
@@ -119,60 +118,60 @@ def relations_catalogue(n: int) -> list:
                 rels.append((
                     f"kbar-anticommute i={i} j={j}",
                     expr_sum(
-                        compose(_gen(("kbar", i), n), _gen(("kbar", j), n)),
-                        compose(_gen(("kbar", j), n), _gen(("kbar", i), n))),
+                        compose(kbar[i], kbar[j]),
+                        compose(kbar[j], kbar[i])),
                     zero))
     for i in range(1, n):
         rels.append((
             f"kbar-e-twist i={i}",
-            expr_sum(compose(_gen(("kbar", i), n), _gen(("e", i), n)),
-                     scale(-Q, compose(_gen(("e", i), n), _gen(("kbar", i), n)))),
-            compose(_gen(("ebar", i), n), qh_expr(n, (i, -1)))))
+            expr_sum(compose(kbar[i], e[i]),
+                     scale(-Q, compose(e[i], kbar[i]))),
+            compose(ebar[i], qh_expr(n, (i, -1)))))
         rels.append((
             f"kbar-f-twist i={i}",
-            expr_sum(compose(_gen(("kbar", i), n), _gen(("f", i), n)),
-                     scale(-Q, compose(_gen(("f", i), n), _gen(("kbar", i), n)))),
-            scale(-ONE, compose(_gen(("fbar", i), n), qh_expr(n, (i, 1))))))
+            expr_sum(compose(kbar[i], f[i]),
+                     scale(-Q, compose(f[i], kbar[i]))),
+            scale(-ONE, compose(fbar[i], qh_expr(n, (i, 1))))))
     for i in range(1, n):
         for j in range(1, n):
             lhs = expr_sum(
-                compose(_gen(("e", i), n), _gen(("fbar", j), n)),
-                scale(-ONE, compose(_gen(("fbar", j), n), _gen(("e", i), n))))
+                compose(e[i], fbar[j]),
+                scale(-ONE, compose(fbar[j], e[i])))
             if i == j:
                 rhs = expr_sum(
-                    compose(_gen(("kbar", i), n), qh_expr(n, (i + 1, -1))),
-                    scale(-ONE, compose(_gen(("kbar", i + 1), n), qh_expr(n, (i, -1)))))
+                    compose(kbar[i], qh_expr(n, (i + 1, -1))),
+                    scale(-ONE, compose(kbar[i + 1], qh_expr(n, (i, -1)))))
             else:
                 rhs = zero
             rels.append((f"e-fbar-commutator i={i} j={j}", lhs, rhs))
             lhs = expr_sum(
-                compose(_gen(("ebar", i), n), _gen(("f", j), n)),
-                scale(-ONE, compose(_gen(("f", j), n), _gen(("ebar", i), n))))
+                compose(ebar[i], f[j]),
+                scale(-ONE, compose(f[j], ebar[i])))
             if i == j:
                 rhs = expr_sum(
-                    compose(_gen(("kbar", i), n), qh_expr(n, (i + 1, 1))),
-                    scale(-ONE, compose(_gen(("kbar", i + 1), n), qh_expr(n, (i, 1)))))
+                    compose(kbar[i], qh_expr(n, (i + 1, 1))),
+                    scale(-ONE, compose(kbar[i + 1], qh_expr(n, (i, 1)))))
             else:
                 rhs = zero
             rels.append((f"ebar-f-commutator i={i} j={j}", lhs, rhs))
     for i in range(1, n):
         rels.append((
             f"e-ebar-commute i={i}",
-            compose(_gen(("e", i), n), _gen(("ebar", i), n)),
-            compose(_gen(("ebar", i), n), _gen(("e", i), n))))
+            compose(e[i], ebar[i]),
+            compose(ebar[i], e[i])))
         rels.append((
             f"f-fbar-commute i={i}",
-            compose(_gen(("f", i), n), _gen(("fbar", i), n)),
-            compose(_gen(("fbar", i), n), _gen(("f", i), n))))
+            compose(f[i], fbar[i]),
+            compose(fbar[i], f[i])))
     for i in range(1, n - 1):
-        e_i, e_j = _gen(("e", i), n), _gen(("e", i + 1), n)
-        eb_i, eb_j = _gen(("ebar", i), n), _gen(("ebar", i + 1), n)
+        e_i, e_j = e[i], e[i + 1]
+        eb_i, eb_j = ebar[i], ebar[i + 1]
         rels.append((
             f"e-braid-odd i={i}",
             expr_sum(compose(e_i, e_j), scale(-Q, compose(e_j, e_i))),
             expr_sum(compose(eb_i, eb_j), scale(Q, compose(eb_j, eb_i)))))
-        f_i, f_j = _gen(("f", i), n), _gen(("f", i + 1), n)
-        fb_i, fb_j = _gen(("fbar", i), n), _gen(("fbar", i + 1), n)
+        f_i, f_j = f[i], f[i + 1]
+        fb_i, fb_j = fbar[i], fbar[i + 1]
         rels.append((
             f"f-braid-odd i={i}",
             expr_sum(scale(Q, compose(f_j, f_i)), scale(-ONE, compose(f_i, f_j))),
@@ -180,14 +179,14 @@ def relations_catalogue(n: int) -> list:
     for i in range(1, n):
         for j in range(1, n):
             if abs(i - j) == 1:
-                e_i, eb_j = _gen(("e", i), n), _gen(("ebar", j), n)
+                e_i, eb_j = e[i], ebar[j]
                 rels.append((
                     f"e-serre-odd i={i} j={j}",
                     expr_sum(compose(compose(e_i, e_i), eb_j),
                              scale(-(Q + qinv), compose(compose(e_i, eb_j), e_i)),
                              compose(eb_j, compose(e_i, e_i))),
                     zero))
-                f_i, fb_j = _gen(("f", i), n), _gen(("fbar", j), n)
+                f_i, fb_j = f[i], fbar[j]
                 rels.append((
                     f"f-serre-odd i={i} j={j}",
                     expr_sum(compose(compose(f_i, f_i), fb_j),
@@ -195,6 +194,13 @@ def relations_catalogue(n: int) -> list:
                              compose(fb_j, compose(f_i, f_i))),
                     zero))
     return rels
+
+
+def _witness(t, diff: dict) -> dict:
+    """Failing tensor t, and the least differing basis tensor in basis order."""
+    component = min(diff)
+    return {"tensor": repr(t), "component": repr(component),
+            "coefficient": repr(diff[component])}
 
 
 def verify_relations(n: int, N: int, which: str | None = None) -> dict:
@@ -210,12 +216,9 @@ def verify_relations(n: int, N: int, which: str | None = None) -> dict:
             continue
         witness = None
         for t in tensors:
-            v = unit(t)
-            diff = vec_sub(act_expr(lhs, v), act_expr(rhs, v))
+            diff = vec_sub(lhs[t], rhs[t])
             if diff:
-                bad = next(iter(diff.items()))
-                witness = {"tensor": repr(t), "component": repr(bad[0]),
-                           "coefficient": repr(bad[1])}
+                witness = _witness(t, diff)
                 break
         records.append(record("relation", f"n={n} N={N} {name}",
                               "fail" if witness else "pass", witness=witness))
@@ -228,21 +231,19 @@ def verify_relations(n: int, N: int, which: str | None = None) -> dict:
 
 def _assemble_two_factor(terms, n: int, x, y) -> dict:
     """Evaluate sum of coeff * (A (x) B) on the basis tensor x (x) y."""
-    px = sum(s for _, s in x) & 1
+    px = parity(x)
     out = {}
     for coeff, a_expr, b_expr, b_parity in terms:
         sign = -ONE if (b_parity and px) else ONE
-        ax = act_expr(a_expr, unit(x))
-        by = act_expr(b_expr, unit(y))
-        for tx, cx in ax.items():
-            for ty, cy in by.items():
+        for tx, cx in a_expr[x].items():
+            for ty, cy in b_expr[y].items():
                 vec_add(out, tx + ty, sign * coeff * cx * cy)
     return out
 
 
 def comult_formulas(n: int) -> list:
     """The three odd comultiplication identities as (name, lhs, rhs-terms)."""
-    ident = op(("qh", (0,) * n))
+    ident = identity_expr()
     ktilde = ktilde1_expr(n)
     etilde = tilde_ebar1_expr(n)
     ftilde = tilde_fbar1_expr(n)
@@ -276,18 +277,11 @@ def verify_comult_odd(n: int) -> dict:
     singles = basis(n, 1)
     for name, whole_expr, terms in comult_formulas(n):
         witness = None
-        for x in singles:
-            for y in singles:
-                t = x + y
-                lhs = act_expr(whole_expr, unit(t))
-                rhs = _assemble_two_factor(terms, n, x, y)
-                diff = vec_sub(lhs, rhs)
-                if diff:
-                    bad = next(iter(diff.items()))
-                    witness = {"tensor": repr(t), "component": repr(bad[0]),
-                               "coefficient": repr(bad[1])}
-                    break
-            if witness:
+        for x, y in product(singles, singles):
+            diff = vec_sub(whole_expr[x + y],
+                           _assemble_two_factor(terms, n, x, y))
+            if diff:
+                witness = _witness(x + y, diff)
                 break
         records.append(record("comultiplication", f"n={n} {name}",
                               "fail" if witness else "pass", witness=witness))

@@ -16,7 +16,7 @@ basis tensor of the space.  After that, the coefficients of u are C^-1 u,
 and tilde_e, tilde_f are the same combinations of the cached images
 f_i^(k_j - 1) w_j and f_i^(k_j + 1) w_j.
 
-The odd operators are plain operator polynomials:
+The odd operators are operator polynomials, stored by column (``Operator``):
 
     ktilde_1    = q^{k_1 - 1} kbar_1,
     tilde_ebar1 = -(e_1 kbar_1 - q kbar_1 e_1) q^{k_1 - 1},
@@ -26,8 +26,8 @@ The odd operators are plain operator polynomials:
 from functools import lru_cache
 from typing import NamedTuple
 
-from .action import (act_expr, act_prim, compose, expr_sum, op, qh_expr,
-                     scale)
+from .action import (Operator, act_expr, act_prim, compose, expr_sum, op,
+                     qh_expr, scale)
 from .laurent import ONE, Q, RatFunc, gauss_factorial, gauss_int
 from .tensorspace import (basis, tensor_weight, unit, vec_add, vec_scale,
                           vec_sum)
@@ -249,13 +249,13 @@ def tilde_f(i: int, vec: dict, n: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def ktilde1_expr(n: int) -> tuple:
+def ktilde1_expr(n: int) -> Operator:
     """q^{k_1 - 1} kbar_1."""
     return scale(ONE / Q, compose(qh_expr(n, (1, 1)), op(("kbar1",))))
 
 
 @lru_cache(maxsize=None)
-def tilde_ebar1_expr(n: int) -> tuple:
+def tilde_ebar1_expr(n: int) -> Operator:
     """-(e_1 kbar_1 - q kbar_1 e_1) q^{k_1 - 1}."""
     inner = expr_sum(
         compose(op(("e", 1)), op(("kbar1",))),
@@ -265,7 +265,7 @@ def tilde_ebar1_expr(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def tilde_fbar1_expr(n: int) -> tuple:
+def tilde_fbar1_expr(n: int) -> Operator:
     """-(kbar_1 f_1 - q f_1 kbar_1) q^{k_2 - 1}."""
     inner = expr_sum(
         compose(op(("kbar1",)), op(("f", 1))),

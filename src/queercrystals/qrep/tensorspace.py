@@ -64,10 +64,11 @@ def vec_scale(c: RatFunc, v: dict) -> dict:
     return {t: c * x for t, x in v.items()}
 
 
-def vec_sum(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for t, c in b.items():
-        vec_add(out, t, c)
+def vec_sum(*vecs) -> dict:
+    out = {}
+    for v in vecs:
+        for t, c in v.items():
+            vec_add(out, t, c)
     return out
 
 

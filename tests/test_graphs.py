@@ -120,6 +120,18 @@ def test_arrow_tables_equal_a_scan_of_the_edges():
             assert g.predecessors(lab) is g.predecessors(lab)
 
 
+def test_edges_are_built_in_source_label_target_order():
+    graphs = [tensor_power_graph(3, 4), crystal_of_shape((3, 1), 4),
+              full_ssyt_graph((2, 1), 3),
+              tensor(crystal_of_shape((2, 1), 3), vector_crystal(3))]
+    assert [g.kind for g in graphs] == ["word", "tableau", "tableau", "pair"]
+    for g in graphs:
+        assert any(lab == ODD for _, lab, _ in g.edges)
+        labels = all_labels(g.n)
+        assert list(g.edges) == sorted(
+            g.edges, key=lambda e: (e[0], labels.index(e[1]), e[2]))
+
+
 def test_validate_rejects_a_label_that_is_not_a_partial_matching():
     # two 1-arrows out of one node: a src -> dst table would keep only one
     g = CrystalGraph(n=2, kind="word", nodes=(W(1), W(2), W(2, 2)),

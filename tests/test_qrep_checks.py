@@ -1,7 +1,7 @@
 """Relation catalogue, odd comultiplication, residue checks (small sizes)."""
 
 from queercrystals.qrep import checks
-from queercrystals.qrep.action import compose, op
+from queercrystals.qrep.action import compose, expr_sum, op
 from queercrystals.qrep.checks import (comult_formulas, relations_catalogue,
                                        residue_check, verify_comult_odd,
                                        verify_relations)
@@ -71,6 +71,18 @@ def test_a_false_relation_fails_with_a_witness(monkeypatch):
     assert failed[0]["witness"] == {"tensor": "((2, 0),)",
                                     "component": "((1, 0),)",
                                     "coefficient": "q - 1"}
+
+
+def test_the_witness_component_is_the_least_differing_tensor(monkeypatch):
+    """f_1 = 0 is false; its column at v_1 (x) v_1 is built starting from
+    the first factor, so v_2 (x) v_1 is summed before v_1 (x) v_2."""
+    false = ("false f-zero", op(("f", 1)), expr_sum())
+    monkeypatch.setattr(checks, "relations_catalogue",
+                        lambda n: relations_catalogue(n) + [false])
+    (failed,) = _failures(verify_relations(2, 2))
+    assert failed["witness"] == {"tensor": "((1, 0), (1, 0))",
+                                 "component": "((1, 0), (2, 0))",
+                                 "coefficient": "q"}
 
 
 def test_a_comultiplication_without_the_super_sign_fails(monkeypatch):
