@@ -1,26 +1,28 @@
 """Crystal graphs: closure, components, tensor products, isomorphism.
 
 A ``CrystalGraph`` stores the nodes (in a canonical order), their weights,
-and the arrows of the lowering operators f_1..f_{n-1} and fbar1.  Arrows
-for the conjugated odd operators fbar_i (i >= 2) are derived data and are
-recomputed on demand rather than stored: they are determined by the
-stored structure through the Weyl-group action.
-
-Each graph stores its arrow tables once: per label a src -> dst and a
-dst -> src map, built in one pass over the edges on first request.
+and the arrows of the lowering operators f_1..f_{n-1} and fbar1, in one
+form: per label, an array giving each node's successor index, -1 where
+the operator vanishes.  Everything else (the (source, label, target)
+edge list, predecessor arrays, string lengths, components) is derived
+from these arrays on request.  Arrows for the conjugated odd operators
+fbar_i (i >= 2) are not stored either: they are determined by the stored
+structure through the Weyl-group action.
 
 Canonical node order: weight descending lexicographically, then a
 kind-specific payload key.  This makes serialization and component
 splitting reproducible run to run.
 
 Operator access is through small "ops" adapters (words, tableaux, stored
-graphs, tensor products) so that closure, highest-weight detection and
-the Weyl action can be written once.  A stored graph is split into
-components on node indices along its arrow tables (``graph_components``);
-``components`` splits any element set through an ops adapter.
+graphs) so that closure, highest-weight detection and the Weyl action can
+be written once.  Stored graphs are split into components
+(``graph_components``) and tensored (``tensor``) on node indices along
+their arrays; ``components`` splits any element set through an ops
+adapter.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import kernel
 from .errors import StructureError
@@ -39,39 +41,46 @@ def all_labels(n: int) -> tuple:
 
 @dataclass(frozen=True)
 class CrystalGraph:
+    """Nodes in canonical order, their weights, and one successor array
+    per label: ``arrows[k][s]`` is the index of f(node s) for the k-th
+    label of ``all_labels(n)``, or -1 where that operator vanishes."""
+
     n: int
     kind: str  # "word" | "tableau" | "pair"
     nodes: tuple
     weights: tuple
-    edges: tuple  # (src_index, label, dst_index), canonically sorted
+    arrows: tuple  # one tuple of successor indices per label
 
     def __post_init__(self):
+        if len(self.arrows) != len(all_labels(self.n)) or any(
+                len(succ) != len(self.nodes) for succ in self.arrows):
+            raise ValueError("need one successor per node for every label")
         object.__setattr__(
             self, "_index", {b: k for k, b in enumerate(self.nodes)})
-        object.__setattr__(self, "_arrows", None)
 
     @property
     def node_index(self) -> dict:
         return self._index
 
-    def _arrow_tables(self) -> tuple:
-        """(successor maps, predecessor maps) by label, built on first use."""
-        if self._arrows is None:
-            succ = {lab: {} for lab in all_labels(self.n)}
-            pred = {lab: {} for lab in all_labels(self.n)}
-            for s, lab, d in self.edges:
-                succ.setdefault(lab, {})[s] = d
-                pred.setdefault(lab, {})[d] = s
-            object.__setattr__(self, "_arrows", (succ, pred))
-        return self._arrows
+    @property
+    def edges(self) -> tuple:
+        """(source, label, target) triples, by source, then label order."""
+        labels = all_labels(self.n)
+        return tuple((s, lab, d)
+                     for s, targets in enumerate(zip(*self.arrows))
+                     for lab, d in zip(labels, targets) if d >= 0)
 
-    def successors(self, label) -> dict:
-        """Map src index -> dst index for one label (shared, read-only)."""
-        return self._arrow_tables()[0].get(label, {})
+    def successors(self, label) -> tuple:
+        """Successor index of every node along one label, -1 for none."""
+        return self.arrows[all_labels(self.n).index(label)]
 
-    def predecessors(self, label) -> dict:
-        """Map dst index -> src index for one label (shared, read-only)."""
-        return self._arrow_tables()[1].get(label, {})
+    def predecessors(self, label) -> list:
+        """Predecessor index of every node along one label, -1 for none."""
+        pred = [-1] * len(self.nodes)
+        for s, d in enumerate(self.successors(label)):
+            if d >= 0:
+                pred[d] = s
+        return pred
 
     def __len__(self):
         return len(self.nodes)
@@ -124,9 +133,9 @@ class GraphOps:
     def weight(self, b):
         return self.graph.weights[self.graph.node_index[b]]
 
-    def _step(self, table, b):
-        k = table.get(self.graph.node_index[b])
-        return None if k is None else self.graph.nodes[k]
+    def _step(self, targets, b):
+        k = targets[self.graph.node_index[b]]
+        return None if k < 0 else self.graph.nodes[k]
 
     def e(self, i, b):
         return self._step(self._pred[i], b)
@@ -144,99 +153,21 @@ class GraphOps:
         return self.graph.node_index[b]
 
 
-def _string_lengths(step: dict, size: int) -> list:
-    """Chain length from every node along a map: phi_i from successors,
-    eps_i from predecessors."""
-    out = [-1] * size
-    for start in range(size):
-        if out[start] >= 0:
-            continue
+def _string_lengths(step) -> list:
+    """Chain length from every node along an index array: phi_i from
+    successors, eps_i from predecessors."""
+    out = [-1] * len(step)
+    for start in range(len(step)):
         chain = []
         v = start
-        while out[v] < 0 and v in step:
+        while out[v] < 0 and step[v] >= 0:
             chain.append(v)
             v = step[v]
-        base = out[v] if out[v] >= 0 else 0
         if out[v] < 0:
             out[v] = 0
-        for k, u in enumerate(reversed(chain)):
-            out[u] = base + k + 1
+        for k, u in enumerate(reversed(chain), start=out[v] + 1):
+            out[u] = k
     return out
-
-
-class TensorOps:
-    """Tensor-rule operators on pairs of nodes of two crystal graphs."""
-
-    kind = "pair"
-
-    def __init__(self, left: CrystalGraph, right: CrystalGraph):
-        if left.n != right.n:
-            raise ValueError("tensor factors must share the rank")
-        self.n = left.n
-        self.left = left
-        self.right = right
-        n = self.n
-        self._succ1 = {lab: left.successors(lab) for lab in all_labels(n)}
-        self._pred1 = {lab: left.predecessors(lab) for lab in all_labels(n)}
-        self._succ2 = {lab: right.successors(lab) for lab in all_labels(n)}
-        self._pred2 = {lab: right.predecessors(lab) for lab in all_labels(n)}
-        self._phi1 = {i: _string_lengths(self._succ1[i], len(left))
-                      for i in even_labels(n)}
-        self._eps2 = {i: _string_lengths(self._pred2[i], len(right))
-                      for i in even_labels(n)}
-
-    def elements(self):
-        for a in self.left.nodes:
-            for b in self.right.nodes:
-                yield (a, b)
-
-    def weight(self, pair):
-        wa = self.left.weights[self.left.node_index[pair[0]]]
-        wb = self.right.weights[self.right.node_index[pair[1]]]
-        return tuple(x + y for x, y in zip(wa, wb))
-
-    def _left_step(self, table, pair):
-        k = table.get(self.left.node_index[pair[0]])
-        return None if k is None else (self.left.nodes[k], pair[1])
-
-    def _right_step(self, table, pair):
-        k = table.get(self.right.node_index[pair[1]])
-        return None if k is None else (pair[0], self.right.nodes[k])
-
-    def e(self, i, pair):
-        ia = self.left.node_index[pair[0]]
-        ib = self.right.node_index[pair[1]]
-        if self._phi1[i][ia] >= self._eps2[i][ib]:
-            return self._left_step(self._pred1[i], pair)
-        return self._right_step(self._pred2[i], pair)
-
-    def f(self, i, pair):
-        ia = self.left.node_index[pair[0]]
-        ib = self.right.node_index[pair[1]]
-        if self._phi1[i][ia] > self._eps2[i][ib]:
-            return self._left_step(self._succ1[i], pair)
-        return self._right_step(self._succ2[i], pair)
-
-    def _odd_on_left(self, pair) -> bool:
-        wb = self.right.weights[self.right.node_index[pair[1]]]
-        return wb[0] == 0 and wb[1] == 0
-
-    def ebar1(self, pair):
-        if self.n < 2:
-            return None
-        if self._odd_on_left(pair):
-            return self._left_step(self._pred1[ODD], pair)
-        return self._right_step(self._pred2[ODD], pair)
-
-    def fbar1(self, pair):
-        if self.n < 2:
-            return None
-        if self._odd_on_left(pair):
-            return self._left_step(self._succ1[ODD], pair)
-        return self._right_step(self._succ2[ODD], pair)
-
-    def sort_key(self, pair):
-        return (self.left.node_index[pair[0]], self.right.node_index[pair[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -330,27 +261,22 @@ def build_graph(ops, elements) -> CrystalGraph:
         key=lambda b: (tuple(-x for x in ops.weight(b)), ops.sort_key(b)),
     )
     index = {b: k for k, b in enumerate(nodes)}
-    edges = []
+    index[None] = -1  # where an operator vanishes
+    lowering = [partial(ops.f, i) for i in even_labels(ops.n)]
+    if ops.n >= 2:
+        lowering.append(ops.fbar1)
     try:
-        for k, b in enumerate(nodes):
-            for i in even_labels(ops.n):
-                x = ops.f(i, b)
-                if x is not None:
-                    edges.append((k, i, index[x]))
-            if ops.n >= 2:
-                x = ops.fbar1(b)
-                if x is not None:
-                    edges.append((k, ODD, index[x]))
+        arrows = tuple(tuple(map(index.__getitem__, map(op, nodes)))
+                       for op in lowering)
     except KeyError as exc:
         raise StructureError(
             f"an operator leaves the element set at {exc.args[0]!r}") from None
-    # appended by source, then label in all_labels order: already sorted
     return CrystalGraph(
         n=ops.n,
         kind=ops.kind,
         nodes=tuple(nodes),
         weights=tuple(ops.weight(b) for b in nodes),
-        edges=tuple(edges),
+        arrows=arrows,
     )
 
 
@@ -380,21 +306,65 @@ def components(ops, elements) -> list:
 
 
 def tensor(left: CrystalGraph, right: CrystalGraph) -> CrystalGraph:
-    """Tensor-product crystal of two graphs, on all pairs of nodes."""
-    ops = TensorOps(left, right)
-    return build_graph(ops, list(ops.elements()))
+    """Tensor-product crystal of two graphs, on all pairs of nodes.
+
+    The pair (a, b) of node indices is coded a * len(right) + b, so the
+    canonical order (weight descending, then a, then b) sorts codes.  An
+    even f_i acts on the left factor when phi_i(a) > eps_i(b), else on the
+    right; fbar1 acts on the left when the right factor's weight starts
+    (0, 0), else on the right.
+    """
+    if left.n != right.n:
+        raise ValueError("tensor factors must share the rank")
+    size = len(right)
+    keyed = sorted(
+        (tuple(-x - y for x, y in zip(wa, wb)), a * size + b)
+        for a, wa in enumerate(left.weights)
+        for b, wb in enumerate(right.weights))
+    codes = [c for _, c in keyed]
+    position = [0] * len(codes)
+    for k, c in enumerate(codes):
+        position[c] = k
+    arrows = []
+    for lab in all_labels(left.n):
+        succ_left, succ_right = left.successors(lab), right.successors(lab)
+        if lab == ODD:
+            zero = [wb[0] == 0 and wb[1] == 0 for wb in right.weights]
+            on_left = (zero[c % size] for c in codes)
+        else:
+            phi = _string_lengths(succ_left)
+            eps = _string_lengths(right.predecessors(lab))
+            on_left = (phi[c // size] > eps[c % size] for c in codes)
+        targets = []
+        for c, left_acts in zip(codes, on_left):
+            a, b = divmod(c, size)
+            if left_acts:
+                d = succ_left[a]
+                targets.append(-1 if d < 0 else position[d * size + b])
+            else:
+                d = succ_right[b]
+                targets.append(-1 if d < 0 else position[a * size + d])
+        arrows.append(tuple(targets))
+    return CrystalGraph(
+        n=left.n,
+        kind="pair",
+        nodes=tuple((left.nodes[c // size], right.nodes[c % size])
+                    for c in codes),
+        weights=tuple(tuple(-x for x in w) for w, _ in keyed),
+        arrows=tuple(arrows),
+    )
 
 
 def graph_components(graph: CrystalGraph) -> list:
     """Components of a stored graph, split on node indices.
 
-    A search along the stored arrow tables collects each component's
-    indices; its nodes, weights and edges are then sliced out in the
-    parent's (canonical) order.  Components come in the order of their
-    first node, and a connected graph is returned as it is.
+    A search along the successor and predecessor arrays collects each
+    component's indices; its nodes, weights and arrows are then sliced
+    out in the parent's (canonical) order.  Components come in the order
+    of their first node, and a connected graph is returned as it is.
     """
-    tables = [graph.successors(lab) for lab in all_labels(graph.n)]
-    tables += [graph.predecessors(lab) for lab in all_labels(graph.n)]
+    steps = list(graph.arrows)
+    steps += [graph.predecessors(lab) for lab in all_labels(graph.n)]
     component = [-1] * len(graph)
     members = []
     for start in range(len(graph)):
@@ -406,9 +376,9 @@ def graph_components(graph: CrystalGraph) -> list:
         todo = [start]
         while todo:
             v = todo.pop()
-            for table in tables:
-                u = table.get(v)
-                if u is not None and component[u] < 0:
+            for step in steps:
+                u = step[v]
+                if u >= 0 and component[u] < 0:
                     component[u] = c
                     found.append(u)
                     todo.append(u)
@@ -416,36 +386,30 @@ def graph_components(graph: CrystalGraph) -> list:
         members.append(found)
     if len(members) == 1:
         return [graph]
-    local = [0] * len(graph)
+    # local[k] is node k's index in its component; local[-1] keeps -1
+    local = [0] * len(graph) + [-1]
     for found in members:
         for j, k in enumerate(found):
             local[k] = j
-    edges = [[] for _ in members]
-    for s, lab, d in graph.edges:
-        edges[component[s]].append((local[s], lab, local[d]))
     return [
         CrystalGraph(
             n=graph.n,
             kind=graph.kind,
             nodes=tuple(graph.nodes[k] for k in found),
             weights=tuple(graph.weights[k] for k in found),
-            edges=tuple(comp_edges),
+            arrows=tuple(tuple(local[succ[k]] for k in found)
+                         for succ in graph.arrows),
         )
-        for found, comp_edges in zip(members, edges)
+        for found in members
     ]
 
 
 def highest_weight_nodes(graph: CrystalGraph) -> list:
     """Nodes annihilated by every raising operator, in canonical order."""
     ops = GraphOps(graph)
-    preds = [graph.predecessors(lab) for lab in all_labels(graph.n)]
-    out = []
-    for k, b in enumerate(graph.nodes):
-        if any(k in p for p in preds):
-            continue
-        if all(ebar_ops(ops, i, b) is None for i in range(2, graph.n)):
-            out.append(b)
-    return out
+    targets = {d for succ in graph.arrows for d in succ}
+    return [b for k, b in enumerate(graph.nodes) if k not in targets
+            and all(ebar_ops(ops, i, b) is None for i in range(2, graph.n))]
 
 
 def validate(graph: CrystalGraph) -> None:
@@ -454,27 +418,29 @@ def validate(graph: CrystalGraph) -> None:
     Every label is a partial matching and every arrow lowers the weight by
     the simple root of its label (the odd label shares alpha_1).
     """
-    for lab in all_labels(graph.n):
-        srcs = [s for s, l, _ in graph.edges if l == lab]
-        dsts = [d for _, l, d in graph.edges if l == lab]
-        if len(srcs) != len(set(srcs)) or len(dsts) != len(set(dsts)):
+    for lab, succ in zip(all_labels(graph.n), graph.arrows):
+        targets = [d for d in succ if d >= 0]
+        if len(targets) != len(set(targets)) or any(
+                d >= len(graph) for d in targets):
             raise ValueError(f"label {lab} is not a partial matching")
-    for s, lab, d in graph.edges:
         i = 1 if lab == ODD else lab
-        ws, wd = graph.weights[s], graph.weights[d]
-        delta = [a - b for a, b in zip(ws, wd)]
         expect = [0] * graph.n
         expect[i - 1] = 1
         expect[i] = -1
-        if delta != expect:
-            raise ValueError(f"edge {(s, lab, d)} breaks weights: {ws}->{wd}")
+        for s, d in enumerate(succ):
+            if d < 0:
+                continue
+            ws, wd = graph.weights[s], graph.weights[d]
+            if [a - b for a, b in zip(ws, wd)] != expect:
+                raise ValueError(
+                    f"edge {(s, lab, d)} breaks weights: {ws}->{wd}")
 
 
 def isomorphic(g1: CrystalGraph, g2: CrystalGraph):
     """Label- and weight-preserving isomorphism of connected crystals.
 
     Both graphs must be connected with exactly one highest-weight node;
-    the map is grown from the highest-weight pair along stored arrows.
+    the map is grown from the highest-weight pair along the stored arrays.
     Returns a node mapping, or None when the graphs are not isomorphic.
     """
     tops = []
@@ -485,36 +451,31 @@ def isomorphic(g1: CrystalGraph, g2: CrystalGraph):
         if len(hw) != 1:
             raise ValueError("isomorphic() needs a unique highest-weight node")
         tops.append(g.node_index[hw[0]])
-    if len(g1) != len(g2) or len(g1.edges) != len(g2.edges):
+    if len(g1) != len(g2):
         return None
     h1, h2 = tops
-    tables = []
-    for lab in all_labels(g1.n):
-        tables.append((g1.successors(lab), g2.successors(lab)))
-        tables.append((g1.predecessors(lab), g2.predecessors(lab)))
-    mapping = {h1: h2}
+    steps = list(zip(g1.arrows, g2.arrows))
+    steps += [(g1.predecessors(lab), g2.predecessors(lab))
+              for lab in all_labels(g1.n)]
+    image = [-1] * len(g1)
+    image[h1] = h2
     todo = [h1]
     while todo:
         v = todo.pop()
-        w = mapping[v]
+        w = image[v]
         if g1.weights[v] != g2.weights[w]:
             return None
-        for t1, t2 in tables:
-            a = t1.get(v)
-            b = t2.get(w)
-            if (a is None) != (b is None):
-                return None
-            if a is None:
-                continue
-            if a in mapping:
-                if mapping[a] != b:
+        for t1, t2 in steps:
+            a, b = t1[v], t2[w]
+            if a < 0 or b < 0:
+                if a != b:
                     return None
-            else:
-                mapping[a] = b
+            elif image[a] < 0:
+                image[a] = b
                 todo.append(a)
-    if len(mapping) != len(g1):
+            elif image[a] != b:
+                return None
+    # every node reached, and no two sent to one: arrows map both ways
+    if len(set(image) - {-1}) != len(g1):
         return None
-    edges2 = {(mapping[s], lab, mapping[d]) for s, lab, d in g1.edges}
-    if edges2 != set(g2.edges):
-        return None
-    return {g1.nodes[a]: g2.nodes[b] for a, b in mapping.items()}
+    return {g1.nodes[a]: g2.nodes[b] for a, b in enumerate(image)}

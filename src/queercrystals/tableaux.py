@@ -251,7 +251,7 @@ def _decoded(ops: TableauOps, words: CrystalGraph) -> CrystalGraph:
     """
     return CrystalGraph(n=words.n, kind=ops.kind,
                         nodes=tuple(map(ops.decode, words.nodes)),
-                        weights=words.weights, edges=words.edges)
+                        weights=words.weights, arrows=words.arrows)
 
 
 def tableau_operator(direction: str, label, t: Tableau, n: int,

@@ -111,13 +111,17 @@ def test_arrow_tables_equal_a_scan_of_the_edges():
               tensor(crystal_of_shape((2, 1), 3), vector_crystal(3))]
     assert [g.kind for g in graphs] == ["word", "tableau", "pair"]
     for g in graphs:
+        arrows = set()
         for lab in all_labels(g.n):
-            assert g.successors(lab) == {s: d for s, l, d in g.edges
-                                         if l == lab}
-            assert g.predecessors(lab) == {d: s for s, l, d in g.edges
-                                           if l == lab}
-            assert g.successors(lab) is g.successors(lab)
-            assert g.predecessors(lab) is g.predecessors(lab)
+            succ, pred = g.successors(lab), g.predecessors(lab)
+            assert len(succ) == len(pred) == len(g)
+            # the predecessors invert the successors
+            assert {(s, d) for s, d in enumerate(succ) if d >= 0} == \
+                {(s, d) for d, s in enumerate(pred) if s >= 0}
+            arrows |= {(s, lab, d) for s, d in enumerate(succ) if d >= 0}
+        # edges lists each arrow of the arrays exactly once
+        assert len(g.edges) == len(set(g.edges))
+        assert set(g.edges) == arrows
 
 
 def test_edges_are_built_in_source_label_target_order():
@@ -133,12 +137,30 @@ def test_edges_are_built_in_source_label_target_order():
 
 
 def test_validate_rejects_a_label_that_is_not_a_partial_matching():
-    # two 1-arrows out of one node: a src -> dst table would keep only one
-    g = CrystalGraph(n=2, kind="word", nodes=(W(1), W(2), W(2, 2)),
-                     weights=((1, 0), (0, 1), (0, 1)),
-                     edges=((0, 1, 1), (0, 1, 2)))
+    # two 1-arrows into one node; the weights alone are consistent
+    g = CrystalGraph(n=2, kind="word", nodes=(W(1), W(2), W(1, 2, 1)),
+                     weights=((1, 0), (0, 1), (1, 0)),
+                     arrows=((1, -1, 1), (-1, -1, -1)))
     with pytest.raises(ValueError, match="partial matching"):
         validate(g)
+
+
+def test_validate_rejects_an_arrow_that_breaks_weights():
+    # a 1-arrow that raises the weight by alpha_1 instead of lowering it
+    g = CrystalGraph(n=2, kind="word", nodes=(W(1), W(2)),
+                     weights=((1, 0), (0, 1)),
+                     arrows=((-1, 0), (-1, -1)))
+    with pytest.raises(ValueError, match="breaks weights"):
+        validate(g)
+
+
+def test_arrow_arrays_must_match_the_labels_and_nodes():
+    with pytest.raises(ValueError):
+        CrystalGraph(n=2, kind="word", nodes=(W(1), W(2)),
+                     weights=((1, 0), (0, 1)), arrows=((1, -1),))
+    with pytest.raises(ValueError):
+        CrystalGraph(n=2, kind="word", nodes=(W(1), W(2)),
+                     weights=((1, 0), (0, 1)), arrows=((1, -1), (1,)))
 
 
 def test_graph_invariants_across_tensor_powers():
@@ -158,17 +180,28 @@ def test_highest_weight_detection_agrees_between_routes():
 
 
 def test_tensor_of_graphs_matches_word_operators():
-    """The graph-level tensor rule reproduces the word crystal."""
-    for n in (2, 3):
-        v = vector_crystal(n)
-        prod = tensor(v, v)
-        direct = tensor_power_graph(n, 2)
-        paired = {(tuple(a) + tuple(b)) for a, b in prod.nodes}
-        assert paired == {tuple(w) for w in direct.nodes}
-        relabel = {node: bytes(node[0] + node[1]) for node in prod.nodes}
+    """The graph-level tensor rule reproduces the word crystal: B^a (x) B^b
+    is B^(a+b) under concatenation of each pair."""
+    cases = [(n, vector_crystal(n), vector_crystal(n), 2) for n in (2, 3)]
+    cases += [(n, tensor_power_graph(n, a), tensor_power_graph(n, b), a + b)
+              for n in (2, 3, 4) for a in range(1, 8) for b in range(1, 8)
+              if n ** (a + b) <= 256]
+    for n, left, right, N in cases:
+        prod = tensor(left, right)
+        direct = tensor_power_graph(n, N)
+        relabel = {node: node[0] + node[1] for node in prod.nodes}
+        assert sorted(relabel.values()) == sorted(direct.nodes)
+        assert {relabel[b]: w for b, w in zip(prod.nodes, prod.weights)} == \
+            dict(zip(direct.nodes, direct.weights))
         got = {(relabel[prod.nodes[s]], lab, relabel[prod.nodes[d]])
                for s, lab, d in prod.edges}
-        assert got == edge_set(direct)
+        assert got == edge_set(direct), (n, len(left), len(right))
+        validate(prod)
+
+
+def test_tensor_factors_must_share_the_rank():
+    with pytest.raises(ValueError, match="rank"):
+        tensor(vector_crystal(2), vector_crystal(3))
 
 
 def test_isomorphic_identity_and_model():

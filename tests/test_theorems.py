@@ -63,7 +63,7 @@ def test_decompose_flags_a_component_without_strict_highest_weight():
     # an isolated node of weight (1,1) is a legal graph but not a crystal
     # of the theory; its square has highest weight (2,2), which is caught
     fake = CrystalGraph(n=2, kind="word", nodes=(bytes([1, 2]),),
-                        weights=((1, 1),), edges=())
+                        weights=((1, 1),), arrows=((-1,), (-1,)))
     with pytest.raises(VerificationError):
         decompose_product(fake, fake)
 

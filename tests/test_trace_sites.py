@@ -59,14 +59,17 @@ print(json.dumps({"results": results, "summary": tracer.summary()}))
 
 
 def run():
-    """Calls through every traced layer but words, tableaux and cli."""
-    from queercrystals import graph_components, tensor_power_graph
+    """Calls through every traced layer but cli, with stored graphs of
+    words, tableaux and pairs."""
+    from queercrystals import (graph_components, tensor_power_graph,
+                               verify_decomposition)
     from queercrystals.qrep import checks
     from queercrystals.serialize import graph_to_json
 
     graph = tensor_power_graph(3, 3)
     return [checks.residue_check(2, 2), checks.verify_relations(2, 1),
-            [graph_to_json(c) for c in graph_components(graph)]]
+            [graph_to_json(c) for c in graph_components(graph)],
+            verify_decomposition((2, 1), 3)]
 
 
 def test_the_installed_tracer_leaves_results_unchanged():
@@ -82,6 +85,6 @@ def test_the_installed_tracer_leaves_results_unchanged():
     summary = traced["summary"]
     assert not any(summary["errors"].values()), summary["errors"]
     layers = {name.split(".")[0] for name, *_ in summary["stats"]}
-    assert {"kernel", "graphs", "theorems", "serialize", "laurent", "action",
-            "kashiwara", "checks"} <= layers
+    assert {"kernel", "graphs", "tableaux", "theorems", "serialize",
+            "laurent", "action", "kashiwara", "checks"} <= layers
     assert summary["counters"]["action.act_expr.terms"] > 0
