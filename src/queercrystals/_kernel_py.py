@@ -1,10 +1,9 @@
-"""Pure-Python word-operator kernel.
+"""Word-operator kernel: the closed forms of the tensor-product rule.
 
 Words are ``bytes`` whose byte values are letters 1..n; the leftmost byte
-is the first tensor factor.  This module is the reference implementation
-of the hot inner loop; ``queercrystals._fastops`` is a Cython port with
-identical semantics, and ``queercrystals.kernel`` selects between them at
-import time.
+is the first tensor factor.  This is the package's only kernel; callers
+reach it through ``queercrystals.kernel``, and ``queercrystals.tensor_rules``
+evaluates the same operators by the literal recursive rule as its oracle.
 
 Even operators use the signature rule: each letter contributes "+" when it
 equals i and "-" when it equals i+1, adjacent "+-" pairs cancel

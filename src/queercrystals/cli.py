@@ -30,12 +30,16 @@ def _parse_shape(text: str, parser: argparse.ArgumentParser, n: int) -> tuple:
         parser.error(f"invalid shape {text!r}: {exc}")
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path:
+def _emit(text: str, path: str | None,
+          parser: argparse.ArgumentParser) -> None:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write {path!r}: {exc.strerror}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,9 +102,9 @@ def cmd_graph(args, parser) -> int:
         parts = _parse_shape(args.shape, parser, n)
         graph = crystal_of_shape(parts, n, args.reading or "row")
     if args.format == "dot":
-        _emit(graph_to_dot(graph), args.output)
+        _emit(graph_to_dot(graph), args.output, parser)
     else:
-        _emit(report_to_json(graph_to_json(graph)), args.output)
+        _emit(report_to_json(graph_to_json(graph)), args.output, parser)
     return 0
 
 
@@ -130,14 +134,14 @@ def cmd_verify(args, parser) -> int:
             rep = verify_comult_odd(n)
         else:
             rep = residue_check(n, N)
-    _emit(report_to_json(rep), args.output)
+    _emit(report_to_json(rep), args.output, parser)
     return 0 if rep["passed"] else 1
 
 
 def cmd_conjecture(args, parser) -> int:
     parts = _parse_shape(args.shape, parser, args.rank)
     rep = explore_conjecture(parts, args.rank, args.max_depth)
-    _emit(report_to_json(rep), args.output)
+    _emit(report_to_json(rep), args.output, parser)
     return 0
 
 

@@ -256,10 +256,9 @@ def closure_set(ops, seed) -> set:
 
 def build_graph(ops, elements) -> CrystalGraph:
     """Crystal graph on a set of elements closed under the operators."""
+    weight = {b: ops.weight(b) for b in elements}
     nodes = sorted(
-        elements,
-        key=lambda b: (tuple(-x for x in ops.weight(b)), ops.sort_key(b)),
-    )
+        weight, key=lambda b: (tuple(-x for x in weight[b]), ops.sort_key(b)))
     index = {b: k for k, b in enumerate(nodes)}
     index[None] = -1  # where an operator vanishes
     lowering = [partial(ops.f, i) for i in even_labels(ops.n)]
@@ -275,7 +274,7 @@ def build_graph(ops, elements) -> CrystalGraph:
         n=ops.n,
         kind=ops.kind,
         nodes=tuple(nodes),
-        weights=tuple(ops.weight(b) for b in nodes),
+        weights=tuple(map(weight.__getitem__, nodes)),
         arrows=arrows,
     )
 

@@ -1,21 +1,10 @@
-"""Select the word-operator kernel: the compiled extension when it is
-importable, else the pure-Python fallback."""
+"""The word-operator kernel, re-exported from ``queercrystals._kernel_py``.
 
-try:
-    from . import _fastops as _impl
-except ImportError:
-    from . import _kernel_py as _impl  # type: ignore[no-redef]
+Callers import the kernel from here; the functions live in their own
+module so that a tracer can wrap these names without wrapping the
+kernel's calls among themselves.
+"""
 
-IMPLEMENTATION = _impl.IMPLEMENTATION
-
-weight_of = _impl.weight_of
-eps_phi = _impl.eps_phi
-apply_e = _impl.apply_e
-apply_f = _impl.apply_f
-apply_ebar1 = _impl.apply_ebar1
-apply_fbar1 = _impl.apply_fbar1
-weyl_s = _impl.weyl_s
-apply_ebar = _impl.apply_ebar
-apply_fbar = _impl.apply_fbar
-is_gl_highest = _impl.is_gl_highest
-is_q_highest = _impl.is_q_highest
+from ._kernel_py import (IMPLEMENTATION, apply_e, apply_ebar, apply_ebar1,
+                         apply_f, apply_fbar, apply_fbar1, eps_phi,
+                         is_gl_highest, is_q_highest, weight_of, weyl_s)

@@ -1,10 +1,14 @@
 """CLI subcommands, exit codes, determinism, DOT/JSON agreement."""
 
 import json
+import pathlib
 
 import pytest
 
 from queercrystals.cli import main
+
+# a directory that no test creates: writing below it must fail
+MISSING_DIR = pathlib.Path(__file__).resolve().parent / "no-such-dir"
 
 
 def run(capsys, *argv):
@@ -115,6 +119,9 @@ def test_invalid_shape_is_a_usage_error(capsys):
     ["verify", "--qrep", "comult", "-n", "2", "-N", "7"],
     ["verify", "--theorem", "b", "--shape", "2,1", "-n", "3", "-N", "0"],
     ["graph", "--tensor", "3", "-n", "2", "--reading", "col"],
+    ["graph", "--shape", "1", "-n", "3", "-o", "."],
+    ["verify", "--theorem", "b", "--shape", "1", "-n", "2",
+     "-o", str(MISSING_DIR / "x.dot")],
 ])
 def test_out_of_range_argument_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,0 +1,60 @@
+"""The word kernel agrees with the independent forms of its operators.
+
+Two oracles are already in the package: the generic Weyl conjugation in
+``queercrystals.graphs``, written once for every ops adapter, and the
+literal recursive tensor rules in ``queercrystals.tensor_rules``.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from queercrystals import kernel
+from queercrystals.graphs import WordOps, ebar_ops, fbar_ops
+from queercrystals.tensor_rules import (e_even_recursive, ebar1_recursive,
+                                        f_even_recursive, fbar1_recursive,
+                                        left_nested, tree_eps_phi)
+from queercrystals.words import all_words
+
+
+def test_conjugated_odd_operators_equal_the_generic_conjugation():
+    cases = 0
+    for n, longest in ((3, 5), (4, 5), (5, 4)):
+        ops = WordOps(n)
+        for length in range(0, longest + 1):
+            for w in all_words(n, length):
+                for i in range(2, n):
+                    assert kernel.apply_ebar(w, i) == ebar_ops(ops, i, w), \
+                        (n, i, w)
+                    assert kernel.apply_fbar(w, i) == fbar_ops(ops, i, w), \
+                        (n, i, w)
+                    cases += 1
+    assert cases == 5437
+
+
+@st.composite
+def long_words(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    letters = draw(st.lists(st.integers(min_value=1, max_value=n),
+                            min_size=7, max_size=14))
+    return n, bytes(letters)
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_words())
+def test_kernel_equals_the_recursive_rules_on_long_words(case):
+    n, w = case
+    tree = left_nested(w)
+    raised = []
+    for i in range(1, n):
+        assert kernel.eps_phi(w, i) == tree_eps_phi(tree, i)
+        e = kernel.apply_e(w, i)
+        assert e == e_even_recursive(i, w, n)
+        assert kernel.apply_f(w, i) == f_even_recursive(i, w, n)
+        raised.append(e)
+    ebar1 = kernel.apply_ebar1(w)
+    assert ebar1 == ebar1_recursive(w, n)
+    assert kernel.apply_fbar1(w) == fbar1_recursive(w, n)
+    raised.append(ebar1)
+    ops = WordOps(n)
+    raised += [ebar_ops(ops, i, w) for i in range(2, n)]
+    assert kernel.is_q_highest(w, n) == all(b is None for b in raised)
