@@ -10,6 +10,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 import argparse
+import errno
+import os
 import sys
 
 from .errors import StructureError, VerificationError
@@ -40,6 +42,22 @@ def _emit(text: str, path: str | None,
             fh.write(text)
     except OSError as exc:
         parser.error(f"cannot write {path!r}: {exc.strerror}")
+
+
+def _check_output(path: str | None, parser: argparse.ArgumentParser) -> None:
+    """Reject an -o PATH that cannot become a file before any work is done:
+    a directory in its place, or a missing parent directory.  The file
+    itself is neither opened nor truncated here."""
+    if not path:
+        return
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    else:
+        return
+    parser.error(f"cannot write {path!r}: {os.strerror(code)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,6 +167,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # usage errors are reported with the subcommand's own usage line
+    _check_output(args.output, args.subparser)
     try:
         return args.handler(args, args.subparser)
     except ValueError as exc:

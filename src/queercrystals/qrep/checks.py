@@ -206,12 +206,17 @@ def _witness(t, diff: dict) -> dict:
 def verify_relations(n: int, N: int, which: str | None = None) -> dict:
     """Check the defining relations as operator identities on V^(x)N.
 
-    ``which`` filters relation names by substring.
+    ``which`` filters relation names by substring.  Each relation is taken
+    off the catalogue before it is checked, so its cached columns are freed
+    once the next one starts.
     """
     _check_rank_and_power(n, N)
     records = []
     tensors = basis(n, N)
-    for name, lhs, rhs in relations_catalogue(n):
+    catalogue = relations_catalogue(n)
+    catalogue.reverse()
+    while catalogue:
+        name, lhs, rhs = catalogue.pop()
         if which and which not in name:
             continue
         witness = None

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .action import (Operator, act_expr, act_prim, compose, expr_sum, op,
                      qh_expr, scale)
-from .laurent import ONE, Q, RatFunc, gauss_factorial, gauss_int
+from .laurent import ONE, Q, ZERO, gauss_factorial, gauss_int
 from .tensorspace import (basis, tensor_weight, unit, vec_add, vec_scale,
                           vec_sum)
 
@@ -37,14 +37,18 @@ from .tensorspace import (basis, tensor_weight, unit, vec_add, vec_scale,
 
 
 def _coords(vec: dict, index: dict) -> list:
-    out = [RatFunc(()) for _ in range(len(index))]
+    out = [ZERO] * len(index)
     for t, c in vec.items():
         out[index[t]] = c
     return out
 
 
 def _rref(rows: list) -> tuple:
-    """Reduced row echelon form in place; returns pivot column list."""
+    """Reduced row echelon form in place; returns pivot column list.
+
+    Scaling and elimination touch only the columns where the pivot row is
+    nonzero; every other cell keeps its value.
+    """
     pivots = []
     r = 0
     ncols = len(rows[0]) if rows else 0
@@ -53,12 +57,17 @@ def _rref(rows: list) -> tuple:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = ONE / rows[r][col]
-        rows[r] = [inv * x for x in rows[r]]
+        row = rows[r]
+        inv = ONE / row[col]
+        support = [j for j in range(col, ncols) if row[j]]
+        for j in support:
+            row[j] = inv * row[j]
         for k in range(len(rows)):
-            if k != r and rows[k][col]:
-                c = rows[k][col]
-                rows[k] = [a - c * b for a, b in zip(rows[k], rows[r])]
+            c = rows[k][col]
+            if k != r and c:
+                other = rows[k]
+                for j in support:
+                    other[j] = other[j] - c * row[j]
         pivots.append(col)
         r += 1
         if r == len(rows):

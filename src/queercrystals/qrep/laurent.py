@@ -5,14 +5,26 @@ coefficient arising from the algebra action on finite tensor powers; no
 power-series truncation is ever needed.  A fraction is kept in reduced
 normal form: numerator and denominator are coprime integer polynomials and
 the denominator has a positive leading coefficient, so equality is plain
-tuple comparison.  Normalizing stays on integers: the gcd is a primitive
-pseudo-remainder sequence and dividing by it is integer long division.
+tuple comparison.  Normalizing stays on integers and takes one of three
+paths:
+
+- zero: the numerator is empty and the denominator becomes (1,);
+- monomial denominator c*q^k, which is almost every scalar of the action
+  (a denominator (1,) needs no work at all): the primitive gcd of num and
+  den is q^min(val(num), k), so both are shifted down by that power and
+  divided by the signed content gcd of num and c;
+- general: the primitive gcd is a pseudo-remainder sequence, dividing by
+  it is integer long division, then content and sign are fixed.
+
+Products with a factor +-1, negation and the reciprocal 1/x reuse the
+operand's normal form instead of normalizing again.
 
 Polynomials are tuples of integer coefficients, lowest degree first, with
 no trailing zeros; the zero polynomial is the empty tuple.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 
@@ -129,6 +141,17 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
             den = (1,)
+        elif den == (1,):
+            pass  # already reduced
+        elif not any(den[:-1]):
+            # den = c*q^k: the primitive gcd is q^min(val(num), k)
+            shift = min(len(den) - 1, next(v for v, x in enumerate(num) if x))
+            c = den[-1]
+            g = gcd(pcontent(num), c)
+            if c < 0:
+                g = -g
+            num = tuple(x // g for x in num[shift:])
+            den = den[shift:-1] + (c // g,)
         else:
             g = pgcd(num, den)
             if g != (1,):
@@ -146,6 +169,14 @@ class RatFunc:
 
     def __setattr__(self, *args):
         raise AttributeError("RatFunc is immutable")
+
+    @staticmethod
+    def _reduced(num: tuple, den: tuple) -> "RatFunc":
+        """The RatFunc of a (num, den) pair already in normal form."""
+        x = object.__new__(RatFunc)
+        object.__setattr__(x, "num", num)
+        object.__setattr__(x, "den", den)
+        return x
 
     @staticmethod
     def from_int(k: int) -> "RatFunc":
@@ -188,7 +219,8 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(pneg(self.num), self.den)
+        # negating the numerator keeps the normal form
+        return RatFunc._reduced(pneg(self.num), self.den)
 
     def __sub__(self, other):
         other = RatFunc._coerce(other)
@@ -203,6 +235,16 @@ class RatFunc:
         other = RatFunc._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == (1,):
+            if self.num == (1,):
+                return other
+            if self.num == (-1,):
+                return -other
+        if other.den == (1,):
+            if other.num == (1,):
+                return self
+            if other.num == (-1,):
+                return -self
         return RatFunc(pmul(self.num, other.num), pmul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -213,6 +255,11 @@ class RatFunc:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by the zero rational function")
+        if self.num == (1,) and self.den == (1,):
+            # swapping a normal form's num and den gives one, up to sign
+            if other.num[-1] < 0:
+                return RatFunc._reduced(pneg(other.den), pneg(other.num))
+            return RatFunc._reduced(other.den, other.num)
         return RatFunc(pmul(self.num, other.den), pmul(self.den, other.num))
 
     def __rtruediv__(self, other):
@@ -248,11 +295,13 @@ ONE = RatFunc((1,))
 Q = RatFunc((0, 1))
 
 
+@lru_cache(maxsize=None)
 def gauss_int(k: int) -> RatFunc:
     """[k] = (q^k - q^-k)/(q - q^-1)."""
     return (RatFunc.q_power(k) - RatFunc.q_power(-k)) / (Q - RatFunc.q_power(-1))
 
 
+@lru_cache(maxsize=None)
 def gauss_factorial(k: int) -> RatFunc:
     """[k]! = [k][k-1]...[1]."""
     out = ONE

@@ -12,7 +12,7 @@ coefficients; helpers below maintain the no-explicit-zeros invariant.
 
 from itertools import product
 
-from .laurent import RatFunc
+from .laurent import ONE, RatFunc
 
 Symbol = tuple  # (letter, bar)
 BasisTensor = tuple  # of Symbol
@@ -80,4 +80,4 @@ def vec_sub(a: dict, b: dict) -> dict:
 
 
 def unit(t: BasisTensor) -> dict:
-    return {t: RatFunc((1,))}
+    return {t: ONE}

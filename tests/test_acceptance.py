@@ -151,7 +151,8 @@ def test_criterion_08_closed_forms_equal_recursive_rules():
 
 def test_criterion_09_defining_relations():
     t0 = time.perf_counter()
-    for n, N in [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (3, 3)]:
+    for n, N in [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (3, 3),
+                 (4, 3)]:
         rep = verify_relations(n, N)
         bad = [r for r in rep["records"] if r["status"] == "fail"]
         assert rep["passed"], (n, N, bad[:3])
@@ -168,7 +169,8 @@ def test_criterion_10_odd_comultiplication():
 
 def test_criterion_11_lattice_residues():
     t0 = time.perf_counter()
-    for n, N in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]:
+    for n, N in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3),
+                 (2, 4)]:
         rep = residue_check(n, N)
         bad = [r for r in rep["records"] if r["status"] == "fail"]
         assert rep["passed"], (n, N, bad[:3])

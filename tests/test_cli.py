@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from queercrystals import cli
 from queercrystals.cli import main
 
 # a directory that no test creates: writing below it must fail
@@ -132,6 +133,32 @@ def test_out_of_range_argument_is_a_usage_error(capsys, argv):
     assert err.startswith(f"usage: queercrystals {argv[0]} ")
     assert "error:" in err
     assert "Traceback" not in err
+
+
+def test_unwritable_output_fails_before_any_work(capsys, monkeypatch,
+                                                 tmp_path):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the check ran before -o was rejected")
+
+    monkeypatch.setattr(cli, "verify_relations", no_work)
+    (tmp_path / "file.json").write_bytes(b"kept")
+    for target in (MISSING_DIR / "x.json", tmp_path,
+                   tmp_path / "file.json" / "x.json"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--qrep", "relations", "-n", "3", "-N", "3",
+                  "-o", str(target)])
+        assert exc.value.code == 2
+        assert "cannot write" in capsys.readouterr().err
+
+
+def test_usage_error_leaves_an_existing_output_file_alone(capsys, tmp_path):
+    target = tmp_path / "report.json"
+    target.write_bytes(b"earlier report\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--qrep", "relations", "-n", "2", "-N", "0",
+              "-o", str(target)])
+    assert exc.value.code == 2
+    assert target.read_bytes() == b"earlier report\n"
 
 
 def test_missing_selector_is_a_usage_error(capsys):

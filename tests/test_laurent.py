@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from queercrystals.qrep.laurent import (ONE, Q, ZERO, RatFunc, gauss_factorial,
                                         gauss_int, pdiv_exact, pgcd, pmul,
-                                        pnorm)
+                                        pneg, pnorm)
 
 coeffs = st.lists(st.integers(min_value=-9, max_value=9), min_size=0,
                   max_size=5)
@@ -39,6 +39,20 @@ def poly_pairs(draw):
     return num, den
 
 
+@st.composite
+def monomial_den_pairs(draw):
+    """(num, c*q^k) with c != 0 and k >= 0; num shares a power of q and an
+    integer factor with the denominator half of the time."""
+    num = pnorm(draw(coeffs))
+    c = draw(st.integers(min_value=-12, max_value=12).filter(bool))
+    k = draw(st.integers(min_value=0, max_value=5))
+    if draw(st.booleans()):
+        shift = draw(st.integers(min_value=0, max_value=6))
+        factor = draw(st.integers(min_value=-6, max_value=6).filter(bool))
+        num = pmul(num, (0,) * shift + (factor,))
+    return num, (0,) * k + (c,)
+
+
 _q = sympy.Symbol("q")
 
 
@@ -48,6 +62,17 @@ def _to_sympy(a):
 
 def _from_sympy(p):
     return pnorm(int(c) for c in reversed(p.all_coeffs()))
+
+
+def _sympy_normal_form(num, den) -> tuple:
+    """(num, den) cancelled by sympy: content and primitive gcd divided
+    out, denominator with a positive leading coefficient."""
+    n, d = _to_sympy(num), _to_sympy(den)
+    g = n.gcd(d)  # over Z: the content gcd times the primitive gcd
+    n, d = n.exquo(g), d.exquo(g)
+    if d.LC() < 0:
+        n, d = -n, -d
+    return _from_sympy(n), _from_sympy(d)
 
 
 def test_basic_values():
@@ -131,14 +156,35 @@ def test_pmul_agrees_with_int_polynomials():
 def test_normal_form_equals_sympy_cancellation(pair):
     num, den = pair
     x = RatFunc(num, den)
-    n, d = _to_sympy(num), _to_sympy(den)
-    g = n.gcd(d)  # over Z: the content gcd times the primitive gcd
-    n, d = n.exquo(g), d.exquo(g)
-    if d.LC() < 0:
-        n, d = -n, -d
-    assert (x.num, x.den) == (_from_sympy(n), _from_sympy(d))
+    assert (x.num, x.den) == _sympy_normal_form(num, den)
     assert x.den[-1] > 0
     assert _to_sympy(x.num).gcd(_to_sympy(x.den)).as_expr() == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_den_pairs())
+def test_monomial_denominator_equals_sympy_cancellation(pair):
+    num, den = pair
+    x = RatFunc(num, den)
+    assert (x.num, x.den) == _sympy_normal_form(num, den)
+
+
+@settings(max_examples=200)
+@given(ratfuncs())
+def test_shortcuts_equal_the_normalizing_constructor(x):
+    """Unit products, negation and reciprocals skip normalizing; each gives
+    the pair that RatFunc builds from the plain formula."""
+    def pair(y):
+        assert isinstance(y, RatFunc)
+        return y.num, y.den
+
+    for unit in (ONE, -ONE):
+        general = pair(RatFunc(pmul(x.num, unit.num), pmul(x.den, unit.den)))
+        assert pair(x * unit) == general
+        assert pair(unit * x) == general
+    assert pair(-x) == pair(RatFunc(pneg(x.num), x.den))
+    if x:
+        assert pair(ONE / x) == pair(RatFunc(x.den, x.num))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,4 +1,4 @@
-"""DOT and JSON output pinned by digest.
+"""DOT and JSON output, and exact-side JSON reports, pinned by digest.
 
 The determinism tests compare two runs of the same code; these digests
 were recorded from an earlier revision of the library, so they also
@@ -10,6 +10,8 @@ import hashlib
 
 from queercrystals import (crystal_of_shape, full_ssyt_graph, graph_components,
                            tensor, tensor_power_graph, vector_crystal)
+from queercrystals.qrep.checks import (residue_check, verify_comult_odd,
+                                       verify_relations)
 from queercrystals.serialize import graph_to_dot, graph_to_json, report_to_json
 
 # (sha256 of the DOT text, sha256 of the JSON text as the CLI prints it)
@@ -61,3 +63,30 @@ def test_dot_and_json_equal_the_pinned_digests():
     got = {name: (sha(graph_to_dot(g)), sha(report_to_json(graph_to_json(g))))
            for name, g in pinned_graphs()}
     assert got == PINNED
+
+
+# sha256 of report_to_json of each exact-side report, as the CLI prints it
+PINNED_REPORTS = {
+    "residue_check(2, 2)":
+        "5eb1e54aab930b86985c33020026cb6c1a1642251074882e43e340abb50b13be",
+    "residue_check(3, 2)":
+        "b0a98b3b3a56da0109679ecc4049f3330995203144271f5d434d90c1ded774b1",
+    "residue_check(2, 3)":
+        "455bd25a22e2b3795a178b8f567740e8e850f75b23dddad3fa8bc702e62276ec",
+    "verify_relations(3, 2)":
+        "6eb9ce93c2d3e456d195bbecbb5ebb106f95c9db6bba58b9e15a1339b1a59f22",
+    "verify_comult_odd(2)":
+        "f7fdf2af6e832adca92e856009f003aebd1927cec96b32d6ff5ab5c70dcaa08d",
+}
+
+
+def pinned_reports():
+    for n, N in ((2, 2), (3, 2), (2, 3)):
+        yield f"residue_check({n}, {N})", residue_check(n, N)
+    yield "verify_relations(3, 2)", verify_relations(3, 2)
+    yield "verify_comult_odd(2)", verify_comult_odd(2)
+
+
+def test_exact_side_reports_equal_the_pinned_digests():
+    got = {name: sha(report_to_json(rep)) for name, rep in pinned_reports()}
+    assert got == PINNED_REPORTS

@@ -1,7 +1,11 @@
 """Relation catalogue, odd comultiplication, residue checks (small sizes)."""
 
+import gc
+import weakref
+
 from queercrystals.qrep import checks
-from queercrystals.qrep.action import compose, expr_sum, op
+from queercrystals.qrep.action import (Operator, compose, expr_sum,
+                                       identity_expr, op)
 from queercrystals.qrep.checks import (comult_formulas, relations_catalogue,
                                        residue_check, verify_comult_odd,
                                        verify_relations)
@@ -83,6 +87,29 @@ def test_the_witness_component_is_the_least_differing_tensor(monkeypatch):
     assert failed["witness"] == {"tensor": "((1, 0), (1, 0))",
                                  "component": "((1, 0), (2, 0))",
                                  "coefficient": "q"}
+
+
+def test_each_relation_is_released_once_checked(monkeypatch):
+    """The first relation's operator, with its cached columns, is collected
+    before the last relation is evaluated."""
+    first_lhs, alive_at_last = [], []
+
+    def last_column(t):
+        gc.collect()
+        alive_at_last.append(first_lhs[0]() is not None)
+        return identity_expr()[t]
+
+    def catalogue(n):
+        lhs = op(("f", 1))
+        first_lhs.append(weakref.ref(lhs))
+        return [("first", lhs, op(("f", 1))),
+                ("middle", identity_expr(), identity_expr()),
+                ("last", Operator(last_column), identity_expr())]
+
+    monkeypatch.setattr(checks, "relations_catalogue", catalogue)
+    rep = verify_relations(2, 2)
+    assert rep["passed"], _failures(rep)
+    assert alive_at_last and not any(alive_at_last)
 
 
 def test_a_comultiplication_without_the_super_sign_fails(monkeypatch):
