@@ -9,7 +9,10 @@ Even operators use the signature rule: each letter contributes "+" when it
 equals i and "-" when it equals i+1, adjacent "+-" pairs cancel
 iteratively, and the raising operator edits the letter owning the
 rightmost surviving "-" while the lowering operator edits the leftmost
-surviving "+".
+surviving "+".  ``moves`` gives every label's result from one pass: a
+letter a is "+" for the label a and "-" for the label a-1, so one scan
+keeps the signature of every label at once.  The odd pair ebar1/fbar1
+edits the rightmost letter in {1, 2}.
 """
 
 IMPLEMENTATION = "pure"
@@ -87,6 +90,60 @@ def apply_ebar1(w: bytes):
                 return bytes(out)
             return None
     return None
+
+
+def moves(w: bytes, n: int) -> tuple:
+    """All lowering and raising results of a word, from one scan.
+
+    Returns ``(f_1..f_{n-1}, fbar1)`` and ``(e_1..e_{n-1}, ebar1)``, each
+    entry a word or None (the odd entries only when n >= 2), equal to the
+    per-label ``apply_f``/``apply_fbar1`` and ``apply_e``/``apply_ebar1``.
+    Per label only the stack's size and its bottom are kept: the leftmost
+    surviving "+" is the first one pushed since the stack was last empty,
+    and the rightmost surviving "-" is the last one that met an empty stack.
+    """
+    count = [0] * (n + 1)
+    bottom = [0] * (n + 1)
+    minus = [-1] * (n + 1)
+    for pos, a in enumerate(w):
+        if a > 1:
+            if count[a - 1]:
+                count[a - 1] -= 1
+            else:
+                minus[a - 1] = pos
+        if count[a]:
+            count[a] += 1
+        else:
+            count[a] = 1
+            bottom[a] = pos
+    down = []
+    up = []
+    for i in range(1, n):
+        if count[i]:
+            out = bytearray(w)
+            out[bottom[i]] = i + 1
+            down.append(bytes(out))
+        else:
+            down.append(None)
+        if minus[i] >= 0:
+            out = bytearray(w)
+            out[minus[i]] = i
+            up.append(bytes(out))
+        else:
+            up.append(None)
+    if n >= 2:
+        pos = max(w.rfind(1), w.rfind(2))
+        fbar1 = ebar1 = None
+        if pos >= 0:
+            out = bytearray(w)
+            out[pos] = 3 - w[pos]
+            if w[pos] == 1:
+                fbar1 = bytes(out)
+            else:
+                ebar1 = bytes(out)
+        down.append(fbar1)
+        up.append(ebar1)
+    return tuple(down), tuple(up)
 
 
 def weyl_s(w: bytes, i: int) -> bytes:

@@ -5,9 +5,10 @@ and the arrows of the lowering operators f_1..f_{n-1} and fbar1, in one
 form: per label, an array giving each node's successor index, -1 where
 the operator vanishes.  Everything else (the (source, label, target)
 edge list, predecessor arrays, string lengths, components) is derived
-from these arrays on request.  Arrows for the conjugated odd operators
-fbar_i (i >= 2) are not stored either: they are determined by the stored
-structure through the Weyl-group action.
+from these arrays on request; a graph keeps its predecessor arrays once
+derived.  Arrows for the conjugated odd operators fbar_i (i >= 2) are
+not stored either: they are determined by the stored structure through
+the Weyl-group action.
 
 Canonical node order: weight descending lexicographically, then a
 kind-specific payload key.  This makes serialization and component
@@ -15,10 +16,12 @@ splitting reproducible run to run.
 
 Operator access is through small "ops" adapters (words, tableaux, stored
 graphs) so that closure, highest-weight detection and the Weyl action can
-be written once.  Stored graphs are split into components
-(``graph_components``) and tensored (``tensor``) on node indices along
-their arrays; ``components`` splits any element set through an ops
-adapter.
+be written once.  ``closure`` records the arrows while it searches, from
+one ``moves`` call per node (the kernel's one-pass scan on words);
+``build_graph`` applies f_i and fbar1 to each element of a given set.
+Stored graphs are split into components (``graph_components``) and
+tensored (``tensor``) on node indices along their arrays; ``components``
+splits any element set through an ops adapter.
 """
 
 from dataclasses import dataclass
@@ -57,6 +60,7 @@ class CrystalGraph:
             raise ValueError("need one successor per node for every label")
         object.__setattr__(
             self, "_index", {b: k for k, b in enumerate(self.nodes)})
+        object.__setattr__(self, "_pred", {})  # label -> predecessor array
 
     @property
     def node_index(self) -> dict:
@@ -74,12 +78,16 @@ class CrystalGraph:
         """Successor index of every node along one label, -1 for none."""
         return self.arrows[all_labels(self.n).index(label)]
 
-    def predecessors(self, label) -> list:
-        """Predecessor index of every node along one label, -1 for none."""
-        pred = [-1] * len(self.nodes)
-        for s, d in enumerate(self.successors(label)):
-            if d >= 0:
-                pred[d] = s
+    def predecessors(self, label) -> tuple:
+        """Predecessor index of every node along one label, -1 for none;
+        derived on first request and kept."""
+        pred = self._pred.get(label)
+        if pred is None:
+            inverse = [-1] * len(self.nodes)
+            for s, d in enumerate(self.successors(label)):
+                if d >= 0:
+                    inverse[d] = s
+            pred = self._pred[label] = tuple(inverse)
         return pred
 
     def __len__(self):
@@ -112,6 +120,9 @@ class WordOps:
 
     def fbar1(self, w):
         return kernel.apply_fbar1(w) if self.n >= 2 else None
+
+    def moves(self, w):
+        return kernel.moves(w, self.n)
 
     def sort_key(self, w):
         return w
@@ -254,13 +265,20 @@ def closure_set(ops, seed) -> set:
     return seen
 
 
+def _ordered(ops, elements):
+    """Elements in canonical order, their weights, and each one's index,
+    with None (where an operator vanishes) at -1."""
+    weight = {b: ops.weight(b) for b in elements}
+    nodes = tuple(sorted(
+        weight, key=lambda b: (tuple(-x for x in weight[b]), ops.sort_key(b))))
+    index = {b: k for k, b in enumerate(nodes)}
+    index[None] = -1
+    return nodes, tuple(map(weight.__getitem__, nodes)), index
+
+
 def build_graph(ops, elements) -> CrystalGraph:
     """Crystal graph on a set of elements closed under the operators."""
-    weight = {b: ops.weight(b) for b in elements}
-    nodes = sorted(
-        weight, key=lambda b: (tuple(-x for x in weight[b]), ops.sort_key(b)))
-    index = {b: k for k, b in enumerate(nodes)}
-    index[None] = -1  # where an operator vanishes
+    nodes, weights, index = _ordered(ops, elements)
     lowering = [partial(ops.f, i) for i in even_labels(ops.n)]
     if ops.n >= 2:
         lowering.append(ops.fbar1)
@@ -270,18 +288,37 @@ def build_graph(ops, elements) -> CrystalGraph:
     except KeyError as exc:
         raise StructureError(
             f"an operator leaves the element set at {exc.args[0]!r}") from None
-    return CrystalGraph(
-        n=ops.n,
-        kind=ops.kind,
-        nodes=tuple(nodes),
-        weights=tuple(map(weight.__getitem__, nodes)),
-        arrows=arrows,
-    )
+    return CrystalGraph(n=ops.n, kind=ops.kind, nodes=nodes, weights=weights,
+                        arrows=arrows)
 
 
 def closure(ops, seed) -> CrystalGraph:
-    """Connected component of the seed as a crystal graph."""
-    return build_graph(ops, closure_set(ops, seed))
+    """Connected component of the seed as a crystal graph.
+
+    ``ops`` needs ``moves``: one call per node gives its lowering results
+    (f_1..f_{n-1}, fbar1) and its raising ones.  The search follows both
+    and keeps the lowering ones, which become the arrows once the nodes
+    are sorted, so no operator is applied twice.  The generic form, for
+    any adapter, is ``build_graph(ops, closure_set(ops, seed))``; it gives
+    the same graph.
+    """
+    lowered = {seed: None}
+    todo = [seed]
+    moves = ops.moves
+    while todo:
+        b = todo.pop()
+        down, up = moves(b)
+        lowered[b] = down
+        for x in down + up:
+            if x is not None and x not in lowered:
+                lowered[x] = None
+                todo.append(x)
+    nodes, weights, index = _ordered(ops, lowered)
+    # one row of target indices per node, transposed to one array per label
+    arrows = tuple(zip(*(tuple(map(index.__getitem__, lowered[b]))
+                         for b in nodes)))
+    return CrystalGraph(n=ops.n, kind=ops.kind, nodes=nodes, weights=weights,
+                        arrows=arrows)
 
 
 def components(ops, elements) -> list:
@@ -405,10 +442,13 @@ def graph_components(graph: CrystalGraph) -> list:
 
 def highest_weight_nodes(graph: CrystalGraph) -> list:
     """Nodes annihilated by every raising operator, in canonical order."""
-    ops = GraphOps(graph)
     targets = {d for succ in graph.arrows for d in succ}
-    return [b for k, b in enumerate(graph.nodes) if k not in targets
-            and all(ebar_ops(ops, i, b) is None for i in range(2, graph.n))]
+    tops = [b for k, b in enumerate(graph.nodes) if k not in targets]
+    if graph.n < 3:  # no conjugated ebar_i to check
+        return tops
+    ops = GraphOps(graph)
+    return [b for b in tops
+            if all(ebar_ops(ops, i, b) is None for i in range(2, graph.n))]
 
 
 def validate(graph: CrystalGraph) -> None:

@@ -2,9 +2,13 @@
 
 Callers import the kernel from here; the functions live in their own
 module so that a tracer can wrap these names without wrapping the
-kernel's calls among themselves.
+kernel's calls among themselves.  ``moves`` gives every arrow of a word
+from one scan, for callers that need them all (``graphs.closure`` and
+reading independence); the per-label ``apply_*`` functions serve callers
+that need one operator, and are ``moves``'s oracle in the tests.
 """
 
 from ._kernel_py import (IMPLEMENTATION, apply_e, apply_ebar, apply_ebar1,
                          apply_f, apply_fbar, apply_fbar1, eps_phi,
-                         is_gl_highest, is_q_highest, weight_of, weyl_s)
+                         is_gl_highest, is_q_highest, moves, weight_of,
+                         weyl_s)

@@ -194,34 +194,38 @@ def verify_highest_weight_formula(parts, n: int) -> dict:
 def verify_reading_independence(parts, n: int) -> dict:
     """Row and column readings induce identical operators on all fillings.
 
-    Each filling is encoded once per reading and the kernel operators act
-    on both words.  The column result is read back in row order, so the
-    two results compare as the tableaux they encode.  Every result is
-    checked to be semistandard: one found among the row words of the
-    fillings passes, and any other is decoded, which raises.
+    Each filling is encoded once per reading, and one ``kernel.moves``
+    call per word gives every operator's result on it; they are compared
+    in the order f_1, e_1, ..., f_{n-1}, e_{n-1}, fbar1, ebar1.  The column
+    result is read back in row order, so the two results compare as the
+    tableaux they encode.  Every result is checked to be semistandard: one
+    found among the row words of the fillings passes, and any other is
+    decoded, which raises.
     """
     parts = check_strict_partition(parts, n)
     instance = f"n={n} lam={parts}"
     shape = shape_from_partition(parts, n)
     row_ops = TableauOps(shape, n, "row")
     col_ops = TableauOps(shape, n, "col")
+    # (name, 0 for lowering or 1 for raising, position in the moves tuple)
     operators = []
     for i in range(1, n):
-        operators.append((f"f_{i}", kernel.apply_f, (i,)))
-        operators.append((f"e_{i}", kernel.apply_e, (i,)))
+        operators.append((f"f_{i}", 0, i - 1))
+        operators.append((f"e_{i}", 1, i - 1))
     if n >= 2:
-        operators.append(("fbar1", kernel.apply_fbar1, ()))
-        operators.append(("ebar1", kernel.apply_ebar1, ()))
+        operators.append(("fbar1", 0, n - 1))
+        operators.append(("ebar1", 1, n - 1))
     fillings = enumerate_ssyt(shape, n)
     semistandard = {row_ops.encode(t) for t in fillings}
     # a column word's letters in row-reading order
     col_to_row = tuple(col_ops.order.index(k) for k in row_ops.order)
     mismatch = None
     for t in fillings:
-        row, col = row_ops.encode(t), col_ops.encode(t)
-        for name, op, args in operators:
-            x = op(row, *args)
-            y = op(col, *args)
+        row_moves = kernel.moves(row_ops.encode(t), n)
+        col_moves = kernel.moves(col_ops.encode(t), n)
+        for name, side, k in operators:
+            x = row_moves[side][k]
+            y = col_moves[side][k]
             if x is not None and x not in semistandard:
                 row_ops.decode(x)
             if y is not None:

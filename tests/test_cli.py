@@ -1,9 +1,13 @@
 """CLI subcommands, exit codes, determinism, DOT/JSON agreement."""
 
+import contextlib
+import io
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queercrystals import cli
 from queercrystals.cli import main
@@ -224,3 +228,82 @@ def test_conjecture_report(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["highest_weight_vectors"]
+
+
+# CLI fuzzing: argument vectors from the three subcommands and their
+# options, with small values and, now and then, junk
+
+
+def mostly(good, bad):
+    """Valid values three times as often as invalid ones."""
+    return st.sampled_from(good * 3 + bad)
+
+
+RANKS = mostly(["1", "2", "3"], ["0", "-1", "x"])
+POWERS = mostly(["0", "1", "2", "3"], ["-2", "y"])
+SHAPES = mostly(["1", "2", "2,1", "3", "3,1", "4"],
+                ["1,2", "2,2", "0", "-1", ",", "a,b", "", "3,1,"])
+JUNK = st.sampled_from(["--bogus", "-x", "-5", "7", "--", "--shape", "-n",
+                        "-o", str(MISSING_DIR / "out.json")])
+
+
+def option(flag, values):
+    return st.tuples(st.just(flag), values)
+
+
+# per subcommand: the mutually exclusive selectors, then the other options
+# with the chance, in tenths, that each is given
+OPTIONS = {
+    "graph": (
+        [st.just(("--vector",)), option("--tensor", POWERS),
+         option("--shape", SHAPES)],
+        [(9, option("-n", RANKS)),
+         (3, option("--reading", mostly(["row", "col"], ["diag"]))),
+         (3, option("--format", mostly(["dot", "json"], ["xml"])))]),
+    "verify": (
+        [option("--theorem", mostly(["b", "c", "e3"], ["z"])),
+         st.just(("--reading-independence",)),
+         option("--qrep", mostly(["relations", "comult", "residue"],
+                                 ["foo"]))],
+        [(9, option("-n", RANKS)), (6, option("--shape", SHAPES)),
+         (3, option("-N", POWERS))]),
+    "conjecture": (
+        [option("--shape", SHAPES)],
+        [(9, option("-n", RANKS)),
+         (3, option("--max-depth", mostly(["0", "2"], ["-1", "z"])))]),
+}
+
+
+def sometimes(draw, tenths):
+    return draw(st.integers(min_value=0, max_value=9)) < tenths
+
+
+@st.composite
+def argument_vectors(draw):
+    """Mostly well-formed vectors: one selector, -n, some other options;
+    sometimes a second selector, a missing -n or a junk token."""
+    command = draw(st.sampled_from(sorted(OPTIONS) + ["nonsense"]))
+    selectors, extras = OPTIONS.get(command, OPTIONS["graph"])
+    groups = [draw(st.one_of(*selectors))]
+    if sometimes(draw, 1):
+        groups.append(draw(st.one_of(*selectors)))
+    for tenths, extra in extras:
+        if sometimes(draw, tenths):
+            groups.append(draw(extra))
+    if sometimes(draw, 2):
+        groups.append((draw(JUNK),))
+    groups = draw(st.permutations(groups))
+    return [command] + [token for group in groups for token in group]
+
+
+@settings(max_examples=100, deadline=None)
+@given(argument_vectors())
+def test_fuzzed_argument_vectors_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -115,6 +115,8 @@ def test_arrow_tables_equal_a_scan_of_the_edges():
         for lab in all_labels(g.n):
             succ, pred = g.successors(lab), g.predecessors(lab)
             assert len(succ) == len(pred) == len(g)
+            # derived once per graph and kept
+            assert isinstance(pred, tuple) and g.predecessors(lab) is pred
             # the predecessors invert the successors
             assert {(s, d) for s, d in enumerate(succ) if d >= 0} == \
                 {(s, d) for d, s in enumerate(pred) if s >= 0}

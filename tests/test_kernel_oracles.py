@@ -2,14 +2,18 @@
 
 Two oracles are already in the package: the generic Weyl conjugation in
 ``queercrystals.graphs``, written once for every ops adapter, and the
-literal recursive tensor rules in ``queercrystals.tensor_rules``.
+literal recursive tensor rules in ``queercrystals.tensor_rules``.  The
+one-pass ``kernel.moves`` is also checked against the per-label
+``apply_*`` functions, and the recording ``closure`` built on it against
+the generic ``build_graph(ops, closure_set(ops, seed))``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queercrystals import kernel
-from queercrystals.graphs import WordOps, ebar_ops, fbar_ops
+from queercrystals.graphs import (WordOps, build_graph, closure, closure_set,
+                                  ebar_ops, fbar_ops)
 from queercrystals.tensor_rules import (e_even_recursive, ebar1_recursive,
                                         f_even_recursive, fbar1_recursive,
                                         left_nested, tree_eps_phi)
@@ -29,6 +33,36 @@ def test_conjugated_odd_operators_equal_the_generic_conjugation():
                         (n, i, w)
                     cases += 1
     assert cases == 5437
+
+
+def per_label_moves(w, n):
+    odd = n >= 2
+    down = tuple(kernel.apply_f(w, i) for i in range(1, n))
+    up = tuple(kernel.apply_e(w, i) for i in range(1, n))
+    return (down + ((kernel.apply_fbar1(w),) if odd else ()),
+            up + ((kernel.apply_ebar1(w),) if odd else ()))
+
+
+def test_moves_equals_the_per_label_operators():
+    cases = 0
+    for n, longest in ((1, 5), (2, 5), (3, 5), (4, 5), (5, 4)):
+        for length in range(0, longest + 1):
+            for w in all_words(n, length):
+                assert kernel.moves(w, n) == per_label_moves(w, n), (n, w)
+                cases += 1
+    assert cases == 6 + 63 + 364 + 1365 + 781
+
+
+def test_the_recording_closure_equals_the_generic_closure():
+    for n in (1, 2, 3, 4):
+        ops = WordOps(n)
+        for length in range(0, 5):
+            for w in all_words(n, length):
+                got = closure(ops, w)
+                oracle = build_graph(ops, closure_set(ops, w))
+                assert (got.n, got.kind, got.nodes, got.weights, got.arrows) \
+                    == (oracle.n, oracle.kind, oracle.nodes, oracle.weights,
+                        oracle.arrows), (n, w)
 
 
 @st.composite
@@ -58,3 +92,14 @@ def test_kernel_equals_the_recursive_rules_on_long_words(case):
     ops = WordOps(n)
     raised += [ebar_ops(ops, i, w) for i in range(2, n)]
     assert kernel.is_q_highest(w, n) == all(b is None for b in raised)
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_words())
+def test_moves_equals_the_recursive_rules_on_long_words(case):
+    n, w = case
+    down, up = kernel.moves(w, n)
+    assert down == tuple(f_even_recursive(i, w, n) for i in range(1, n)) \
+        + (fbar1_recursive(w, n),)
+    assert up == tuple(e_even_recursive(i, w, n) for i in range(1, n)) \
+        + (ebar1_recursive(w, n),)

@@ -1,4 +1,4 @@
-"""DOT and JSON output, and exact-side JSON reports, pinned by digest.
+"""DOT and JSON output, and theorem and exact-side reports, pinned by digest.
 
 The determinism tests compare two runs of the same code; these digests
 were recorded from an earlier revision of the library, so they also
@@ -8,8 +8,12 @@ deliberate change of the output format.
 
 import hashlib
 
-from queercrystals import (crystal_of_shape, full_ssyt_graph, graph_components,
-                           tensor, tensor_power_graph, vector_crystal)
+from queercrystals import (crystal_of_shape, explore_conjecture,
+                           full_ssyt_graph, graph_components, tensor,
+                           tensor_power_graph, vector_crystal,
+                           verify_decomposition, verify_highest_weight_formula,
+                           verify_reading_independence,
+                           verify_unique_highest_weight)
 from queercrystals.qrep.checks import (residue_check, verify_comult_odd,
                                        verify_relations)
 from queercrystals.serialize import graph_to_dot, graph_to_json, report_to_json
@@ -25,6 +29,9 @@ PINNED = {
     "crystal_of_shape((3, 1), 4, 'col')": (
         "41118fc6a71faa120a30549998b148122cc932fd33eb7fbc03ef476dd0e0d268",
         "a714ff8d35bdb8eb0bf06dd97fb4051402301b659cdbb8c4978f180baf239336"),
+    "crystal_of_shape((4, 2, 1), 4, 'col')": (
+        "5df429f85a1d6c1f8246619ae55f5dd7986ec3055985acd70a6fdde21d66c340",
+        "153261e2f0b18bf1393da9eafd937e5a4c6bdc799d2f810063db8a68aefcb363"),
     "full_ssyt_graph((2, 1), 3)": (
         "c666649fe57a239d7fcd48b8709b7c792509ac56fd28b6879ba972ec79b7b93a",
         "c2f4d40d225dc5bcf0baea3293c20cdad99d12c872f68e28176671ce6e84a921"),
@@ -52,6 +59,8 @@ def pinned_graphs():
     for reading in ("row", "col"):
         yield (f"crystal_of_shape((3, 1), 4, {reading!r})",
                crystal_of_shape((3, 1), 4, reading))
+    yield ("crystal_of_shape((4, 2, 1), 4, 'col')",
+           crystal_of_shape((4, 2, 1), 4, "col"))
     yield "full_ssyt_graph((2, 1), 3)", full_ssyt_graph((2, 1), 3)
     yield ("tensor(crystal_of_shape((2, 1), 3), vector_crystal(3))",
            tensor(crystal_of_shape((2, 1), 3), vector_crystal(3)))
@@ -90,3 +99,58 @@ def pinned_reports():
 def test_exact_side_reports_equal_the_pinned_digests():
     got = {name: sha(report_to_json(rep)) for name, rep in pinned_reports()}
     assert got == PINNED_REPORTS
+
+
+# sha256 of report_to_json of each theorem-side report, as the CLI prints it
+PINNED_THEOREM_REPORTS = {
+    "verify_unique_highest_weight((3, 1), 4)":
+        "99129a68eb9a90330206aebc8c2c56c551ca75740b73e1724336671a3851f74a",
+    "verify_unique_highest_weight((4, 2, 1), 4)":
+        "be658a91bd0106be16fd9b6a7dfc52299b2e631a46e142f279c23eb74b5dc755",
+    "verify_unique_highest_weight((5,), 3)":
+        "4108e59b1afb76e980b668bd6e0fdc604da27cb52e55f3eafefa42dfcfde49a6",
+    "verify_unique_highest_weight((2, 1), 3)":
+        "869d3f541579d382b84a8b7cc1c81ddf49c2e00a201f813ed1bc7c2308ec149a",
+    "verify_highest_weight_formula((3, 1), 4)":
+        "ba42fb87a330f66996cc1dd1ef0d1e13e5fc41eb3d913f1d063bd7ea14636326",
+    "verify_highest_weight_formula((4, 2, 1), 4)":
+        "23e09a17cd5d5379e7aaee0cf02e42fe38e8f14d7275b7b9a1819c60ce44a839",
+    "verify_highest_weight_formula((5,), 3)":
+        "5c6d5941f0e2a2a6e9b89dbd27d3b7d576c035dd4ea18d926c39d1a4a0db9102",
+    "verify_highest_weight_formula((2, 1), 3)":
+        "8ca857bcad5eb6d3a155e2e48cea2eb0248c4786b872707d48f70c27c7a75629",
+    "verify_decomposition((3, 1), 4)":
+        "94fec9ac90f0b449214f415b5874a949dbb5964c6ac3c4cba4a8937a6af0b98d",
+    "verify_decomposition((4, 2, 1), 4)":
+        "c5501f0f5ad31406c22db2f64897846adaa78ba54584b0740976bc4dbd06f0bd",
+    "verify_decomposition((5,), 3)":
+        "9c34608237dc49932a7f8d5cef310c4a320d0a9ddc565aec9ea61a1a431cdd58",
+    "verify_decomposition((2, 1), 3)":
+        "5391acf92555dc6831f2e7b76cb23752d9b7b53ea3f0eb296fbb31a7acd20240",
+    "verify_reading_independence((3, 1), 4)":
+        "b049a080de8bf160cb762eab89db95ddd56b51708ff9868b5a0af66ee2b23ae1",
+    "verify_reading_independence((4, 2, 1), 4)":
+        "22620326c5dc16621456d72600804720ca5a52fc90f763b287e0004a99077240",
+    "verify_reading_independence((5,), 3)":
+        "b5540544ee828e061200b88f5c0293cfc4c2157fbc1053419b106b3b701d3e63",
+    "verify_reading_independence((2, 1), 3)":
+        "09bd51e18ee8ef934f318b60d1e4d10aaea1f53e7dee28be14b4cc658d000ff5",
+    "explore_conjecture((2, 1), 3)":
+        "7af467a945493774a6d9eb78dbf722a6ed6f198a3f8181d876e95eb3ee487946",
+}
+
+THEOREMS = (verify_unique_highest_weight, verify_highest_weight_formula,
+            verify_decomposition, verify_reading_independence)
+
+
+def pinned_theorem_reports():
+    for verify in THEOREMS:
+        for lam, n in (((3, 1), 4), ((4, 2, 1), 4), ((5,), 3), ((2, 1), 3)):
+            yield f"{verify.__name__}({lam}, {n})", verify(lam, n)
+    yield "explore_conjecture((2, 1), 3)", explore_conjecture((2, 1), 3)
+
+
+def test_theorem_reports_equal_the_pinned_digests():
+    got = {name: sha(report_to_json(rep))
+           for name, rep in pinned_theorem_reports()}
+    assert got == PINNED_THEOREM_REPORTS

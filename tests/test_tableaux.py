@@ -7,8 +7,8 @@ from queercrystals import (WordOps, b_lambda, closure, crystal_of_shape,
                            kernel, reading_word, shape_from_partition,
                            tableau_operator, word)
 from queercrystals.errors import StructureError
-from queercrystals.graphs import (ODD, build_graph, graph_components,
-                                  highest_weight_nodes)
+from queercrystals.graphs import (ODD, build_graph, closure_set,
+                                  graph_components, highest_weight_nodes)
 from queercrystals.tableaux import (Tableau, TableauOps,
                                     check_strict_partition, strict_partitions,
                                     tableau_json)
@@ -143,12 +143,14 @@ def graph_fields(g):
 
 
 def test_crystal_of_shape_equals_the_generic_closure_on_tableaux():
-    # the generic closure over TableauOps is the oracle for the word route
+    # the generic closure over TableauOps, one operator at a time, is the
+    # oracle for the recording closure on reading words
     for n in (1, 2, 3, 4):
         for lam in strict_partitions(6, n):
             t = b_lambda(lam, n)
             for reading in ("row", "col"):
-                oracle = closure(TableauOps(t.shape, n, reading), t)
+                ops = TableauOps(t.shape, n, reading)
+                oracle = build_graph(ops, closure_set(ops, t))
                 got = crystal_of_shape(lam, n, reading)
                 assert graph_fields(got) == graph_fields(oracle), \
                     (n, lam, reading)
@@ -167,10 +169,20 @@ def test_full_ssyt_graph_equals_the_generic_build_on_tableaux():
 
 
 def test_an_operator_leaving_the_fillings_raises(monkeypatch):
-    # every node of a built graph is decoded and checked semistandard
+    # every node of a built graph is decoded and checked semistandard:
+    # crystal_of_shape takes its arrows from kernel.moves, full_ssyt_graph
+    # from kernel.apply_f
+    real = kernel.moves
+
+    def moves(w, n):
+        down, up = real(w, n)
+        return (bytes([3] * len(w)),) * (n - 1) + down[n - 1:], up
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "moves", moves)
+        with pytest.raises(StructureError):
+            crystal_of_shape((2, 1), 3)
     monkeypatch.setattr(kernel, "apply_f", lambda w, i: bytes([3] * len(w)))
-    with pytest.raises(StructureError):
-        crystal_of_shape((2, 1), 3)
     with pytest.raises(StructureError):
         full_ssyt_graph((2, 1), 3)
 

@@ -119,45 +119,73 @@ def test_a_reading_that_is_not_admissible_fails_with_a_witness(monkeypatch):
 
 
 def test_reading_independence_applies_every_operator_to_both_words(monkeypatch):
-    calls = {}
+    # one kernel.moves call per word gives all 2n operators' results
+    calls = []
+    real = kernel.moves
 
-    def counting(name):
-        real = getattr(kernel, name)
+    def counting(w, n):
+        calls.append(w)
+        return real(w, n)
 
-        def op(*args):
-            calls[name] = calls.get(name, 0) + 1
-            return real(*args)
-        return op
-
-    names = ("apply_f", "apply_e", "apply_fbar1", "apply_ebar1")
-    for name in names:
-        monkeypatch.setattr(kernel, name, counting(name))
+    monkeypatch.setattr(kernel, "moves", counting)
     n, lam = 3, (3, 1)
     assert verify_reading_independence(lam, n)["passed"]
-    fillings = len(tableaux.enumerate_ssyt(tableaux.shape_from_partition(lam, n), n))
-    assert calls == {"apply_f": 2 * (n - 1) * fillings,
-                     "apply_e": 2 * (n - 1) * fillings,
-                     "apply_fbar1": 2 * fillings,
-                     "apply_ebar1": 2 * fillings}
+    fillings = tableaux.enumerate_ssyt(tableaux.shape_from_partition(lam, n), n)
+    assert len(calls) == 2 * len(fillings)
+    assert sorted(calls) == sorted(
+        [tableaux.reading_word(t, r) for t in fillings for r in ("row", "col")])
+
+
+def column_words_of(lam, n):
+    # on lam = (3, 2, 1) no column word is also a row word, so breaking a
+    # result on column words alone leaves every row result as it was
+    fillings = tableaux.enumerate_ssyt(tableaux.shape_from_partition(lam, n), n)
+    column_words = {tableaux.reading_word(t, "col") for t in fillings}
+    assert not column_words & {tableaux.reading_word(t) for t in fillings}
+    return fillings, column_words
+
+
+@pytest.mark.parametrize("op", ["f_1", "e_1", "f_2", "e_2", "fbar1", "ebar1"])
+def test_a_changed_result_of_each_operator_is_reported_by_name(monkeypatch,
+                                                              op):
+    # on column words, one operator's result flips between the crystal zero
+    # and the (semistandard) word itself, so it differs on every filling
+    n, lam = 3, (3, 2, 1)
+    fillings, column_words = column_words_of(lam, n)
+    side = 0 if op[0] == "f" else 1
+    k = n - 1 if op.endswith("bar1") else int(op[-1]) - 1
+    real = kernel.moves
+
+    def moves(w, n):
+        results = real(w, n)
+        if w in column_words:
+            row = list(results[side])
+            row[k] = w if row[k] is None else None
+            results = list(results)
+            results[side] = tuple(row)
+        return tuple(results)
+
+    monkeypatch.setattr(kernel, "moves", moves)
+    rep = verify_reading_independence(lam, n)
+    assert rep["passed"] is False
+    (rec,) = rep["records"]
+    assert rec["witness"] == {"tableau": list(fillings[0].entries), "op": op}
 
 
 @pytest.mark.parametrize("broken", ["every word", "column words"])
 def test_a_non_semistandard_result_raises_under_either_reading(monkeypatch,
                                                               broken):
-    # on lam = (3, 2, 1) no column word is also a row word, so breaking f_i
-    # on column words alone leaves every row result semistandard
     n, lam = 3, (3, 2, 1)
-    fillings = tableaux.enumerate_ssyt(tableaux.shape_from_partition(lam, n), n)
-    column_words = {tableaux.reading_word(t, "col") for t in fillings}
-    assert not column_words & {tableaux.reading_word(t) for t in fillings}
-    real = kernel.apply_f
+    _, column_words = column_words_of(lam, n)
+    real = kernel.moves
 
-    def f(w, i):
+    def moves(w, n):
+        down, up = real(w, n)
         if broken == "every word" or w in column_words:
-            return bytes([n] * len(w))
-        return real(w, i)
+            down = (bytes([n] * len(w)),) * (n - 1) + down[n - 1:]
+        return down, up
 
-    monkeypatch.setattr(kernel, "apply_f", f)
+    monkeypatch.setattr(kernel, "moves", moves)
     with pytest.raises(StructureError):
         verify_reading_independence(lam, n)
 
