@@ -14,14 +14,17 @@ Canonical node order: weight descending lexicographically, then a
 kind-specific payload key.  This makes serialization and component
 splitting reproducible run to run.
 
-Operator access is through small "ops" adapters (words, tableaux, stored
-graphs) so that closure, highest-weight detection and the Weyl action can
-be written once.  ``closure`` records the arrows while it searches, from
-one ``moves`` call per node (the kernel's one-pass scan on words);
-``build_graph`` applies f_i and fbar1 to each element of a given set.
-Stored graphs are split into components (``graph_components``) and
-tensored (``tensor``) on node indices along their arrays; ``components``
-splits any element set through an ops adapter.
+Operator access is through small "ops" adapters so that closure,
+highest-weight detection and the Weyl action can be written once: words
+(``WordOps``), tableaux (``TableauOps``), and stored graphs, which are
+their own adapter on node indices: ``ebar_ops(graph, i, k)`` walks the
+graph's arrays from node index k and returns an index, or None.
+``closure`` records the arrows while it searches, from one ``moves`` call
+per node (the kernel's one-pass scan on words); ``build_graph`` applies
+f_i and fbar1 to each element of a given set.  Stored graphs are split
+into components (``graph_components``) and tensored (``tensor``) on node
+indices along their arrays; ``components`` splits any element set through
+an ops adapter.
 """
 
 from dataclasses import dataclass
@@ -46,7 +49,12 @@ def all_labels(n: int) -> tuple:
 class CrystalGraph:
     """Nodes in canonical order, their weights, and one successor array
     per label: ``arrows[k][s]`` is the index of f(node s) for the k-th
-    label of ``all_labels(n)``, or -1 where that operator vanishes."""
+    label of ``all_labels(n)``, or -1 where that operator vanishes.
+
+    A graph is also an ops adapter on its node indices: ``weight``, ``f``,
+    ``e``, ``fbar1``, ``ebar1`` and ``sort_key`` take an index and return
+    an index, or None where the operator vanishes, so the generic
+    operators (``ebar_ops``, ``fbar_ops``, ``components``) run on it."""
 
     n: int
     kind: str  # "word" | "tableau" | "pair"
@@ -60,7 +68,10 @@ class CrystalGraph:
             raise ValueError("need one successor per node for every label")
         object.__setattr__(
             self, "_index", {b: k for k, b in enumerate(self.nodes)})
-        object.__setattr__(self, "_pred", {})  # label -> predecessor array
+        # label -> successor array, and label -> predecessor array once derived
+        object.__setattr__(
+            self, "_succ", dict(zip(all_labels(self.n), self.arrows)))
+        object.__setattr__(self, "_pred", {})
 
     @property
     def node_index(self) -> dict:
@@ -76,7 +87,7 @@ class CrystalGraph:
 
     def successors(self, label) -> tuple:
         """Successor index of every node along one label, -1 for none."""
-        return self.arrows[all_labels(self.n).index(label)]
+        return self._succ[label]
 
     def predecessors(self, label) -> tuple:
         """Predecessor index of every node along one label, -1 for none;
@@ -92,6 +103,30 @@ class CrystalGraph:
 
     def __len__(self):
         return len(self.nodes)
+
+    # ops adapter on node indices.  f and e take any label of the graph,
+    # the odd one too; another label raises.  A -1 is never returned: as
+    # an index it would wrap to the last node.
+
+    def weight(self, k):
+        return self.weights[k]
+
+    def f(self, i, k):
+        d = self._succ[i][k]
+        return None if d < 0 else d
+
+    def e(self, i, k):
+        d = (self._pred.get(i) or self.predecessors(i))[k]
+        return None if d < 0 else d
+
+    def fbar1(self, k):
+        return self.f(ODD, k) if self.n >= 2 else None
+
+    def ebar1(self, k):
+        return self.e(ODD, k) if self.n >= 2 else None
+
+    def sort_key(self, k):
+        return k
 
 
 # ---------------------------------------------------------------------------
@@ -126,42 +161,6 @@ class WordOps:
 
     def sort_key(self, w):
         return w
-
-    def is_highest_weight(self, w):
-        return kernel.is_q_highest(w, self.n)
-
-
-class GraphOps:
-    """Operators read off a stored crystal graph."""
-
-    def __init__(self, graph: CrystalGraph):
-        self.graph = graph
-        self.n = graph.n
-        self.kind = graph.kind
-        self._succ = {lab: graph.successors(lab) for lab in all_labels(graph.n)}
-        self._pred = {lab: graph.predecessors(lab) for lab in all_labels(graph.n)}
-
-    def weight(self, b):
-        return self.graph.weights[self.graph.node_index[b]]
-
-    def _step(self, targets, b):
-        k = targets[self.graph.node_index[b]]
-        return None if k < 0 else self.graph.nodes[k]
-
-    def e(self, i, b):
-        return self._step(self._pred[i], b)
-
-    def f(self, i, b):
-        return self._step(self._succ[i], b)
-
-    def ebar1(self, b):
-        return self._step(self._pred[ODD], b) if self.n >= 2 else None
-
-    def fbar1(self, b):
-        return self._step(self._succ[ODD], b) if self.n >= 2 else None
-
-    def sort_key(self, b):
-        return self.graph.node_index[b]
 
 
 def _string_lengths(step) -> list:
@@ -443,12 +442,8 @@ def graph_components(graph: CrystalGraph) -> list:
 def highest_weight_nodes(graph: CrystalGraph) -> list:
     """Nodes annihilated by every raising operator, in canonical order."""
     targets = {d for succ in graph.arrows for d in succ}
-    tops = [b for k, b in enumerate(graph.nodes) if k not in targets]
-    if graph.n < 3:  # no conjugated ebar_i to check
-        return tops
-    ops = GraphOps(graph)
-    return [b for b in tops
-            if all(ebar_ops(ops, i, b) is None for i in range(2, graph.n))]
+    return [graph.nodes[k] for k in range(len(graph)) if k not in targets
+            and all(ebar_ops(graph, i, k) is None for i in range(2, graph.n))]
 
 
 def validate(graph: CrystalGraph) -> None:

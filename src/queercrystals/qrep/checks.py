@@ -20,8 +20,9 @@ from .action import (compose, expr_sum, generator_expr, identity_expr, op,
 from .laurent import ONE, Q, RatFunc
 from .tensorspace import (basis, lattice_basis, parity, pattern, unit,
                           vec_add, vec_sub)
-from .kashiwara import (tilde_e, tilde_ebar1, tilde_ebar1_expr, tilde_f,
-                        tilde_fbar1, tilde_fbar1_expr, tilde_k1, ktilde1_expr)
+from .kashiwara import (_rref, tilde_e, tilde_ebar1, tilde_ebar1_expr,
+                        tilde_f, tilde_fbar1, tilde_fbar1_expr, tilde_k1,
+                        ktilde1_expr)
 
 
 def _check_rank_and_power(n: int, N: int) -> None:
@@ -50,6 +51,13 @@ def relations_catalogue(n: int) -> list:
                         for kind in ("e", "f", "ebar", "fbar"))
     kbar = {j: generator_expr(("kbar", j), n) for j in range(1, n + 1)}
     zero = expr_sum()
+
+    def serre(a, b):
+        """a^2 b - (q + q^-1) a b a + b a^2."""
+        return expr_sum(compose(compose(a, a), b),
+                        scale(-(Q + qinv), compose(compose(a, b), a)),
+                        compose(b, compose(a, a)))
+
     for a, h1 in enumerate(h_samples):
         h2 = h_samples[(a + 1) % len(h_samples)]
         hsum = tuple(x + y for x, y in zip(h1, h2))
@@ -97,13 +105,8 @@ def relations_catalogue(n: int) -> list:
                     compose(f[j], f[i])))
             if abs(i - j) == 1:
                 for kind, gens in (("e", e), ("f", f)):
-                    a, b = gens[i], gens[j]
-                    rels.append((
-                        f"{kind}-serre i={i} j={j}",
-                        expr_sum(compose(compose(a, a), b),
-                                 scale(-(Q + qinv), compose(compose(a, b), a)),
-                                 compose(b, compose(a, a))),
-                        zero))
+                    rels.append((f"{kind}-serre i={i} j={j}",
+                                 serre(gens[i], gens[j]), zero))
     q2 = Q * Q
     for i in range(1, n + 1):
         coeff = ONE / (q2 - ONE / q2)
@@ -179,20 +182,10 @@ def relations_catalogue(n: int) -> list:
     for i in range(1, n):
         for j in range(1, n):
             if abs(i - j) == 1:
-                e_i, eb_j = e[i], ebar[j]
-                rels.append((
-                    f"e-serre-odd i={i} j={j}",
-                    expr_sum(compose(compose(e_i, e_i), eb_j),
-                             scale(-(Q + qinv), compose(compose(e_i, eb_j), e_i)),
-                             compose(eb_j, compose(e_i, e_i))),
-                    zero))
-                f_i, fb_j = f[i], fbar[j]
-                rels.append((
-                    f"f-serre-odd i={i} j={j}",
-                    expr_sum(compose(compose(f_i, f_i), fb_j),
-                             scale(-(Q + qinv), compose(compose(f_i, fb_j), f_i)),
-                             compose(fb_j, compose(f_i, f_i))),
-                    zero))
+                rels.append((f"e-serre-odd i={i} j={j}",
+                             serre(e[i], ebar[j]), zero))
+                rels.append((f"f-serre-odd i={i} j={j}",
+                             serre(f[i], fbar[j]), zero))
     return rels
 
 
@@ -297,25 +290,6 @@ def verify_comult_odd(n: int) -> dict:
 # lattice stability and q -> 0 residues
 
 
-def _fraction_rank(matrix: list) -> int:
-    rows = [row[:] for row in matrix]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((k for k in range(rank, len(rows)) if rows[k][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [inv * x for x in rows[rank]]
-        for k in range(len(rows)):
-            if k != rank and rows[k][col]:
-                c = rows[k][col]
-                rows[k] = [a - c * b for a, b in zip(rows[k], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _word_edges(n: int, N: int) -> dict:
     """Combinatorial operator tables on all words of length N."""
     out = {}
@@ -407,7 +381,7 @@ def residue_check(n: int, N: int) -> dict:
                 dst = lattice_basis(expected)
                 matrix = [[col.get(t, Fraction(0)) for col in cols]
                           for t in dst]
-                full = _fraction_rank(matrix) == 2 ** N
+                full = len(_rref(matrix)[1]) == 2 ** N
                 records.append(record(
                     "residue-isomorphism", f"{instance} op={name}",
                     "pass" if full else "fail"))

@@ -46,6 +46,7 @@ def _coords(vec: dict, index: dict) -> list:
 def _rref(rows: list) -> tuple:
     """Reduced row echelon form in place; returns pivot column list.
 
+    Entries are ``RatFunc`` or ``Fraction``: only field arithmetic is used.
     Scaling and elimination touch only the columns where the pivot row is
     nonzero; every other cell keeps its value.
     """
@@ -58,7 +59,7 @@ def _rref(rows: list) -> tuple:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         row = rows[r]
-        inv = ONE / row[col]
+        inv = 1 / row[col]
         support = [j for j in range(col, ncols) if row[j]]
         for j in support:
             row[j] = inv * row[j]

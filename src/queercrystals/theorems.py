@@ -20,9 +20,8 @@ applied to b_lam.
 
 from . import kernel, words
 from .errors import VerificationError
-from .graphs import (GraphOps, WordOps, build_graph, fbar_ops,
-                     graph_components, highest_weight_nodes, isomorphic,
-                     tensor, validate)
+from .graphs import (WordOps, build_graph, fbar_ops, graph_components,
+                     highest_weight_nodes, isomorphic, tensor, validate)
 from .reports import record, report
 from .tableaux import (TableauOps, b_lambda, check_strict_partition,
                        crystal_of_shape, enumerate_ssyt, shape_from_partition)
@@ -93,16 +92,16 @@ def highest_weight_formula_side(parts, n: int, graph) -> dict:
 
     ``graph`` is ``crystal_of_shape(parts, n)``.
     """
-    ops = GraphOps(graph)
+    top = graph.node_index[b_lambda(parts, n)]
     out = {}
     for j, _ in strict_successors(parts, n):
-        t = b_lambda(parts, n)
+        k = top
         for i in range(j - 1, 0, -1):
-            t = ops.f(i, t)
-            if t is None:
+            k = graph.f(i, k)
+            if k is None:
                 raise VerificationError(
                     f"f_{i} vanished while forming the formula for j={j}")
-        out[j] = (bytes([1]), t)
+        out[j] = (bytes([1]), graph.nodes[k])
     return out
 
 
@@ -253,20 +252,19 @@ def explore_conjecture(parts, n: int, max_depth: int | None = None) -> dict:
     if max_depth is not None and max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     graph = crystal_of_shape(parts, n)
-    ops = GraphOps(graph)
-    blam = b_lambda(parts, n)
+    top = graph.node_index[b_lambda(parts, n)]
     if max_depth is None:
         max_depth = sum(parts) + 1
-    # breadth-first closure under the odd lowering operators
-    expressions = {blam: []}
-    frontier = [blam]
+    # breadth-first closure under the odd lowering operators, on node indices
+    expressions = {top: []}
+    frontier = [top]
     depth = 0
     while frontier and depth < max_depth:
         depth += 1
         nxt = []
         for t in frontier:
             for i in range(1, n):
-                u = fbar_ops(ops, i, t)
+                u = fbar_ops(graph, i, t)
                 if u is not None and u not in expressions:
                     expressions[u] = expressions[t] + [i]
                     nxt.append(u)
@@ -275,10 +273,11 @@ def explore_conjecture(parts, n: int, max_depth: int | None = None) -> dict:
     found = []
     for node in highest_weight_nodes(product):
         first, letter = node
-        expr = expressions.get(first)
+        k = graph.node_index[first]
+        expr = expressions.get(k)
         found.append({
             "letter": letter[0],
-            "first_factor_weight": list(graph.weights[graph.node_index[first]]),
+            "first_factor_weight": list(graph.weights[k]),
             "odd_ops_applied_in_order": expr,
             "found": expr is not None,
         })

@@ -69,11 +69,12 @@ def test_output_is_deterministic_across_processes():
     import subprocess
     import sys
 
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
     for argv in (["graph", "--shape", "3,1", "-n", "3", "--format", "json"],
                  ["conjecture", "--shape", "2,1", "-n", "3"]):
         outs = set()
         for seed in ("0", "1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
             proc = subprocess.run(
                 [sys.executable, "-m", "queercrystals.cli", *argv],
                 capture_output=True, env=env, check=True)

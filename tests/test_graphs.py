@@ -4,10 +4,10 @@ import pytest
 
 from queercrystals import (ODD, CrystalGraph, WordOps, all_words, closure,
                            components, crystal_of_shape, full_ssyt_graph,
-                           highest_weight_nodes, isomorphic, tensor,
+                           highest_weight_nodes, isomorphic, kernel, tensor,
                            tensor_power_graph, vector_crystal, word)
-from queercrystals.graphs import (GraphOps, all_labels, build_graph,
-                                  graph_components, validate)
+from queercrystals.graphs import (all_labels, build_graph, ebar_ops, fbar_ops,
+                                  graph_components, validate, weyl_s_ops)
 
 
 def W(*letters):
@@ -72,7 +72,8 @@ def test_components_of_a_single_closure_is_itself():
 
 
 def test_graph_components_equal_the_generic_split():
-    # the generic closure over the stored graph is the oracle
+    # the generic closure over the stored graph's node indices is the
+    # oracle; its components hold indices, mapped back to the nodes here
     cases = [
         tensor_power_graph(2, 4),
         tensor_power_graph(3, 3),
@@ -82,9 +83,10 @@ def test_graph_components_equal_the_generic_split():
     ]
     for g in cases:
         got = graph_components(g)
-        oracle = components(GraphOps(g), g.nodes)
+        oracle = components(g, range(len(g)))
         assert [(c.n, c.kind, c.nodes, c.weights, c.edges) for c in got] == \
-            [(c.n, c.kind, c.nodes, c.weights, c.edges) for c in oracle]
+            [(c.n, c.kind, tuple(g.nodes[k] for k in c.nodes), c.weights,
+              c.edges) for c in oracle]
         assert sum(len(c) for c in got) == len(g)
         for c in got:
             validate(c)
@@ -179,6 +181,75 @@ def test_highest_weight_detection_agrees_between_routes():
         via_graph = set(highest_weight_nodes(g))
         via_kernel = {w for w in g.nodes if is_highest_weight(w, n)}
         assert via_graph == via_kernel
+
+
+def test_a_stored_graph_answers_operator_calls_as_the_kernel_does():
+    """Operators called on a stored graph's node indices, and ebar_i and
+    fbar_i walked along them, give the word kernel's results for every
+    node and index: an index, or None where the operator vanishes."""
+    cases = 0
+    for n, N in ((1, 2), (3, 1), (3, 4), (3, 6), (4, 3), (4, 5), (5, 2),
+                 (5, 4)):
+        g = tensor_power_graph(n, N)
+        for k, w in enumerate(g.nodes):
+            assert g.weight(k) == kernel.weight_of(w, n) and g.sort_key(k) == k
+            if n == 1:
+                assert g.fbar1(k) is None and g.ebar1(k) is None
+            for i in range(1, n):
+                if i == 1:
+                    up, down = kernel.apply_ebar1(w), kernel.apply_fbar1(w)
+                else:
+                    up, down = kernel.apply_ebar(w, i), kernel.apply_fbar(w, i)
+                got = [g.f(i, k), g.e(i, k), ebar_ops(g, i, k),
+                       fbar_ops(g, i, k)]
+                assert -1 not in got
+                assert [None if x is None else g.nodes[x] for x in got] == \
+                    [kernel.apply_f(w, i), kernel.apply_e(w, i), up, down], \
+                    (n, i, w)
+                cases += 1
+    assert cases == 2 * 3 + 2 * 81 + 2 * 729 + 3 * 64 + 3 * 1024 \
+        + 4 * 25 + 4 * 625
+
+
+def test_highest_weight_nodes_of_pair_graphs_equal_the_kernel_test():
+    for n in (3, 4):
+        for a in range(1, 4):
+            for b in range(1, 4):
+                if n ** (a + b) > 1024:
+                    continue
+                g = tensor(tensor_power_graph(n, a), tensor_power_graph(n, b))
+                assert g.kind == "pair"
+                expected = {(u, v) for u, v in g.nodes
+                            if kernel.is_q_highest(u + v, n)}
+                got = highest_weight_nodes(g)
+                assert set(got) == expected and len(got) == len(expected)
+                assert got == sorted(got, key=g.node_index.get)
+
+
+def test_a_stored_graph_rejects_a_label_it_does_not_have():
+    g = tensor_power_graph(3, 2)
+    for label in (0, 3, -1):
+        with pytest.raises(KeyError):
+            g.f(label, 0)
+        with pytest.raises(KeyError):
+            g.e(label, 0)
+        with pytest.raises(KeyError):
+            g.successors(label)
+
+
+def test_weyl_reflection_on_a_broken_stored_graph_raises():
+    # weight (2, 0) needs two f_1 steps.  With none, the second step gets
+    # None, not -1, which as an index would wrap to the last node.
+    broken = CrystalGraph(n=2, kind="word", nodes=(W(1, 1),),
+                          weights=((2, 0),), arrows=((-1,), (-1,)))
+    with pytest.raises(TypeError):
+        weyl_s_ops(broken, 1, 0)
+    # with one, the walk ends on None
+    short = CrystalGraph(n=2, kind="word", nodes=(W(1, 1), W(2, 1)),
+                         weights=((2, 0), (1, 1)),
+                         arrows=((1, -1), (-1, -1)))
+    with pytest.raises(RuntimeError, match="fell off"):
+        weyl_s_ops(short, 1, 0)
 
 
 def test_tensor_of_graphs_matches_word_operators():

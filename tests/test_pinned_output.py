@@ -137,6 +137,13 @@ PINNED_THEOREM_REPORTS = {
         "09bd51e18ee8ef934f318b60d1e4d10aaea1f53e7dee28be14b4cc658d000ff5",
     "explore_conjecture((2, 1), 3)":
         "7af467a945493774a6d9eb78dbf722a6ed6f198a3f8181d876e95eb3ee487946",
+    # rank 5 reaches the conjugated odd operators at i = 4
+    "explore_conjecture((2, 1), 5)":
+        "0d77bf91c8d9e2212a8c02e45676285c05184c637627f818c06c5f8ae51c6fe6",
+    "explore_conjecture((3, 1), 4)":
+        "b7f007ff61395d26017cc0d9050218f0507cdda76db74b3a2e67a3e271099f71",
+    "verify_highest_weight_formula((3, 1), 5)":
+        "394f97146e6c1a587ab8bf761afdc2fb5d5ab98f5828c9d19dcdb16aab15e6e4",
 }
 
 THEOREMS = (verify_unique_highest_weight, verify_highest_weight_formula,
@@ -147,7 +154,11 @@ def pinned_theorem_reports():
     for verify in THEOREMS:
         for lam, n in (((3, 1), 4), ((4, 2, 1), 4), ((5,), 3), ((2, 1), 3)):
             yield f"{verify.__name__}({lam}, {n})", verify(lam, n)
-    yield "explore_conjecture((2, 1), 3)", explore_conjecture((2, 1), 3)
+    for lam, n in (((2, 1), 3), ((2, 1), 5), ((3, 1), 4)):
+        yield (f"explore_conjecture({lam}, {n})",
+               explore_conjecture(lam, n))
+    yield ("verify_highest_weight_formula((3, 1), 5)",
+           verify_highest_weight_formula((3, 1), 5))
 
 
 def test_theorem_reports_equal_the_pinned_digests():
