@@ -164,7 +164,9 @@ def weyl_s(w: bytes, i: int) -> bytes:
 
 
 def _conjugating_word(i: int) -> tuple:
-    # shortest Weyl element sending the i-th simple root to the first
+    """Canonical reduced word for the shortest w with w(alpha_i) = alpha_1.
+
+    ``weyl`` binds it as ``conjugating_word``."""
     return tuple(range(2, i + 1)) + tuple(range(1, i))
 
 

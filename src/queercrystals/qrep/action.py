@@ -24,7 +24,9 @@ table, which the tests check symbol by symbol.
 
 Every operator is a sparse matrix stored by column (``Operator``): column t
 is the image of the basis tensor t, of any length N.  Sums and scalings act
-column by column, and column t of a . b is a applied to column t of b.
+column by column, and column t of a . b is a applied to column t of b.  The
+q-commutator a b - c b a (``bracket``) is the one composite the generated
+generators and the relations are written in.
 """
 
 from functools import lru_cache
@@ -115,6 +117,11 @@ def scale(c: RatFunc, a) -> Operator:
     return Operator(lambda t: vec_scale(c, a[t]))
 
 
+def bracket(a, b, c: RatFunc = ONE) -> Operator:
+    """The q-commutator a b - c b a."""
+    return expr_sum(compose(a, b), scale(-c, compose(b, a)))
+
+
 def act_expr(expr, vec: dict) -> dict:
     """The operator applied to a vector: sum of c * expr[t] over vec."""
     out = {}
@@ -134,32 +141,23 @@ def kbar_expr(j: int, n: int) -> Operator:
     if j == 1:
         return op(("kbar1",))
     i = j - 1
-    inner = expr_sum(
-        compose(kbar_expr(i, n), qh_expr(n, (j, 1))),
-        scale(-ONE, compose(ebar_expr(i, n), op(("f", i)))),
-        compose(op(("f", i)), ebar_expr(i, n)),
-    )
+    inner = expr_sum(compose(kbar_expr(i, n), qh_expr(n, (j, 1))),
+                     bracket(op(("f", i)), ebar_expr(i, n)))
     return compose(inner, qh_expr(n, (i, -1)))
 
 
 @lru_cache(maxsize=None)
 def ebar_expr(i: int, n: int) -> Operator:
     """ebar_i = (kbar_i e_i - q e_i kbar_i) q^{k_i}."""
-    inner = expr_sum(
-        compose(kbar_expr(i, n), op(("e", i))),
-        scale(-Q, compose(op(("e", i)), kbar_expr(i, n))),
-    )
-    return compose(inner, qh_expr(n, (i, 1)))
+    return compose(bracket(kbar_expr(i, n), op(("e", i)), Q),
+                   qh_expr(n, (i, 1)))
 
 
 @lru_cache(maxsize=None)
 def fbar_expr(i: int, n: int) -> Operator:
     """fbar_i = -(kbar_i f_i - q f_i kbar_i) q^{-k_i}."""
-    inner = expr_sum(
-        compose(kbar_expr(i, n), op(("f", i))),
-        scale(-Q, compose(op(("f", i)), kbar_expr(i, n))),
-    )
-    return scale(-ONE, compose(inner, qh_expr(n, (i, -1))))
+    return scale(-ONE, compose(bracket(kbar_expr(i, n), op(("f", i)), Q),
+                               qh_expr(n, (i, -1))))
 
 
 def generator_expr(g, n: int) -> Operator:

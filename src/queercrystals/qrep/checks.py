@@ -15,12 +15,12 @@ from itertools import product
 from .. import kernel as word_kernel
 from ..reports import record, report
 from ..words import check_rank
-from .action import (compose, expr_sum, generator_expr, identity_expr, op,
-                     qh_expr, scale)
+from .action import (Operator, bracket, compose, expr_sum, generator_expr,
+                     identity_expr, op, qh_expr, scale)
 from .laurent import ONE, Q, RatFunc
 from .tensorspace import (basis, lattice_basis, parity, pattern, unit,
                           vec_add, vec_sub)
-from .kashiwara import (_rref, tilde_e, tilde_ebar1, tilde_ebar1_expr,
+from .kashiwara import (_rows, _rref, tilde_e, tilde_ebar1, tilde_ebar1_expr,
                         tilde_f, tilde_fbar1, tilde_fbar1_expr, tilde_k1,
                         ktilde1_expr)
 
@@ -81,9 +81,7 @@ def relations_catalogue(n: int) -> list:
             compose(kbar[j], qh(h))))
     for i in range(1, n):
         for j in range(1, n):
-            lhs = expr_sum(
-                compose(e[i], f[j]),
-                scale(-ONE, compose(f[j], e[i])))
+            lhs = bracket(e[i], f[j])
             if i == j:
                 coeff = ONE / (Q - qinv)
                 rhs = expr_sum(
@@ -118,28 +116,16 @@ def relations_catalogue(n: int) -> list:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:
-                rels.append((
-                    f"kbar-anticommute i={i} j={j}",
-                    expr_sum(
-                        compose(kbar[i], kbar[j]),
-                        compose(kbar[j], kbar[i])),
-                    zero))
+                rels.append((f"kbar-anticommute i={i} j={j}",
+                             bracket(kbar[i], kbar[j], -ONE), zero))
     for i in range(1, n):
-        rels.append((
-            f"kbar-e-twist i={i}",
-            expr_sum(compose(kbar[i], e[i]),
-                     scale(-Q, compose(e[i], kbar[i]))),
-            compose(ebar[i], qh_expr(n, (i, -1)))))
-        rels.append((
-            f"kbar-f-twist i={i}",
-            expr_sum(compose(kbar[i], f[i]),
-                     scale(-Q, compose(f[i], kbar[i]))),
-            scale(-ONE, compose(fbar[i], qh_expr(n, (i, 1))))))
+        rels.append((f"kbar-e-twist i={i}", bracket(kbar[i], e[i], Q),
+                     compose(ebar[i], qh_expr(n, (i, -1)))))
+        rels.append((f"kbar-f-twist i={i}", bracket(kbar[i], f[i], Q),
+                     scale(-ONE, compose(fbar[i], qh_expr(n, (i, 1))))))
     for i in range(1, n):
         for j in range(1, n):
-            lhs = expr_sum(
-                compose(e[i], fbar[j]),
-                scale(-ONE, compose(fbar[j], e[i])))
+            lhs = bracket(e[i], fbar[j])
             if i == j:
                 rhs = expr_sum(
                     compose(kbar[i], qh_expr(n, (i + 1, -1))),
@@ -147,9 +133,7 @@ def relations_catalogue(n: int) -> list:
             else:
                 rhs = zero
             rels.append((f"e-fbar-commutator i={i} j={j}", lhs, rhs))
-            lhs = expr_sum(
-                compose(ebar[i], f[j]),
-                scale(-ONE, compose(f[j], ebar[i])))
+            lhs = bracket(ebar[i], f[j])
             if i == j:
                 rhs = expr_sum(
                     compose(kbar[i], qh_expr(n, (i + 1, 1))),
@@ -167,18 +151,11 @@ def relations_catalogue(n: int) -> list:
             compose(f[i], fbar[i]),
             compose(fbar[i], f[i])))
     for i in range(1, n - 1):
-        e_i, e_j = e[i], e[i + 1]
-        eb_i, eb_j = ebar[i], ebar[i + 1]
-        rels.append((
-            f"e-braid-odd i={i}",
-            expr_sum(compose(e_i, e_j), scale(-Q, compose(e_j, e_i))),
-            expr_sum(compose(eb_i, eb_j), scale(Q, compose(eb_j, eb_i)))))
-        f_i, f_j = f[i], f[i + 1]
-        fb_i, fb_j = fbar[i], fbar[i + 1]
-        rels.append((
-            f"f-braid-odd i={i}",
-            expr_sum(scale(Q, compose(f_j, f_i)), scale(-ONE, compose(f_i, f_j))),
-            expr_sum(compose(fb_i, fb_j), scale(Q, compose(fb_j, fb_i)))))
+        rels.append((f"e-braid-odd i={i}", bracket(e[i], e[i + 1], Q),
+                     bracket(ebar[i], ebar[i + 1], -Q)))
+        rels.append((f"f-braid-odd i={i}",
+                     scale(-ONE, bracket(f[i], f[i + 1], Q)),
+                     bracket(fbar[i], fbar[i + 1], -Q)))
     for i in range(1, n):
         for j in range(1, n):
             if abs(i - j) == 1:
@@ -189,11 +166,18 @@ def relations_catalogue(n: int) -> list:
     return rels
 
 
-def _witness(t, diff: dict) -> dict:
-    """Failing tensor t, and the least differing basis tensor in basis order."""
-    component = min(diff)
-    return {"tensor": repr(t), "component": repr(component),
-            "coefficient": repr(diff[component])}
+def _identity_record(kind: str, instance: str, lhs, rhs, tensors) -> dict:
+    """Record of lhs = rhs on every basis tensor, in order.  A failure's
+    witness is the first differing tensor and the least differing basis
+    tensor of its column difference."""
+    for t in tensors:
+        diff = vec_sub(lhs[t], rhs[t])
+        if diff:
+            component = min(diff)
+            return record(kind, instance, "fail", witness={
+                "tensor": repr(t), "component": repr(component),
+                "coefficient": repr(diff[component])})
+    return record(kind, instance, "pass")
 
 
 def verify_relations(n: int, N: int, which: str | None = None) -> dict:
@@ -212,14 +196,8 @@ def verify_relations(n: int, N: int, which: str | None = None) -> dict:
         name, lhs, rhs = catalogue.pop()
         if which and which not in name:
             continue
-        witness = None
-        for t in tensors:
-            diff = vec_sub(lhs[t], rhs[t])
-            if diff:
-                witness = _witness(t, diff)
-                break
-        records.append(record("relation", f"n={n} N={N} {name}",
-                              "fail" if witness else "pass", witness=witness))
+        records.append(_identity_record("relation", f"n={n} N={N} {name}",
+                                        lhs, rhs, tensors))
     return report(records, n=n, N=N)
 
 
@@ -272,17 +250,12 @@ def verify_comult_odd(n: int) -> dict:
     if n < 2:
         raise ValueError(f"odd comultiplication needs rank >= 2, got {n}")
     records = []
-    singles = basis(n, 1)
     for name, whole_expr, terms in comult_formulas(n):
-        witness = None
-        for x, y in product(singles, singles):
-            diff = vec_sub(whole_expr[x + y],
-                           _assemble_two_factor(terms, n, x, y))
-            if diff:
-                witness = _witness(x + y, diff)
-                break
-        records.append(record("comultiplication", f"n={n} {name}",
-                              "fail" if witness else "pass", witness=witness))
+        # the right side as an operator: its column t = x + y is at x (x) y
+        split = Operator(lambda t, terms=terms:
+                         _assemble_two_factor(terms, n, t[:1], t[1:]))
+        records.append(_identity_record("comultiplication", f"n={n} {name}",
+                                        whole_expr, split, basis(n, 2)))
     return report(records, n=n)
 
 
@@ -378,10 +351,8 @@ def residue_check(n: int, N: int) -> dict:
                 {"support": [list(p) for p in support],
                  "expected": list(expected)}))
             if ok:
-                dst = lattice_basis(expected)
-                matrix = [[col.get(t, Fraction(0)) for col in cols]
-                          for t in dst]
-                full = len(_rref(matrix)[1]) == 2 ** N
+                dst = {t: k for k, t in enumerate(lattice_basis(expected))}
+                full = len(_rref(_rows(cols, dst, Fraction(0)))[1]) == 2 ** N
                 records.append(record(
                     "residue-isomorphism", f"{instance} op={name}",
                     "pass" if full else "fail"))

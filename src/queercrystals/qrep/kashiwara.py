@@ -12,8 +12,9 @@ ker e_i whose strings pass through the space, the matrix C whose columns
 are their images f_i^(k_j) w_j, and C^-1 from one dense RREF over the
 rational functions.  The solve raises unless C is square and invertible,
 and the result is verified as the exact identity C . C^-1 = I on every
-basis tensor of the space.  After that, the coefficients of u are C^-1 u,
-and tilde_e, tilde_f are the same combinations of the cached images
+basis tensor of the space.  C^-1 is stored by column, like an operator, so
+``act_expr`` applies it: the coefficients of u are C^-1 u, and tilde_e,
+tilde_f apply to them the matrices whose columns j are the cached images
 f_i^(k_j - 1) w_j and f_i^(k_j + 1) w_j.
 
 The odd operators are operator polynomials, stored by column (``Operator``):
@@ -26,21 +27,23 @@ The odd operators are operator polynomials, stored by column (``Operator``):
 from functools import lru_cache
 from typing import NamedTuple
 
-from .action import (Operator, act_expr, act_prim, compose, expr_sum, op,
+from .action import (Operator, act_expr, act_prim, bracket, compose, op,
                      qh_expr, scale)
 from .laurent import ONE, Q, ZERO, gauss_factorial, gauss_int
-from .tensorspace import (basis, tensor_weight, unit, vec_add, vec_scale,
-                          vec_sum)
+from .tensorspace import basis, tensor_weight, unit, vec_scale, vec_sum
 
 # ---------------------------------------------------------------------------
 # linear algebra over the fraction field
 
 
-def _coords(vec: dict, index: dict) -> list:
-    out = [ZERO] * len(index)
-    for t, c in vec.items():
-        out[index[t]] = c
-    return out
+def _rows(columns: list, index: dict, zero=ZERO) -> list:
+    """The matrix of the given column dicts as a list of rows for _rref:
+    index maps each key of a column to its row, zero fills the rest."""
+    rows = [[zero] * len(columns) for _ in index]
+    for k, col in enumerate(columns):
+        for t, c in col.items():
+            rows[index[t]][k] = c
+    return rows
 
 
 def _rref(rows: list) -> tuple:
@@ -86,9 +89,7 @@ def solve_in_span(vectors: list, targets: list, index: dict) -> list:
     rather than bad input.
     """
     m = len(vectors)
-    cols = [_coords(v, index) for v in vectors + targets]
-    rows = [[col[r] for col in cols] for r in range(len(index))]
-    rows, pivots = _rref(rows)
+    rows, pivots = _rref(_rows(vectors + targets, index))
     if any(p >= m for p in pivots):
         raise ArithmeticError("target outside the span")
     if pivots != list(range(m)):
@@ -99,13 +100,11 @@ def solve_in_span(vectors: list, targets: list, index: dict) -> list:
 def kernel_on_weight_space(i: int, tensors: list, n: int) -> list:
     """Basis of ker e_i restricted to the span of the given basis tensors."""
     images = [act_prim(("e", i), {t: ONE}) for t in tensors]
-    support = sorted({t for img in images for t in img})
-    index = {t: k for k, t in enumerate(support)}
-    if not support:
+    index = {t: k for k, t in
+             enumerate(sorted({t for img in images for t in img}))}
+    if not index:
         return [{t: ONE} for t in tensors]
-    cols = [_coords(img, index) for img in images]
-    rows = [[col[r] for col in cols] for r in range(len(support))]
-    rows, pivots = _rref(rows)
+    rows, pivots = _rref(_rows(images, index))
     free = [c for c in range(len(tensors)) if c not in pivots]
     out = []
     for fc in free:
@@ -146,15 +145,6 @@ def apply_f_power(vec: dict, i: int, k: int) -> dict:
     return vec
 
 
-def _combination(coeffs, vectors) -> dict:
-    """sum_j c_j vectors[j] over the pairs (j, c_j)."""
-    out = {}
-    for j, c in coeffs:
-        for t, x in vectors[j].items():
-            vec_add(out, t, c * x)
-    return out
-
-
 def _divided_step(vec: dict, i: int, m: int) -> dict:
     """f_i^(m) w from vec = f_i^(m-1) w."""
     vec = act_prim(("f", i), vec)
@@ -166,10 +156,12 @@ class StringBasis(NamedTuple):
 
     levels[j] = (k_j, w_j): a string top w_j in ker e_i whose image
     f_i^(k_j) w_j lies in mu.  With C the matrix whose columns are those
-    images, inverse[t] lists the nonzero (j, (C^-1)[j, t]) of the column of
-    C^-1 at the basis tensor t.  raised[j] = f_i^(k_j - 1) w_j (empty at
-    k_j = 0) and lowered[j] = f_i^(k_j + 1) w_j are the images of
-    f_i^(k_j) w_j under tilde_e and tilde_f.
+    images, C^-1 is stored by column like an ``Operator``: inverse[t] is
+    {j: (C^-1)[j, t]} over its nonzero entries, so act_expr(inverse, u) is
+    C^-1 u and act_expr(images, inverse[t]) is column t of C C^-1.
+    raised[j] = f_i^(k_j - 1) w_j (empty at k_j = 0) and lowered[j] =
+    f_i^(k_j + 1) w_j are the images of f_i^(k_j) w_j under tilde_e and
+    tilde_f.
     """
 
     levels: tuple
@@ -206,11 +198,11 @@ def _string_basis(i: int, mu: tuple, n: int, N: int) -> StringBasis:
         images.append(image)
         lowered.append(_divided_step(image, i, k + 1))
     columns = solve_in_span(images, [unit(t) for t in tensors], index)
-    inverse = {t: tuple((j, c) for j, c in enumerate(col) if c)
+    inverse = {t: {j: c for j, c in enumerate(col) if c}
                for t, col in zip(tensors, columns)}
     # resubstitution check: C . C^-1 = I, one basis tensor per column
     for t in tensors:
-        if _combination(inverse[t], images) != unit(t):
+        if act_expr(images, inverse[t]) != unit(t):
             raise ArithmeticError("string decomposition failed to reconstruct")
     return StringBasis(tuple(levels), inverse, tuple(raised), tuple(lowered))
 
@@ -219,11 +211,7 @@ def _string_coefficients(vec: dict, i: int, n: int) -> tuple:
     """(string basis of vec's weight space, C^-1 vec as {j: coefficient})."""
     mu = _homogeneous_weight(vec, n)
     string_basis = _string_basis(i, mu, n, len(next(iter(vec))))
-    coeffs = {}
-    for t, x in vec.items():
-        for j, c in string_basis.inverse[t]:
-            vec_add(coeffs, j, c * x)
-    return string_basis, coeffs
+    return string_basis, act_expr(string_basis.inverse, vec)
 
 
 def string_decomposition(vec: dict, i: int, n: int) -> list:
@@ -243,7 +231,7 @@ def tilde_e(i: int, vec: dict, n: int) -> dict:
     if not vec:
         return {}
     string_basis, coeffs = _string_coefficients(vec, i, n)
-    return _combination(coeffs.items(), string_basis.raised)
+    return act_expr(string_basis.raised, coeffs)
 
 
 def tilde_f(i: int, vec: dict, n: int) -> dict:
@@ -251,7 +239,7 @@ def tilde_f(i: int, vec: dict, n: int) -> dict:
     if not vec:
         return {}
     string_basis, coeffs = _string_coefficients(vec, i, n)
-    return _combination(coeffs.items(), string_basis.lowered)
+    return act_expr(string_basis.lowered, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -267,21 +255,15 @@ def ktilde1_expr(n: int) -> Operator:
 @lru_cache(maxsize=None)
 def tilde_ebar1_expr(n: int) -> Operator:
     """-(e_1 kbar_1 - q kbar_1 e_1) q^{k_1 - 1}."""
-    inner = expr_sum(
-        compose(op(("e", 1)), op(("kbar1",))),
-        scale(-Q, compose(op(("kbar1",)), op(("e", 1)))),
-    )
-    return scale(-(ONE / Q), compose(inner, qh_expr(n, (1, 1))))
+    return scale(-(ONE / Q), compose(bracket(op(("e", 1)), op(("kbar1",)), Q),
+                                     qh_expr(n, (1, 1))))
 
 
 @lru_cache(maxsize=None)
 def tilde_fbar1_expr(n: int) -> Operator:
     """-(kbar_1 f_1 - q f_1 kbar_1) q^{k_2 - 1}."""
-    inner = expr_sum(
-        compose(op(("kbar1",)), op(("f", 1))),
-        scale(-Q, compose(op(("f", 1)), op(("kbar1",)))),
-    )
-    return scale(-(ONE / Q), compose(inner, qh_expr(n, (2, 1))))
+    return scale(-(ONE / Q), compose(bracket(op(("kbar1",)), op(("f", 1)), Q),
+                                     qh_expr(n, (2, 1))))
 
 
 def tilde_k1(vec: dict, n: int) -> dict:

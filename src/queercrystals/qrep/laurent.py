@@ -263,7 +263,8 @@ class RatFunc:
         return RatFunc(pmul(self.num, other.den), pmul(self.den, other.num))
 
     def __rtruediv__(self, other):
-        other = RatFunc._coerce(other)
+        # 1 / x takes the reciprocal shortcut of ONE / x: no new RatFunc 1
+        other = ONE if other == 1 else RatFunc._coerce(other)
         return other / self
 
     def __pow__(self, k: int):

@@ -84,9 +84,6 @@ class Tableau:
         # equal tableaux have equal entries; the shape only breaks ties
         return hash(self.entries)
 
-    def entry(self, box):
-        return self.entries[self.shape.boxes.index(box)]
-
     def weight(self, n: int) -> tuple:
         wt = [0] * n
         for v in self.entries:

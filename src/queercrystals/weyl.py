@@ -9,6 +9,7 @@ makes the conjugated odd operators well defined.
 """
 
 from . import kernel
+from ._kernel_py import _conjugating_word as conjugating_word
 from .words import _check_even_index
 
 
@@ -54,8 +55,3 @@ def weyl_S(indices, w: bytes, n: int) -> bytes:
     for i in reversed(indices):
         w = kernel.weyl_s(w, i)
     return w
-
-
-def conjugating_word(i: int) -> tuple:
-    """Canonical reduced word for the shortest w with w(alpha_i) = alpha_1."""
-    return tuple(range(2, i + 1)) + tuple(range(1, i))

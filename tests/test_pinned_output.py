@@ -14,8 +14,9 @@ from queercrystals import (crystal_of_shape, explore_conjecture,
                            verify_decomposition, verify_highest_weight_formula,
                            verify_reading_independence,
                            verify_unique_highest_weight)
-from queercrystals.qrep.checks import (residue_check, verify_comult_odd,
-                                       verify_relations)
+from queercrystals.qrep.checks import (relations_catalogue, residue_check,
+                                       verify_comult_odd, verify_relations)
+from queercrystals.qrep.tensorspace import basis
 from queercrystals.serialize import graph_to_dot, graph_to_json, report_to_json
 
 # (sha256 of the DOT text, sha256 of the JSON text as the CLI prints it)
@@ -165,3 +166,208 @@ def test_theorem_reports_equal_the_pinned_digests():
     got = {name: sha(report_to_json(rep))
            for name, rep in pinned_theorem_reports()}
     assert got == PINNED_THEOREM_REPORTS
+
+
+# Per relation of relations_catalogue(n) on basis(n, N): the first 16 hex
+# digits of the sha256 of its lhs and rhs columns, one line per basis
+# tensor in sorted order, each column sorted by basis tensor.  A report
+# only says pass; these also catch a relation replaced by a different
+# true identity, such as one side rescaled.
+PINNED_RELATION_COLUMNS = {
+    (2, 2): {
+        "e-ebar-commute i=1": "be01bc2023820994",
+        "e-f-commutator i=1 j=1": "ef66760cf6e23552",
+        "e-fbar-commutator i=1 j=1": "7731e034d68b0130",
+        "ebar-f-commutator i=1 j=1": "cad9d08c28b8be02",
+        "f-fbar-commute i=1": "17c77ade6f55cbc2",
+        "kbar-anticommute i=1 j=2": "32900af9c907f0f6",
+        "kbar-anticommute i=2 j=1": "32900af9c907f0f6",
+        "kbar-e-twist i=1": "0e3624a2f3a3ba98",
+        "kbar-f-twist i=1": "e4cf6786aa58e98b",
+        "kbar-squared i=1": "08b031132fb88854",
+        "kbar-squared i=2": "23d62c7fa83718e6",
+        "qh-additivity h1=(0, 1) h2=(1, 2)": "e5da4790612d80d3",
+        "qh-additivity h1=(1, 0) h2=(0, 1)": "cc1bad98dbe199da",
+        "qh-additivity h1=(1, 2) h2=(1, 0)": "b712bb2085f922a2",
+        "qh-e-commutation i=1 h=(0, 1)": "b6937e6422546f10",
+        "qh-e-commutation i=1 h=(1, 0)": "fc8ad1b0ddeddcdd",
+        "qh-f-commutation i=1 h=(0, 1)": "0a70b6ad3510375c",
+        "qh-f-commutation i=1 h=(1, 0)": "df8f2125519b74aa",
+        "qh-kbar-commute j=1": "275e511bc09bf35a",
+        "qh-kbar-commute j=2": "fe865d30feb4e77c",
+    },
+    (3, 2): {
+        "e-braid-odd i=1": "7470cf573011e6c1",
+        "e-ebar-commute i=1": "92e30f5ae87035f4",
+        "e-ebar-commute i=2": "36af69d5acb28de8",
+        "e-f-commutator i=1 j=1": "38125ae41fcf5cad",
+        "e-f-commutator i=1 j=2": "f8d581d80b0edf2d",
+        "e-f-commutator i=2 j=1": "f8d581d80b0edf2d",
+        "e-f-commutator i=2 j=2": "aacf743062cd8e76",
+        "e-fbar-commutator i=1 j=1": "ad50f47332ae48ed",
+        "e-fbar-commutator i=1 j=2": "f8d581d80b0edf2d",
+        "e-fbar-commutator i=2 j=1": "f8d581d80b0edf2d",
+        "e-fbar-commutator i=2 j=2": "ef822686dae38fe3",
+        "e-serre i=1 j=2": "f8d581d80b0edf2d",
+        "e-serre i=2 j=1": "f8d581d80b0edf2d",
+        "e-serre-odd i=1 j=2": "f8d581d80b0edf2d",
+        "e-serre-odd i=2 j=1": "f8d581d80b0edf2d",
+        "ebar-f-commutator i=1 j=1": "c321cf82e9d8b70d",
+        "ebar-f-commutator i=1 j=2": "f8d581d80b0edf2d",
+        "ebar-f-commutator i=2 j=1": "f8d581d80b0edf2d",
+        "ebar-f-commutator i=2 j=2": "201e243d4d44b61b",
+        "f-braid-odd i=1": "ffcf2c347663e892",
+        "f-fbar-commute i=1": "b7c59409a37ca141",
+        "f-fbar-commute i=2": "26b11f8174c5d3f6",
+        "f-serre i=1 j=2": "f8d581d80b0edf2d",
+        "f-serre i=2 j=1": "f8d581d80b0edf2d",
+        "f-serre-odd i=1 j=2": "f8d581d80b0edf2d",
+        "f-serre-odd i=2 j=1": "f8d581d80b0edf2d",
+        "kbar-anticommute i=1 j=2": "f8d581d80b0edf2d",
+        "kbar-anticommute i=1 j=3": "f8d581d80b0edf2d",
+        "kbar-anticommute i=2 j=1": "f8d581d80b0edf2d",
+        "kbar-anticommute i=2 j=3": "f8d581d80b0edf2d",
+        "kbar-anticommute i=3 j=1": "f8d581d80b0edf2d",
+        "kbar-anticommute i=3 j=2": "f8d581d80b0edf2d",
+        "kbar-e-twist i=1": "1ec48b751abb7f48",
+        "kbar-e-twist i=2": "9ff66a292eb98f07",
+        "kbar-f-twist i=1": "f4becdbba2086fd6",
+        "kbar-f-twist i=2": "10e61bf8de4c9577",
+        "kbar-squared i=1": "9d72ec69519d5514",
+        "kbar-squared i=2": "45bbac7f21b3880e",
+        "kbar-squared i=3": "28a20847ec0bccd1",
+        "qh-additivity h1=(0, 0, 1) h2=(1, 2, 3)": "544d118df2418b4f",
+        "qh-additivity h1=(0, 1, 0) h2=(0, 0, 1)": "f0156ecaf06f223a",
+        "qh-additivity h1=(1, 0, 0) h2=(0, 1, 0)": "bf760bb28f3b64ed",
+        "qh-additivity h1=(1, 2, 3) h2=(1, 0, 0)": "9b4b50e0750aa446",
+        "qh-e-commutation i=1 h=(0, 1, 0)": "cc2fa40eabe0781e",
+        "qh-e-commutation i=1 h=(1, 0, 0)": "970fe1c813af8e9d",
+        "qh-e-commutation i=2 h=(0, 1, 0)": "9c1e2b47b5edc2eb",
+        "qh-e-commutation i=2 h=(1, 0, 0)": "f39d8baa720ffa3f",
+        "qh-f-commutation i=1 h=(0, 1, 0)": "e24ca276e9ee6439",
+        "qh-f-commutation i=1 h=(1, 0, 0)": "85fac834c027b1b4",
+        "qh-f-commutation i=2 h=(0, 1, 0)": "1ac9b027fc5a3118",
+        "qh-f-commutation i=2 h=(1, 0, 0)": "e8ca313736526cb0",
+        "qh-kbar-commute j=1": "bc75f0327e30ee49",
+        "qh-kbar-commute j=2": "363eeb0cba86fcb8",
+        "qh-kbar-commute j=3": "696445e6cb6a7425",
+    },
+    (4, 1): {
+        "e-braid-odd i=1": "725c090f09bbf99f",
+        "e-braid-odd i=2": "0b3b2bf26f6d93f0",
+        "e-e-distant-commute i=1 j=3": "5001781d70b9bd3f",
+        "e-e-distant-commute i=3 j=1": "5001781d70b9bd3f",
+        "e-ebar-commute i=1": "5001781d70b9bd3f",
+        "e-ebar-commute i=2": "5001781d70b9bd3f",
+        "e-ebar-commute i=3": "5001781d70b9bd3f",
+        "e-f-commutator i=1 j=1": "01940fd3480f753e",
+        "e-f-commutator i=1 j=2": "5001781d70b9bd3f",
+        "e-f-commutator i=1 j=3": "5001781d70b9bd3f",
+        "e-f-commutator i=2 j=1": "5001781d70b9bd3f",
+        "e-f-commutator i=2 j=2": "439195020553105f",
+        "e-f-commutator i=2 j=3": "5001781d70b9bd3f",
+        "e-f-commutator i=3 j=1": "5001781d70b9bd3f",
+        "e-f-commutator i=3 j=2": "5001781d70b9bd3f",
+        "e-f-commutator i=3 j=3": "cf6a4e4001cb07f6",
+        "e-fbar-commutator i=1 j=1": "76b844048641ff28",
+        "e-fbar-commutator i=1 j=2": "5001781d70b9bd3f",
+        "e-fbar-commutator i=1 j=3": "5001781d70b9bd3f",
+        "e-fbar-commutator i=2 j=1": "5001781d70b9bd3f",
+        "e-fbar-commutator i=2 j=2": "f3f4047bf8226df3",
+        "e-fbar-commutator i=2 j=3": "5001781d70b9bd3f",
+        "e-fbar-commutator i=3 j=1": "5001781d70b9bd3f",
+        "e-fbar-commutator i=3 j=2": "5001781d70b9bd3f",
+        "e-fbar-commutator i=3 j=3": "505635af2e771981",
+        "e-serre i=1 j=2": "5001781d70b9bd3f",
+        "e-serre i=2 j=1": "5001781d70b9bd3f",
+        "e-serre i=2 j=3": "5001781d70b9bd3f",
+        "e-serre i=3 j=2": "5001781d70b9bd3f",
+        "e-serre-odd i=1 j=2": "5001781d70b9bd3f",
+        "e-serre-odd i=2 j=1": "5001781d70b9bd3f",
+        "e-serre-odd i=2 j=3": "5001781d70b9bd3f",
+        "e-serre-odd i=3 j=2": "5001781d70b9bd3f",
+        "ebar-f-commutator i=1 j=1": "76b844048641ff28",
+        "ebar-f-commutator i=1 j=2": "5001781d70b9bd3f",
+        "ebar-f-commutator i=1 j=3": "5001781d70b9bd3f",
+        "ebar-f-commutator i=2 j=1": "5001781d70b9bd3f",
+        "ebar-f-commutator i=2 j=2": "f3f4047bf8226df3",
+        "ebar-f-commutator i=2 j=3": "5001781d70b9bd3f",
+        "ebar-f-commutator i=3 j=1": "5001781d70b9bd3f",
+        "ebar-f-commutator i=3 j=2": "5001781d70b9bd3f",
+        "ebar-f-commutator i=3 j=3": "505635af2e771981",
+        "f-braid-odd i=1": "782bc05902f18d1e",
+        "f-braid-odd i=2": "29554535e31a566d",
+        "f-f-distant-commute i=1 j=3": "5001781d70b9bd3f",
+        "f-f-distant-commute i=3 j=1": "5001781d70b9bd3f",
+        "f-fbar-commute i=1": "5001781d70b9bd3f",
+        "f-fbar-commute i=2": "5001781d70b9bd3f",
+        "f-fbar-commute i=3": "5001781d70b9bd3f",
+        "f-serre i=1 j=2": "5001781d70b9bd3f",
+        "f-serre i=2 j=1": "5001781d70b9bd3f",
+        "f-serre i=2 j=3": "5001781d70b9bd3f",
+        "f-serre i=3 j=2": "5001781d70b9bd3f",
+        "f-serre-odd i=1 j=2": "5001781d70b9bd3f",
+        "f-serre-odd i=2 j=1": "5001781d70b9bd3f",
+        "f-serre-odd i=2 j=3": "5001781d70b9bd3f",
+        "f-serre-odd i=3 j=2": "5001781d70b9bd3f",
+        "kbar-anticommute i=1 j=2": "5001781d70b9bd3f",
+        "kbar-anticommute i=1 j=3": "5001781d70b9bd3f",
+        "kbar-anticommute i=1 j=4": "5001781d70b9bd3f",
+        "kbar-anticommute i=2 j=1": "5001781d70b9bd3f",
+        "kbar-anticommute i=2 j=3": "5001781d70b9bd3f",
+        "kbar-anticommute i=2 j=4": "5001781d70b9bd3f",
+        "kbar-anticommute i=3 j=1": "5001781d70b9bd3f",
+        "kbar-anticommute i=3 j=2": "5001781d70b9bd3f",
+        "kbar-anticommute i=3 j=4": "5001781d70b9bd3f",
+        "kbar-anticommute i=4 j=1": "5001781d70b9bd3f",
+        "kbar-anticommute i=4 j=2": "5001781d70b9bd3f",
+        "kbar-anticommute i=4 j=3": "5001781d70b9bd3f",
+        "kbar-e-twist i=1": "9872e221d3456c11",
+        "kbar-e-twist i=2": "4c5e0ed6e1d45f17",
+        "kbar-e-twist i=3": "ae966b173097205a",
+        "kbar-f-twist i=1": "c39b20e82dec01d4",
+        "kbar-f-twist i=2": "f950a24a34a60764",
+        "kbar-f-twist i=3": "a76ef404923c6532",
+        "kbar-squared i=1": "2449281cfdacd561",
+        "kbar-squared i=2": "28efb7a32b6a1971",
+        "kbar-squared i=3": "fbc3592ad1b3d6d8",
+        "kbar-squared i=4": "9572c6c63e846e25",
+        "qh-additivity h1=(0, 0, 0, 1) h2=(1, 2, 3, 4)": "c4f6b2208f86263f",
+        "qh-additivity h1=(0, 0, 1, 0) h2=(0, 0, 0, 1)": "5cb1c9ca1cfdadc0",
+        "qh-additivity h1=(0, 1, 0, 0) h2=(0, 0, 1, 0)": "4ddd6c8b6c015927",
+        "qh-additivity h1=(1, 0, 0, 0) h2=(0, 1, 0, 0)": "bdb8e9c27d1377aa",
+        "qh-additivity h1=(1, 2, 3, 4) h2=(1, 0, 0, 0)": "e2f09c2a3491ec1e",
+        "qh-e-commutation i=1 h=(0, 1, 0, 0)": "5341566fe62150c5",
+        "qh-e-commutation i=1 h=(1, 0, 0, 0)": "df261fd3692fe56f",
+        "qh-e-commutation i=2 h=(0, 1, 0, 0)": "224c75e391665a8f",
+        "qh-e-commutation i=2 h=(1, 0, 0, 0)": "cbf462e1f85e181b",
+        "qh-e-commutation i=3 h=(0, 1, 0, 0)": "1100f8caf09db7df",
+        "qh-e-commutation i=3 h=(1, 0, 0, 0)": "1100f8caf09db7df",
+        "qh-f-commutation i=1 h=(0, 1, 0, 0)": "ba6f665962deb95a",
+        "qh-f-commutation i=1 h=(1, 0, 0, 0)": "e900d6c8d9fc7556",
+        "qh-f-commutation i=2 h=(0, 1, 0, 0)": "d895851f614a79e8",
+        "qh-f-commutation i=2 h=(1, 0, 0, 0)": "4e82b33374321c17",
+        "qh-f-commutation i=3 h=(0, 1, 0, 0)": "c7590295ed4a6205",
+        "qh-f-commutation i=3 h=(1, 0, 0, 0)": "c7590295ed4a6205",
+        "qh-kbar-commute j=1": "166e1e8b8e0d1053",
+        "qh-kbar-commute j=2": "6e5307cdae315b2d",
+        "qh-kbar-commute j=3": "ab89821d8e2ff2eb",
+        "qh-kbar-commute j=4": "e50c1c8778e3f6d5",
+    },
+}
+
+
+def relation_column_digests(n: int, N: int) -> dict:
+    tensors = sorted(basis(n, N))
+    out = {}
+    for name, lhs, rhs in relations_catalogue(n):
+        text = "\n".join(f"{t!r} {sorted(lhs[t].items())!r} "
+                         f"{sorted(rhs[t].items())!r}" for t in tensors)
+        out[name] = sha(text)[:16]
+    return out
+
+
+def test_relation_columns_equal_the_pinned_digests():
+    got = {key: relation_column_digests(*key)
+           for key in PINNED_RELATION_COLUMNS}
+    assert got == PINNED_RELATION_COLUMNS

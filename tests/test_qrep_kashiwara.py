@@ -1,5 +1,7 @@
 """q-level Kashiwara operators: strings, divided powers, odd operators."""
 
+from fractions import Fraction
+
 import pytest
 
 from queercrystals.qrep import kashiwara
@@ -8,7 +10,7 @@ from queercrystals.qrep.kashiwara import (apply_f_power, solve_in_span,
                                           string_decomposition, tilde_e,
                                           tilde_ebar1, tilde_f, tilde_fbar1,
                                           tilde_k1)
-from queercrystals.qrep.laurent import ONE, Q, ZERO
+from queercrystals.qrep.laurent import ONE, Q, ZERO, RatFunc
 from queercrystals.qrep.tensorspace import basis, unit, vec_scale, vec_sum
 
 
@@ -79,6 +81,29 @@ def test_solve_in_span_rejects_singular_systems():
     assert solve_in_span([unit(a), vec_sum(unit(a), unit(b))],
                          [unit(a), unit(b)], index) == [[ONE, ZERO],
                                                         [-ONE, ONE]]
+
+
+def test_rref_pivots_build_no_new_one(monkeypatch):
+    """1 / pivot is the reciprocal of the pivot's normal form: no RatFunc
+    1 is constructed for it, and Fraction rows still reduce."""
+    ones = []
+    init = RatFunc.__init__
+
+    def counting_init(self, num, den=(1,)):
+        if tuple(num) == (1,) and tuple(den) == (1,):
+            ones.append(num)
+        init(self, num, den)
+
+    monkeypatch.setattr(RatFunc, "__init__", counting_init)
+    rows, pivots = kashiwara._rref([[Q, ONE, ONE], [ONE, Q, ZERO]])
+    monkeypatch.undo()
+    det = Q * Q - ONE
+    assert ones == []
+    assert pivots == [0, 1]
+    assert rows == [[ONE, ZERO, Q / det], [ZERO, ONE, -ONE / det]]
+    assert kashiwara._rref([[Fraction(2), Fraction(1)],
+                            [Fraction(0), Fraction(3)]]) == (
+        [[1, 0], [0, 1]], [0, 1])
 
 
 @pytest.fixture

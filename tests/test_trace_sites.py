@@ -68,6 +68,7 @@ def run():
 
     graph = tensor_power_graph(3, 3)
     return [checks.residue_check(2, 2), checks.verify_relations(2, 1),
+            checks.verify_comult_odd(2),
             [graph_to_json(c) for c in graph_components(graph)],
             verify_decomposition((2, 1), 3)]
 
