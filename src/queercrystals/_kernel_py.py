@@ -11,8 +11,11 @@ iteratively, and the raising operator edits the letter owning the
 rightmost surviving "-" while the lowering operator edits the leftmost
 surviving "+".  ``moves`` gives every label's result from one pass: a
 letter a is "+" for the label a and "-" for the label a-1, so one scan
-keeps the signature of every label at once.  The odd pair ebar1/fbar1
-edits the rightmost letter in {1, 2}.
+keeps the signature of every label at once.  The simple reflection S_i
+comes from one signature too: it writes -^a +^b over the surviving
+-^b +^a.  The odd pair ebar1/fbar1 flips the rightmost letter in {1, 2},
+and ebar_i/fbar_i for every i conjugate that pair by S_w with
+w = ``_conjugating_word(i)``, the empty word at i = 1.
 """
 
 IMPLEMENTATION = "pure"
@@ -68,28 +71,26 @@ def apply_f(w: bytes, i: int):
     return bytes(out)
 
 
-def apply_fbar1(w: bytes):
-    """Odd lowering operator: turn the rightmost letter in {1,2} from 1 to 2."""
+def _flip_odd(w: bytes, letter: int):
+    """Flip the rightmost letter in {1, 2} when it is ``letter``, else None."""
     for pos in range(len(w) - 1, -1, -1):
         if w[pos] <= 2:
-            if w[pos] == 1:
-                out = bytearray(w)
-                out[pos] = 2
-                return bytes(out)
-            return None
+            if w[pos] != letter:
+                return None
+            out = bytearray(w)
+            out[pos] = 3 - letter
+            return bytes(out)
     return None
+
+
+def apply_fbar1(w: bytes):
+    """Odd lowering operator: turn the rightmost letter in {1,2} from 1 to 2."""
+    return _flip_odd(w, 1)
 
 
 def apply_ebar1(w: bytes):
     """Odd raising operator: turn the rightmost letter in {1,2} from 2 to 1."""
-    for pos in range(len(w) - 1, -1, -1):
-        if w[pos] <= 2:
-            if w[pos] == 2:
-                out = bytearray(w)
-                out[pos] = 1
-                return bytes(out)
-            return None
-    return None
+    return _flip_odd(w, 2)
 
 
 def moves(w: bytes, n: int) -> tuple:
@@ -147,20 +148,13 @@ def moves(w: bytes, n: int) -> tuple:
 
 
 def weyl_s(w: bytes, i: int) -> bytes:
-    """Simple-reflection action: f_i^m if m = #i - #(i+1) >= 0, else e_i^(-m)."""
-    m = 0
-    for a in w:
-        if a == i:
-            m += 1
-        elif a == i + 1:
-            m -= 1
-    if m >= 0:
-        for _ in range(m):
-            w = apply_f(w, i)
-    else:
-        for _ in range(-m):
-            w = apply_e(w, i)
-    return w
+    """Simple reflection S_i: the surviving signature -^b +^a becomes
+    -^a +^b on the same positions (f_i^(a-b) or e_i^(b-a) in one scan)."""
+    plus, minus = _signature(w, i)
+    out = bytearray(w)
+    for k, pos in enumerate(minus + plus):
+        out[pos] = i + 1 if k < len(plus) else i
+    return bytes(out)
 
 
 def _conjugating_word(i: int) -> tuple:
@@ -171,7 +165,7 @@ def _conjugating_word(i: int) -> tuple:
 
 
 def _conjugated_odd(w: bytes, i: int, odd1):
-    """odd1 (apply_ebar1 or apply_fbar1) moved from index 1 to index i >= 2."""
+    """odd1 (apply_ebar1 or apply_fbar1) moved from index 1 to index i."""
     rw = _conjugating_word(i)
     for s in reversed(rw):
         w = weyl_s(w, s)
@@ -184,12 +178,12 @@ def _conjugated_odd(w: bytes, i: int, odd1):
 
 
 def apply_fbar(w: bytes, i: int):
-    """Odd lowering operator for index i >= 2 via Weyl conjugation."""
+    """Odd lowering operator for any index i via Weyl conjugation."""
     return _conjugated_odd(w, i, apply_fbar1)
 
 
 def apply_ebar(w: bytes, i: int):
-    """Odd raising operator for index i >= 2 via Weyl conjugation."""
+    """Odd raising operator for any index i via Weyl conjugation."""
     return _conjugated_odd(w, i, apply_ebar1)
 
 
@@ -211,11 +205,5 @@ def is_gl_highest(w: bytes, n: int) -> bool:
 
 def is_q_highest(w: bytes, n: int) -> bool:
     """True iff all 2n-2 raising operators (even and odd) vanish."""
-    if not is_gl_highest(w, n):
-        return False
-    if n >= 2 and apply_ebar1(w) is not None:
-        return False
-    for i in range(2, n):
-        if apply_ebar(w, i) is not None:
-            return False
-    return True
+    return is_gl_highest(w, n) and all(
+        apply_ebar(w, i) is None for i in range(1, n))

@@ -200,9 +200,8 @@ def weyl_s_ops(ops, i, b):
 
 
 def _conjugated_odd(ops, i, b, odd1):
-    """odd1 (ops.ebar1 or ops.fbar1) moved from index 1 to index i."""
-    if i == 1:
-        return odd1(b)
+    """odd1 (ops.ebar1 or ops.fbar1) moved from index 1 to index i; the
+    conjugating word is empty at i = 1."""
     rw = conjugating_word(i)
     for s in reversed(rw):
         b = weyl_s_ops(ops, s, b)

@@ -10,11 +10,10 @@ pattern space, exactly the arrows of the word crystal B^(x)N.
 """
 
 from fractions import Fraction
-from itertools import product
 
 from .. import kernel as word_kernel
 from ..reports import record, report
-from ..words import check_rank
+from ..words import all_words, check_rank
 from .action import (Operator, bracket, compose, expr_sum, generator_expr,
                      identity_expr, op, qh_expr, scale)
 from .laurent import ONE, Q, RatFunc
@@ -266,8 +265,7 @@ def verify_comult_odd(n: int) -> dict:
 def _word_edges(n: int, N: int) -> dict:
     """Combinatorial operator tables on all words of length N."""
     out = {}
-    words = [bytes(w) for w in product(range(1, n + 1), repeat=N)]
-    for w in words:
+    for w in all_words(n, N):
         table = {}
         for i in range(1, n):
             table[("e", i)] = word_kernel.apply_e(w, i)

@@ -28,21 +28,13 @@ def node_payload(node):
     raise TypeError(f"cannot serialize node {node!r}")
 
 
-def node_kind(node) -> str:
-    if isinstance(node, bytes):
-        return "word"
-    if isinstance(node, Tableau):
-        return "tableau"
-    return "pair"
-
-
 def graph_to_json(graph: CrystalGraph) -> dict:
     return {
         "n": graph.n,
         "nodes": [
             {
                 "id": k,
-                "kind": node_kind(b),
+                "kind": graph.kind,
                 "payload": node_payload(b),
                 "weight": list(graph.weights[k]),
             }

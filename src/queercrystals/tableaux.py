@@ -32,7 +32,8 @@ from functools import lru_cache
 
 from . import kernel
 from .errors import StructureError, VerificationError
-from .graphs import ODD, CrystalGraph, WordOps, build_graph, closure
+from .graphs import (ODD, CrystalGraph, WordOps, all_labels, build_graph,
+                     closure)
 from .words import check_rank
 
 Parts = tuple  # strict partition as a tuple of parts
@@ -254,14 +255,14 @@ def _decoded(ops: TableauOps, words: CrystalGraph) -> CrystalGraph:
 def tableau_operator(direction: str, label, t: Tableau, n: int,
                      reading: str = "row"):
     """Apply one operator (direction "e"/"f", label 1..n-1 or "1bar")."""
+    if direction not in ("e", "f"):
+        raise ValueError(f"unknown direction {direction!r}")
+    if label not in all_labels(n):
+        raise ValueError(f"label {label!r} is not one of {all_labels(n)}")
     ops = TableauOps(t.shape, n, reading)
     if label == ODD:
         return ops.ebar1(t) if direction == "e" else ops.fbar1(t)
-    if direction == "e":
-        return ops.e(label, t)
-    if direction == "f":
-        return ops.f(label, t)
-    raise ValueError(f"unknown direction {direction!r}")
+    return ops.e(label, t) if direction == "e" else ops.f(label, t)
 
 
 def b_lambda(parts, n: int) -> Tableau:
@@ -273,11 +274,9 @@ def b_lambda(parts, n: int) -> Tableau:
     """
     parts = check_strict_partition(parts, n)
     shape = shape_from_partition(parts, n)
-    diagonal = {}
-    for d, p in enumerate(parts, start=1):
-        for i in range(d, d + p):
-            diagonal[(i, parts[0] + d - i)] = d
-    t = Tableau(shape=shape, entries=tuple(diagonal[b] for b in shape.boxes))
+    # box (r, c) lies on anti-diagonal d = r + c - lam_1
+    t = Tableau(shape=shape,
+                entries=tuple(r + c - parts[0] for r, c in shape.boxes))
     if not is_semistandard(shape, t.entries):
         raise VerificationError(f"canonical tableau of {parts} not semistandard")
     expected = tuple(list(parts) + [0] * (n - len(parts)))

@@ -29,12 +29,6 @@ nesting trees.  ``flatten`` recovers the underlying word.
 from .words import word
 
 
-def leaf_count(tree) -> int:
-    if isinstance(tree, int):
-        return 1
-    return leaf_count(tree[0]) + leaf_count(tree[1])
-
-
 def flatten(tree) -> bytes:
     """Underlying word of a nesting tree."""
     if isinstance(tree, int):

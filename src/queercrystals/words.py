@@ -7,11 +7,15 @@ the crystal zero, so graphs never contain a zero node.
 
 The even operators e_i, f_i (i = 1..n-1) are computed by the signature
 rule, the primitive odd pair ebar1/fbar1 by its closed form (rightmost
-letter in {1,2}), and the remaining odd operators by conjugation with the
-Weyl-group action.  ``queercrystals.tensor_rules`` holds the recursive
-tensor-rule definitions these closed forms are equivalent to; the
-equivalence is checked exhaustively in the test suite.
+letter in {1,2}), and the odd operators ebar_i, fbar_i for every i by
+conjugating that pair with the Weyl-group action, whose conjugating word
+is empty at i = 1; S_i itself comes from one signature scan.
+``queercrystals.tensor_rules`` holds the recursive tensor-rule
+definitions these closed forms are equivalent to; the equivalence is
+checked exhaustively in the test suite.
 """
+
+from itertools import product
 
 from . import kernel
 
@@ -92,16 +96,12 @@ def fbar1(w: Word, n: int):
 def ebar(i: int, w: Word, n: int):
     """Odd raising operator for any index i in 1..n-1."""
     _check_even_index(i, n)
-    if i == 1:
-        return ebar1(w, n)
     return kernel.apply_ebar(w, i)
 
 
 def fbar(i: int, w: Word, n: int):
     """Odd lowering operator for any index i in 1..n-1."""
     _check_even_index(i, n)
-    if i == 1:
-        return fbar1(w, n)
     return kernel.apply_fbar(w, i)
 
 
@@ -112,9 +112,4 @@ def is_highest_weight(w: Word, n: int) -> bool:
 
 def all_words(n: int, length: int):
     """All words of the given length, in lexicographic order."""
-    if length == 0:
-        yield b""
-        return
-    for prefix in all_words(n, length - 1):
-        for a in range(1, n + 1):
-            yield prefix + bytes([a])
+    yield from map(bytes, product(range(1, n + 1), repeat=length))

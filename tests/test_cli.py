@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from queercrystals import cli
 from queercrystals.cli import main
+from queercrystals.errors import VerificationError
 
 # a directory that no test creates: writing below it must fail
 MISSING_DIR = pathlib.Path(__file__).resolve().parent / "no-such-dir"
@@ -154,6 +155,29 @@ def test_unwritable_output_fails_before_any_work(capsys, monkeypatch,
                   "-o", str(target)])
         assert exc.value.code == 2
         assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not pathlib.Path("/dev/full").exists(),
+                    reason="needs a device that refuses every write")
+def test_a_failed_write_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "--vector", "-n", "2", "-o", "/dev/full"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot write '/dev/full'" in err
+    assert "Traceback" not in err
+
+
+def test_a_verifier_that_raises_exits_1(capsys, monkeypatch):
+    def broken(parts, n):
+        raise VerificationError("no highest weight")
+
+    monkeypatch.setattr(cli, "verify_unique_highest_weight", broken)
+    code = main(["verify", "--theorem", "b", "--shape", "2,1", "-n", "3"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification failure: no highest weight\n"
 
 
 def test_usage_error_leaves_an_existing_output_file_alone(capsys, tmp_path):

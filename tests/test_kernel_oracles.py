@@ -1,7 +1,8 @@
 """The word kernel agrees with the independent forms of its operators.
 
-Two oracles are already in the package: the generic Weyl conjugation in
-``queercrystals.graphs``, written once for every ops adapter, and the
+Two oracles are already in the package: the generic Weyl action and
+conjugation in ``queercrystals.graphs``, written once for every ops
+adapter, which apply f_i or e_i one step at a time, and the
 literal recursive tensor rules in ``queercrystals.tensor_rules``.  The
 one-pass ``kernel.moves`` is also checked against the per-label
 ``apply_*`` functions, and the recording ``closure`` built on it against
@@ -11,9 +12,9 @@ the generic ``build_graph(ops, closure_set(ops, seed))``.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queercrystals import kernel
+from queercrystals import kernel, words
 from queercrystals.graphs import (WordOps, build_graph, closure, closure_set,
-                                  ebar_ops, fbar_ops)
+                                  ebar_ops, fbar_ops, weyl_s_ops)
 from queercrystals.tensor_rules import (e_even_recursive, ebar1_recursive,
                                         f_even_recursive, fbar1_recursive,
                                         left_nested, tree_eps_phi)
@@ -33,6 +34,28 @@ def test_conjugated_odd_operators_equal_the_generic_conjugation():
                         (n, i, w)
                     cases += 1
     assert cases == 5437
+
+
+def test_one_scan_reflection_equals_the_stepwise_reflection():
+    cases = 0
+    for n, longest in ((2, 5), (3, 5), (4, 5), (5, 4)):
+        ops = WordOps(n)
+        for length in range(0, longest + 1):
+            for w in all_words(n, length):
+                for i in range(1, n):
+                    assert kernel.weyl_s(w, i) == weyl_s_ops(ops, i, w), \
+                        (n, i, w)
+                    cases += 1
+    assert cases == 63 + 2 * 364 + 3 * 1365 + 4 * 781
+
+
+def test_odd_operators_at_index_one_are_the_primitive_pair():
+    for n in (2, 3, 4):
+        for length in range(0, 6):
+            for w in all_words(n, length):
+                ebar, fbar = words.ebar(1, w, n), words.fbar(1, w, n)
+                assert ebar == words.ebar1(w, n) == ebar1_recursive(w, n), w
+                assert fbar == words.fbar1(w, n) == fbar1_recursive(w, n), w
 
 
 def per_label_moves(w, n):

@@ -9,6 +9,7 @@ from queercrystals.qrep.action import (Operator, compose, expr_sum,
 from queercrystals.qrep.checks import (comult_formulas, relations_catalogue,
                                        residue_check, verify_comult_odd,
                                        verify_relations)
+from queercrystals.qrep.laurent import ONE, Q
 from queercrystals.reports import passed, record
 
 
@@ -159,3 +160,57 @@ def test_three_fold_tensor_depth():
     assert rep["passed"], _failures(rep)
     rep = residue_check(2, 3)
     assert rep["passed"], _failures(rep)
+
+
+def polar(v, *_):
+    """Every tensor of v with the coefficient 1/q, which has a pole at 0."""
+    return {t: ONE / Q for t in v}
+
+
+def test_a_residue_with_a_pole_fails_lattice_stability(monkeypatch):
+    monkeypatch.setattr(checks, "tilde_e", lambda i, v, n: polar(v))
+    rep = residue_check(2, 1)
+    assert rep["passed"] is False
+    failed = [r for r in _failures(rep) if r["check"] == "lattice-stability"]
+    assert [r["instance"] for r in failed] == ["n=2 N=1 b=[1] op=e-1",
+                                               "n=2 N=1 b=[2] op=e-1"]
+    assert failed[0]["witness"] == {"tensor": "((1, 0),)",
+                                    "component": "((1, 0),)",
+                                    "coefficient": "(1)/(q)"}
+
+
+def test_a_ktilde1_with_a_pole_fails_on_every_pattern(monkeypatch):
+    monkeypatch.setattr(checks, "tilde_k1", polar)
+    rep = residue_check(2, 1)
+    assert rep["passed"] is False
+    failed = _failures(rep)
+    assert [(r["check"], r["instance"]) for r in failed] == [
+        ("ktilde1-lattice", "n=2 N=1 b=[1]"),
+        ("ktilde1-lattice", "n=2 N=1 b=[2]")]
+    assert failed[1]["witness"] == {"tensor": "((2, 0),)",
+                                    "component": "((2, 0),)",
+                                    "coefficient": "(1)/(q)"}
+
+
+def test_an_identity_ebar1_fails_its_arrows_and_nilpotence(monkeypatch):
+    monkeypatch.setattr(checks, "tilde_ebar1", lambda v, n: v)
+    rep = residue_check(2, 1)
+    assert rep["passed"] is False
+    failed = {r["check"]: r for r in _failures(rep)}
+    assert sorted(failed) == ["residue-graph-equality", "residue-target",
+                              "residue-vanishes", "tilde-ebar1-squared-zero"]
+    assert failed["residue-vanishes"]["witness"] == {"support": [[1]]}
+    assert failed["residue-target"]["witness"] == {"support": [[2]],
+                                                   "expected": [1]}
+    assert failed["tilde-ebar1-squared-zero"]["witness"] == {
+        "tensor": "((1, 0),)", "component": "((1, 0),)", "value": "1"}
+
+
+def test_a_squared_fbar1_with_a_pole_fails_nilpotence(monkeypatch):
+    monkeypatch.setattr(checks, "tilde_fbar1", polar)
+    rep = residue_check(2, 1)
+    assert rep["passed"] is False
+    (failed,) = [r for r in _failures(rep)
+                 if r["check"] == "tilde-fbar1-squared-zero"]
+    assert failed["witness"] == {"tensor": "((1, 0),)",
+                                 "coefficient": "(1)/(q)"}

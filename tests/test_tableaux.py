@@ -81,6 +81,18 @@ def test_tableau_operator_examples():
     assert tableau_operator("e", 1, ones, 2) is None
 
 
+@pytest.mark.parametrize("direction, label, parts", [
+    ("e", 0, (2, 1)),       # no label 0
+    ("f", 3, (3, 2, 1)),    # labels stop at n - 1
+    ("e", "x", (2, 1)),     # not a label at all
+    ("up", ODD, (2, 1)),    # the odd label took any direction as "f"
+])
+def test_tableau_operator_rejects_a_bad_label_or_direction(direction, label,
+                                                           parts):
+    with pytest.raises(ValueError):
+        tableau_operator(direction, label, b_lambda(parts, 3), 3)
+
+
 def test_tableau_operator_rejects_broken_fillings():
     shape = shape_from_partition((2, 1))
     ops = TableauOps(shape, 3)

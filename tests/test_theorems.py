@@ -9,7 +9,7 @@ from queercrystals import (crystal_of_shape, decompose_product,
                            verify_highest_weight_formula,
                            verify_reading_independence,
                            verify_unique_highest_weight)
-from queercrystals import kernel, tableaux
+from queercrystals import kernel, tableaux, theorems
 from queercrystals.errors import StructureError, VerificationError
 from queercrystals.tableaux import strict_partitions
 from queercrystals.theorems import highest_weight_formula_side
@@ -66,6 +66,16 @@ def test_decompose_flags_a_component_without_strict_highest_weight():
                         weights=((1, 1),), arrows=((-1,), (-1,)))
     with pytest.raises(VerificationError):
         decompose_product(fake, fake)
+
+
+def test_a_component_unlike_its_model_is_a_failed_record(monkeypatch):
+    monkeypatch.setattr(theorems, "isomorphic", lambda g1, g2: None)
+    rep = verify_decomposition((2, 1), 3)
+    assert rep["passed"] is False
+    (failed,) = rep["records"]
+    assert failed["check"] == "decomposition"
+    assert failed["status"] == "fail"
+    assert "does not match its model" in failed["witness"]["error"]
 
 
 def test_highest_weight_formula_examples():
