@@ -5,8 +5,7 @@ It is applied to a fresh temporary copy of ``src/`` and ``tests/``, the
 tests that cover these modules run on that copy, and a mutant that leaves
 them passing is a survivor.  The checkout itself is never edited.
 
-    python tools/mutants.py             # every mutant
-    python tools/mutants.py 1 4         # only the mutants numbered 1 and 4
+    python tools/mutants.py
 
 Exit status: 0 when every mutant is killed, 1 when any survives, 2 when a
 mutant's snippet does not occur exactly once in its file (the list no
@@ -81,10 +80,8 @@ def copy_tree(dest: pathlib.Path) -> None:
     shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def main(argv) -> int:
-    chosen = [int(a) for a in argv] or range(1, len(MUTANTS) + 1)
-    for number in chosen:
-        path, snippet, _, _ = MUTANTS[number - 1]
+def main() -> int:
+    for number, (path, snippet, _, _) in enumerate(MUTANTS, 1):
         found = (ROOT / path).read_text(encoding="utf-8").count(snippet)
         if found != 1:
             print(f"mutant {number}: {snippet!r} occurs {found} times in "
@@ -97,8 +94,8 @@ def main(argv) -> int:
             print("the unmutated copy fails its tests", file=sys.stderr)
             return 2
         survivors = []
-        for number in chosen:
-            path, snippet, replacement, what = MUTANTS[number - 1]
+        for number, (path, snippet, replacement, what) in enumerate(MUTANTS,
+                                                                     1):
             target = tree / path
             original = target.read_text(encoding="utf-8")
             target.write_text(original.replace(snippet, replacement),
@@ -109,10 +106,10 @@ def main(argv) -> int:
                   f"{path}: {what}")
             if not killed:
                 survivors.append(number)
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} killed; "
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} killed; "
           f"survivors: {survivors or 'none'}")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
