@@ -12,7 +12,7 @@ pattern space, exactly the arrows of the word crystal B^(x)N.
 from fractions import Fraction
 
 from .. import kernel as word_kernel
-from ..reports import record, report
+from ..reports import check, record, report
 from ..words import all_words, check_rank
 from .action import (Operator, bracket, compose, expr_sum, generator_expr,
                      identity_expr, op, qh_expr, scale)
@@ -57,6 +57,20 @@ def relations_catalogue(n: int) -> list:
                         scale(-(Q + qinv), compose(compose(a, b), a)),
                         compose(b, compose(a, a)))
 
+    def commutators(*families):
+        """[a_i, b_j] = diagonal(i) when i == j, else 0, for each family
+        (name, a, b, diagonal), the families interleaved at each (i, j)."""
+        for i in range(1, n):
+            for j in range(1, n):
+                for name, a, b, diagonal in families:
+                    rels.append((f"{name} i={i} j={j}", bracket(a[i], b[j]),
+                                 diagonal(i) if i == j else zero))
+
+    def kbar_shift(i, s):
+        """kbar_i q^{s k_{i+1}} - kbar_{i+1} q^{s k_i}."""
+        return expr_sum(compose(kbar[i], qh_expr(n, (i + 1, s))),
+                        scale(-ONE, compose(kbar[i + 1], qh_expr(n, (i, s)))))
+
     for a, h1 in enumerate(h_samples):
         h2 = h_samples[(a + 1) % len(h_samples)]
         hsum = tuple(x + y for x, y in zip(h1, h2))
@@ -78,17 +92,10 @@ def relations_catalogue(n: int) -> list:
             f"qh-kbar-commute j={j}",
             compose(qh(h), kbar[j]),
             compose(kbar[j], qh(h))))
-    for i in range(1, n):
-        for j in range(1, n):
-            lhs = bracket(e[i], f[j])
-            if i == j:
-                coeff = ONE / (Q - qinv)
-                rhs = expr_sum(
-                    scale(coeff, qh_expr(n, (i, 1), (i + 1, -1))),
-                    scale(-coeff, qh_expr(n, (i, -1), (i + 1, 1))))
-            else:
-                rhs = zero
-            rels.append((f"e-f-commutator i={i} j={j}", lhs, rhs))
+    coeff = ONE / (Q - qinv)
+    commutators(("e-f-commutator", e, f, lambda i: expr_sum(
+        scale(coeff, qh_expr(n, (i, 1), (i + 1, -1))),
+        scale(-coeff, qh_expr(n, (i, -1), (i + 1, 1))))))
     for i in range(1, n):
         for j in range(1, n):
             if abs(i - j) > 1:
@@ -122,24 +129,8 @@ def relations_catalogue(n: int) -> list:
                      compose(ebar[i], qh_expr(n, (i, -1)))))
         rels.append((f"kbar-f-twist i={i}", bracket(kbar[i], f[i], Q),
                      scale(-ONE, compose(fbar[i], qh_expr(n, (i, 1))))))
-    for i in range(1, n):
-        for j in range(1, n):
-            lhs = bracket(e[i], fbar[j])
-            if i == j:
-                rhs = expr_sum(
-                    compose(kbar[i], qh_expr(n, (i + 1, -1))),
-                    scale(-ONE, compose(kbar[i + 1], qh_expr(n, (i, -1)))))
-            else:
-                rhs = zero
-            rels.append((f"e-fbar-commutator i={i} j={j}", lhs, rhs))
-            lhs = bracket(ebar[i], f[j])
-            if i == j:
-                rhs = expr_sum(
-                    compose(kbar[i], qh_expr(n, (i + 1, 1))),
-                    scale(-ONE, compose(kbar[i + 1], qh_expr(n, (i, 1)))))
-            else:
-                rhs = zero
-            rels.append((f"ebar-f-commutator i={i} j={j}", lhs, rhs))
+    commutators(("e-fbar-commutator", e, fbar, lambda i: kbar_shift(i, -1)),
+                ("ebar-f-commutator", ebar, f, lambda i: kbar_shift(i, 1)))
     for i in range(1, n):
         rels.append((
             f"e-ebar-commute i={i}",
@@ -263,17 +254,15 @@ def verify_comult_odd(n: int) -> dict:
 
 
 def _word_edges(n: int, N: int) -> dict:
-    """Combinatorial operator tables on all words of length N."""
+    """Combinatorial operator tables on all words of length N, keyed
+    e_1, f_1, ..., e_{n-1}, f_{n-1}, ebar1, fbar1; one scan per word."""
+    keys = [(kind, i) for i in range(1, n) for kind in ("e", "f")]
+    if n >= 2:
+        keys += [("ebar1",), ("fbar1",)]
     out = {}
     for w in all_words(n, N):
-        table = {}
-        for i in range(1, n):
-            table[("e", i)] = word_kernel.apply_e(w, i)
-            table[("f", i)] = word_kernel.apply_f(w, i)
-        if n >= 2:
-            table[("ebar1",)] = word_kernel.apply_ebar1(w)
-            table[("fbar1",)] = word_kernel.apply_fbar1(w)
-        out[w] = table
+        down, up = word_kernel.moves(w, n)
+        out[w] = dict(zip(keys, (x for pair in zip(up, down) for x in pair)))
     return out
 
 
@@ -318,42 +307,29 @@ def residue_check(n: int, N: int) -> dict:
     for b in edges:
         src = lattice_basis(b)
         instance = f"n={n} N={N} b={list(b)}"
-        records.append(record("lattice-dimension", instance,
-                              "pass" if len(src) == 2 ** N else "fail"))
+        records.append(check("lattice-dimension", instance,
+                             len(src) == 2 ** N))
         for op_key, expected in edges[b].items():
-            name = "-".join(str(x) for x in op_key)
+            at = f"{instance} op={'-'.join(str(x) for x in op_key)}"
             cols, pole = residue_map(q_ops[op_key], src)
+            records.append(check("lattice-stability", at, pole is None, pole))
             if pole is not None:
-                records.append(record("lattice-stability",
-                                      f"{instance} op={name}", "fail",
-                                      witness=pole))
                 continue
-            records.append(record("lattice-stability",
-                                  f"{instance} op={name}", "pass"))
             support = {pattern(t) for col in cols for t in col}
             if expected is None:
-                ok = not support
-                records.append(record(
-                    "residue-vanishes", f"{instance} op={name}",
-                    "pass" if ok else "fail",
-                    witness=None if ok else
-                    {"support": [list(p) for p in support]}))
+                records.append(check("residue-vanishes", at, not support,
+                                     {"support": [list(p) for p in support]}))
                 continue
             ok = support == {expected}
+            records.append(check("residue-target", at, ok,
+                                 {"support": [list(p) for p in support],
+                                  "expected": list(expected)}))
             if ok:
                 residue_edges.add((b, op_key, expected))
-            records.append(record(
-                "residue-target", f"{instance} op={name}",
-                "pass" if ok else "fail",
-                witness=None if ok else
-                {"support": [list(p) for p in support],
-                 "expected": list(expected)}))
-            if ok:
                 dst = {t: k for k, t in enumerate(lattice_basis(expected))}
-                full = len(_rref(_rows(cols, dst, Fraction(0)))[1]) == 2 ** N
-                records.append(record(
-                    "residue-isomorphism", f"{instance} op={name}",
-                    "pass" if full else "fail"))
+                records.append(check(
+                    "residue-isomorphism", at,
+                    len(_rref(_rows(cols, dst, Fraction(0)))[1]) == 2 ** N))
         # ktilde_1 preserves each pattern space
         cols, pole = residue_map(lambda v: tilde_k1(v, n), src)
         if pole is not None:
@@ -361,39 +337,28 @@ def residue_check(n: int, N: int) -> dict:
                                   witness=pole))
         else:
             support = {pattern(t) for col in cols for t in col}
-            ok = support <= {b}
-            records.append(record("ktilde1-preserves", instance,
-                                  "pass" if ok else "fail",
-                                  witness=None if ok else
-                                  {"support": [list(p) for p in support]}))
+            records.append(check("ktilde1-preserves", instance, support <= {b},
+                                 {"support": [list(p) for p in support]}))
     # residue arrows = combinatorial arrows
     comb_edges = {(b, k, v) for b, table in edges.items()
                   for k, v in table.items() if v is not None}
-    ok = residue_edges == comb_edges
-    records.append(record(
-        "residue-graph-equality", f"n={n} N={N}",
-        "pass" if ok else "fail",
-        witness=None if ok else {
-            "missing": sorted(map(repr, comb_edges - residue_edges)),
-            "extra": sorted(map(repr, residue_edges - comb_edges))}))
-    # nilpotence of the odd operators on L/qL
+    records.append(check(
+        "residue-graph-equality", f"n={n} N={N}", residue_edges == comb_edges,
+        {"missing": sorted(map(repr, comb_edges - residue_edges)),
+         "extra": sorted(map(repr, residue_edges - comb_edges))}))
+    # nilpotence of the odd operators on L/qL: a pole, else the first
+    # nonzero residue, is the witness
     if n >= 2:
+        tensors = basis(n, N)
         for name, fn in (("tilde-ebar1", lambda v: tilde_ebar1(v, n)),
                          ("tilde-fbar1", lambda v: tilde_fbar1(v, n))):
-            witness = None
-            for t in basis(n, N):
-                img = fn(fn(unit(t)))
-                for t2, c in img.items():
-                    if not c.is_regular_at_zero():
-                        witness = {"tensor": repr(t), "coefficient": repr(c)}
-                        break
-                    if c.at_zero():
-                        witness = {"tensor": repr(t), "component": repr(t2),
-                                   "value": str(c.at_zero())}
-                        break
-                if witness:
-                    break
-            records.append(record(f"{name}-squared-zero", f"n={n} N={N}",
-                                  "fail" if witness else "pass",
-                                  witness=witness))
+            cols, witness = residue_map(lambda v: fn(fn(v)), tensors)
+            if witness is None:
+                witness = next(
+                    ({"tensor": repr(t), "component": repr(t2),
+                      "value": str(value)}
+                     for t, col in zip(tensors, cols)
+                     for t2, value in col.items()), None)
+            records.append(check(f"{name}-squared-zero", f"n={n} N={N}",
+                                 witness is None, witness))
     return report(records, n=n, N=N)

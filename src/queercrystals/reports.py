@@ -1,4 +1,10 @@
-"""Uniform check records for verifiers: {check, instance, status, witness?}."""
+"""Uniform check records for verifiers: {check, instance, status, witness?}.
+
+The record rule: a record's status is "pass" when its condition holds and
+"fail" otherwise, and only a failed record carries a witness.  ``check``
+applies that rule to one condition; ``record`` builds a record whose
+status is already known, such as an "info" record.
+"""
 
 
 def record(check: str, instance: str, status: str, witness=None) -> dict:
@@ -6,6 +12,13 @@ def record(check: str, instance: str, status: str, witness=None) -> dict:
     if witness is not None:
         rec["witness"] = witness
     return rec
+
+
+def check(name: str, instance: str, ok: bool, witness=None) -> dict:
+    """The record of one condition: "pass" when ok, else "fail" with the
+    witness, if any."""
+    return record(name, instance, "pass" if ok else "fail",
+                  None if ok else witness)
 
 
 def passed(records) -> bool:

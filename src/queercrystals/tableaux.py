@@ -34,7 +34,7 @@ from . import kernel
 from .errors import StructureError, VerificationError
 from .graphs import (ODD, CrystalGraph, WordOps, all_labels, build_graph,
                      closure)
-from .words import check_rank
+from .words import check_rank, check_word
 
 Parts = tuple  # strict partition as a tuple of parts
 
@@ -254,11 +254,13 @@ def _decoded(ops: TableauOps, words: CrystalGraph) -> CrystalGraph:
 
 def tableau_operator(direction: str, label, t: Tableau, n: int,
                      reading: str = "row"):
-    """Apply one operator (direction "e"/"f", label 1..n-1 or "1bar")."""
+    """Apply one operator (direction "e"/"f", label 1..n-1 or "1bar") to a
+    tableau with entries in 1..n."""
     if direction not in ("e", "f"):
         raise ValueError(f"unknown direction {direction!r}")
     if label not in all_labels(n):
         raise ValueError(f"label {label!r} is not one of {all_labels(n)}")
+    check_word(t.entries, n)
     ops = TableauOps(t.shape, n, reading)
     if label == ODD:
         return ops.ebar1(t) if direction == "e" else ops.fbar1(t)

@@ -22,7 +22,7 @@ from . import kernel, words
 from .errors import VerificationError
 from .graphs import (WordOps, build_graph, fbar_ops, graph_components,
                      highest_weight_nodes, isomorphic, tensor, validate)
-from .reports import record, report
+from .reports import check, record, report
 from .tableaux import (TableauOps, b_lambda, check_strict_partition,
                        crystal_of_shape, enumerate_ssyt, shape_from_partition)
 
@@ -113,20 +113,16 @@ def verify_unique_highest_weight(parts, n: int) -> dict:
     graph = crystal_of_shape(parts, n)
     validate(graph)
     ncomp = len(graph_components(graph))
-    records.append(record(
-        "connected", instance, "pass" if ncomp == 1 else "fail",
-        witness=None if ncomp == 1 else {"components": ncomp}))
+    records.append(check("connected", instance, ncomp == 1,
+                         {"components": ncomp}))
     hw = highest_weight_nodes(graph)
-    ok = len(hw) == 1
-    records.append(record(
-        "unique-highest-weight", instance, "pass" if ok else "fail",
-        witness=None if ok else {"count": len(hw)}))
-    if ok:
+    records.append(check("unique-highest-weight", instance, len(hw) == 1,
+                         {"count": len(hw)}))
+    if len(hw) == 1:
         wt = graph.weights[graph.node_index[hw[0]]]
-        good = wt == partition_weight(parts, n)
-        records.append(record(
-            "highest-weight-is-lam", instance, "pass" if good else "fail",
-            witness=None if good else {"weight": list(wt)}))
+        records.append(check("highest-weight-is-lam", instance,
+                             wt == partition_weight(parts, n),
+                             {"weight": list(wt)}))
     return report(records, instance=instance, size=len(graph))
 
 
@@ -143,11 +139,9 @@ def verify_decomposition(parts, n: int) -> dict:
                               witness={"error": str(exc)}))
         return report(records, instance=instance)
     got = sorted(mu for mu, _ in pieces)
-    ok = got == expected
-    records.append(record(
-        "decomposition-labels", instance, "pass" if ok else "fail",
-        witness={"got": [list(m) for m in got],
-                 "expected": [list(m) for m in expected]} if not ok else None))
+    records.append(check("decomposition-labels", instance, got == expected,
+                         {"got": [list(m) for m in got],
+                          "expected": [list(m) for m in expected]}))
     records.append(record("component-models", instance, "pass"))
     return report(records, instance=instance,
                   labels=[list(m) for m in got])
@@ -178,9 +172,7 @@ def verify_highest_weight_formula(parts, n: int) -> dict:
                           witness={"error": str(exc)})]
         return report(records, instance=instance)
     predicted = set(formula.values())
-    ok = actual == predicted
-    records = [record("highest-weight-formula", instance,
-                      "pass" if ok else "fail")]
+    records = [check("highest-weight-formula", instance, actual == predicted)]
     return report(
         records, instance=instance,
         enumerated=[_describe_product_node(product, b)
@@ -236,8 +228,8 @@ def verify_reading_independence(parts, n: int) -> dict:
                 break
         if mismatch:
             break
-    records = [record("reading-independence", instance,
-                      "fail" if mismatch else "pass", witness=mismatch)]
+    records = [check("reading-independence", instance, mismatch is None,
+                     mismatch)]
     return report(records, instance=instance)
 
 

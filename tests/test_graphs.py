@@ -306,3 +306,21 @@ def test_isomorphic_requires_matching_weights():
                                        [W(1, 2, 1), W(1, 2, 2)])) is not None
     letter = closure(WordOps(2), W(1))  # also two nodes and a doubled arrow
     assert isomorphic(two, letter) is None
+
+
+@pytest.mark.parametrize("arrows1, arrows2", [
+    # a 1-arrow on one side only
+    (((-1, -1, -1), (-1, 0, 1)), ((-1, -1, 0), (-1, -1, 1))),
+    # the same fbar1 chain 2 -> 1 -> 0, plus a 1-arrow on one side
+    (((-1, -1, -1), (-1, 0, 1)), ((-1, -1, 0), (-1, 0, 1))),
+    # both fbar1 images of the first graph's chain sent to node 0
+    (((-1, -1, 0), (-1, 0, 1)), ((-1, -1, 0), (1, -1, 0))),
+])
+def test_isomorphic_rejects_arrows_that_do_not_correspond(arrows1, arrows2):
+    """Connected three-node graphs of one weight whose only highest-weight
+    node is 2: no map of one onto the other carries arrows to arrows."""
+    g1, g2 = (CrystalGraph(n=2, kind="word", nodes=(W(1), W(2), W(1, 2)),
+                           weights=((0, 0),) * 3, arrows=arrows)
+              for arrows in (arrows1, arrows2))
+    assert isomorphic(g1, g2) is None
+    assert isomorphic(g2, g1) is None

@@ -10,7 +10,8 @@ from queercrystals.qrep.checks import (comult_formulas, relations_catalogue,
                                        residue_check, verify_comult_odd,
                                        verify_relations)
 from queercrystals.qrep.laurent import ONE, Q
-from queercrystals.reports import passed, record
+from queercrystals.qrep.tensorspace import vec_add
+from queercrystals.reports import check, passed, record
 
 
 def _failures(rep):
@@ -60,6 +61,25 @@ def test_a_report_without_records_fails():
     assert not passed([record("x", "y", "pass"), record("x", "z", "fail")])
     rep = verify_relations(2, 1, which="no-such-relation")
     assert rep["records"] == [] and rep["passed"] is False
+
+
+def test_a_record_carries_a_witness_only_on_a_failure():
+    assert check("x", "y", True, {"w": 1}) == record("x", "y", "pass")
+    assert check("x", "y", False, {"w": 1}) == record("x", "y", "fail",
+                                                      {"w": 1})
+    assert check("x", "y", False) == record("x", "y", "fail")
+
+
+def test_commutators_vanish_off_the_diagonal():
+    """[e_i, f_j], [e_i, fbar_j] and [ebar_i, f_j] at rank 3, the last two
+    interleaved at each (i, j); i != j takes the zero right side."""
+    rep = verify_relations(3, 1, which="commutator")
+    assert rep["passed"], _failures(rep)
+    pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert [r["instance"] for r in rep["records"]] == [
+        f"n=3 N=1 e-f-commutator i={i} j={j}" for i, j in pairs] + [
+        f"n=3 N=1 {name} i={i} j={j}" for i, j in pairs
+        for name in ("e-fbar-commutator", "ebar-f-commutator")]
 
 
 def test_a_false_relation_fails_with_a_witness(monkeypatch):
@@ -213,4 +233,32 @@ def test_a_squared_fbar1_with_a_pole_fails_nilpotence(monkeypatch):
     (failed,) = [r for r in _failures(rep)
                  if r["check"] == "tilde-fbar1-squared-zero"]
     assert failed["witness"] == {"tensor": "((1, 0),)",
+                                 "component": "((1, 0),)",
                                  "coefficient": "(1)/(q)"}
+
+
+def test_a_vanishing_fbar1_fails_its_arrow(monkeypatch):
+    monkeypatch.setattr(checks, "tilde_fbar1", lambda v, n: {})
+    rep = residue_check(2, 1)
+    assert rep["passed"] is False
+    failed = {r["check"]: r for r in _failures(rep)}
+    assert sorted(failed) == ["residue-graph-equality", "residue-target"]
+    assert failed["residue-target"]["witness"] == {"support": [],
+                                                   "expected": [2]}
+
+
+def test_a_residue_map_that_is_not_invertible_fails(monkeypatch):
+    """fbar1 with its bars dropped sends v_1 and vbar_1 onto the line of
+    v_2: the target pattern is right, the rank is 1 of 2."""
+    real = checks.tilde_fbar1
+
+    def unbarred(v, n):
+        out = {}
+        for t, c in real(v, n).items():
+            vec_add(out, tuple((a, 0) for a, _ in t), c)
+        return out
+
+    monkeypatch.setattr(checks, "tilde_fbar1", unbarred)
+    rep = residue_check(2, 1)
+    assert [(r["check"], r["instance"]) for r in _failures(rep)] == [
+        ("residue-isomorphism", "n=2 N=1 b=[1] op=fbar1")]

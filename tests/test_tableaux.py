@@ -79,6 +79,9 @@ def test_tableau_operator_examples():
     odd = tableau_operator("f", ODD, ones, 2)
     assert odd.entries == (1, 2)  # the other box
     assert tableau_operator("e", 1, ones, 2) is None
+    # b_(3,2,1) at rank 3 holds the letter 3, which rank 2 does not have
+    with pytest.raises(ValueError, match="out of range"):
+        tableau_operator("f", 1, b_lambda((3, 2, 1), 3), 2)
 
 
 @pytest.mark.parametrize("direction, label, parts", [

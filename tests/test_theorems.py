@@ -78,6 +78,30 @@ def test_a_component_unlike_its_model_is_a_failed_record(monkeypatch):
     assert "does not match its model" in failed["witness"]["error"]
 
 
+def test_a_component_with_two_highest_weights_is_a_failed_record(monkeypatch):
+    monkeypatch.setattr(theorems, "highest_weight_nodes",
+                        lambda graph: list(graph.nodes[:2]))
+    rep = verify_decomposition((2, 1), 3)
+    assert rep["passed"] is False
+    assert rep["records"] == [{
+        "check": "decomposition", "instance": "n=3 lam=(2, 1)",
+        "status": "fail",
+        "witness": {"error": "component with 2 highest-weight nodes"}}]
+
+
+def test_a_formula_that_cannot_be_formed_is_a_failed_record(monkeypatch):
+    def vanishing(parts, n, graph):
+        raise VerificationError("f_1 vanished while forming the formula")
+
+    monkeypatch.setattr(theorems, "highest_weight_formula_side", vanishing)
+    rep = verify_highest_weight_formula((2, 1), 3)
+    assert rep["passed"] is False
+    assert rep["records"] == [{
+        "check": "highest-weight-formula", "instance": "n=3 lam=(2, 1)",
+        "status": "fail",
+        "witness": {"error": "f_1 vanished while forming the formula"}}]
+
+
 def test_highest_weight_formula_examples():
     side = highest_weight_formula_side((1,), 3, crystal_of_shape((1,), 3))
     assert list(side) == [1]
