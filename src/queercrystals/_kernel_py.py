@@ -164,16 +164,18 @@ def _conjugating_word(i: int) -> tuple:
     return tuple(range(2, i + 1)) + tuple(range(1, i))
 
 
-def _conjugated_odd(w: bytes, i: int, odd1):
-    """odd1 (apply_ebar1 or apply_fbar1) moved from index 1 to index i."""
+def _conjugated_odd(w, i: int, odd1, reflect=weyl_s):
+    """odd1 (ebar1 or fbar1) moved from index 1 to index i, as
+    S_w odd1 S_w^-1 with ``reflect(w, s)`` applying S_s; words by default,
+    and any crystal whose reflection is passed in."""
     rw = _conjugating_word(i)
     for s in reversed(rw):
-        w = weyl_s(w, s)
+        w = reflect(w, s)
     w = odd1(w)
     if w is None:
         return None
     for s in rw:
-        w = weyl_s(w, s)
+        w = reflect(w, s)
     return w
 
 
@@ -188,19 +190,9 @@ def apply_ebar(w: bytes, i: int):
 
 
 def is_gl_highest(w: bytes, n: int) -> bool:
-    """True iff every even raising operator vanishes."""
-    for i in range(1, n):
-        plus = 0
-        j = i + 1
-        for a in w:
-            if a == i:
-                plus += 1
-            elif a == j:
-                if plus:
-                    plus -= 1
-                else:
-                    return False
-    return True
+    """True iff every even raising operator vanishes: no i-signature
+    keeps a "-"."""
+    return not any(_signature(w, i)[1] for i in range(1, n))
 
 
 def is_q_highest(w: bytes, n: int) -> bool:

@@ -32,7 +32,6 @@ from functools import partial
 
 from . import kernel
 from .errors import StructureError
-from .weyl import conjugating_word
 
 ODD = "1bar"
 
@@ -199,28 +198,17 @@ def weyl_s_ops(ops, i, b):
     return b
 
 
-def _conjugated_odd(ops, i, b, odd1):
-    """odd1 (ops.ebar1 or ops.fbar1) moved from index 1 to index i; the
-    conjugating word is empty at i = 1."""
-    rw = conjugating_word(i)
-    for s in reversed(rw):
-        b = weyl_s_ops(ops, s, b)
-    b = odd1(b)
-    if b is None:
-        return None
-    for s in rw:
-        b = weyl_s_ops(ops, s, b)
-    return b
-
-
 def ebar_ops(ops, i, b):
-    """Odd raising operator for any index i through an ops adapter."""
-    return _conjugated_odd(ops, i, b, ops.ebar1)
+    """Odd raising operator for any index i through an ops adapter: the
+    kernel's conjugation, reflecting through ``weyl_s_ops``."""
+    return kernel._conjugated_odd(b, i, ops.ebar1,
+                                  lambda b, s: weyl_s_ops(ops, s, b))
 
 
 def fbar_ops(ops, i, b):
     """Odd lowering operator for any index i through an ops adapter."""
-    return _conjugated_odd(ops, i, b, ops.fbar1)
+    return kernel._conjugated_odd(b, i, ops.fbar1,
+                                  lambda b, s: weyl_s_ops(ops, s, b))
 
 
 def is_highest_weight_ops(ops, b) -> bool:
@@ -322,13 +310,9 @@ def closure(ops, seed) -> CrystalGraph:
 def components(ops, elements) -> list:
     """Split a set of elements into connected components (stable order)."""
     pool = set(elements)
-    order = sorted(
-        pool,
-        key=lambda b: (tuple(-x for x in ops.weight(b)), ops.sort_key(b)),
-    )
     seen = set()
     out = []
-    for b in order:
+    for b in _ordered(ops, pool)[0]:
         if b in seen:
             continue
         comp = closure_set(ops, b)

@@ -6,9 +6,11 @@ kernel's calls among themselves.  ``moves`` gives every arrow of a word
 from one scan, for callers that need them all (``graphs.closure`` and
 reading independence); the per-label ``apply_*`` functions serve callers
 that need one operator, and are ``moves``'s oracle in the tests.
+``_conjugated_odd`` is the one conjugation of ebar1/fbar1 to index i;
+``graphs`` runs it on any crystal by passing that crystal's reflection.
 """
 
-from ._kernel_py import (IMPLEMENTATION, apply_e, apply_ebar, apply_ebar1,
-                         apply_f, apply_fbar, apply_fbar1, eps_phi,
-                         is_gl_highest, is_q_highest, moves, weight_of,
-                         weyl_s)
+from ._kernel_py import (IMPLEMENTATION, _conjugated_odd, apply_e,
+                         apply_ebar, apply_ebar1, apply_f, apply_fbar,
+                         apply_fbar1, eps_phi, is_gl_highest, is_q_highest,
+                         moves, weight_of, weyl_s)

@@ -327,9 +327,10 @@ def residue_check(n: int, N: int) -> dict:
             if ok:
                 residue_edges.add((b, op_key, expected))
                 dst = {t: k for k, t in enumerate(lattice_basis(expected))}
-                records.append(check(
-                    "residue-isomorphism", at,
-                    len(_rref(_rows(cols, dst, Fraction(0)))[1]) == 2 ** N))
+                rank = len(_rref(_rows(cols, dst, Fraction(0)))[1])
+                records.append(check("residue-isomorphism", at,
+                                     rank == 2 ** N,
+                                     {"rank": rank, "expected": 2 ** N}))
         # ktilde_1 preserves each pattern space
         cols, pole = residue_map(lambda v: tilde_k1(v, n), src)
         if pole is not None:

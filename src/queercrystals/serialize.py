@@ -14,10 +14,6 @@ from .tableaux import Tableau, tableau_json
 DOT_ODD_LABEL = "1̄"  # 1 with combining macron, as in the usual figures
 
 
-def label_str(label) -> str:
-    return "1bar" if label == ODD else str(label)
-
-
 def node_payload(node):
     if isinstance(node, bytes):
         return list(node)
@@ -41,7 +37,7 @@ def graph_to_json(graph: CrystalGraph) -> dict:
             for k, b in enumerate(graph.nodes)
         ],
         "edges": [
-            {"src": s, "label": label_str(lab), "dst": d}
+            {"src": s, "label": str(lab), "dst": d}
             for s, lab, d in graph.edges
         ],
     }

@@ -86,10 +86,7 @@ class Tableau:
         return hash(self.entries)
 
     def weight(self, n: int) -> tuple:
-        wt = [0] * n
-        for v in self.entries:
-            wt[v - 1] += 1
-        return tuple(wt)
+        return kernel.weight_of(self.entries, n)
 
 
 def shape_from_partition(parts, n: int | None = None) -> SkewShape:

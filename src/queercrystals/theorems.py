@@ -29,8 +29,7 @@ from .tableaux import (TableauOps, b_lambda, check_strict_partition,
 
 def vector_crystal(n: int):
     """The rank-n letter crystal, as a graph on one-letter words."""
-    words.check_rank(n)
-    return build_graph(WordOps(n), [bytes([a]) for a in range(1, n + 1)])
+    return tensor_power_graph(n, 1)
 
 
 def tensor_power_graph(n: int, N: int):
@@ -172,11 +171,16 @@ def verify_highest_weight_formula(parts, n: int) -> dict:
                           witness={"error": str(exc)})]
         return report(records, instance=instance)
     predicted = set(formula.values())
-    records = [check("highest-weight-formula", instance, actual == predicted)]
+
+    def described(nodes):
+        return [_describe_product_node(product, b)
+                for b in sorted(nodes, key=product.node_index.get)]
+
+    records = [check("highest-weight-formula", instance, actual == predicted,
+                     {"missing": described(predicted - actual),
+                      "extra": described(actual - predicted)})]
     return report(
-        records, instance=instance,
-        enumerated=[_describe_product_node(product, b)
-                    for b in sorted(actual, key=product.node_index.get)],
+        records, instance=instance, enumerated=described(actual),
         formula={str(j): _describe_product_node(product, b)
                  for j, b in sorted(formula.items())},
         count_actual=len(actual), count_predicted=len(predicted))

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from queercrystals import cli
 from queercrystals.cli import main
 from queercrystals.errors import VerificationError
+from queercrystals.graphs import CrystalGraph
+from queercrystals.serialize import graph_to_dot, graph_to_json
 
 # a directory that no test creates: writing below it must fail
 MISSING_DIR = pathlib.Path(__file__).resolve().parent / "no-such-dir"
@@ -102,6 +104,14 @@ def test_dot_and_json_carry_the_same_graph(capsys):
     assert arrows == parsed
 
 
+def test_a_node_of_unknown_type_is_not_serialized():
+    g = CrystalGraph(n=1, kind="word", nodes=(7,), weights=((1,),), arrows=())
+    with pytest.raises(TypeError, match="cannot serialize node 7"):
+        graph_to_json(g)
+    with pytest.raises(TypeError, match="cannot label node 7"):
+        graph_to_dot(g)
+
+
 def test_invalid_shape_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["graph", "--shape", "2,2", "-n", "3"])
@@ -129,6 +139,7 @@ def test_invalid_shape_is_a_usage_error(capsys):
     ["graph", "--shape", "1", "-n", "3", "-o", "."],
     ["verify", "--theorem", "b", "--shape", "1", "-n", "2",
      "-o", str(MISSING_DIR / "x.dot")],
+    ["verify", "--theorem", "b", "-n", "2"],
 ])
 def test_out_of_range_argument_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -61,6 +61,8 @@ def test_components_of_small_tensor_powers():
     assert [len(c) for c in components(WordOps(3), all_words(3, 2))] == [9]
     assert sorted(len(c) for c in
                   components(WordOps(2), all_words(2, 3))) == [2, 6]
+    with pytest.raises(ValueError, match="not closed"):
+        components(WordOps(2), [W(1)])  # f_1 leads to 2
 
 
 def test_components_of_a_single_closure_is_itself():
@@ -295,8 +297,14 @@ def test_isomorphic_distinguishes_sizes():
 def test_isomorphic_rejects_disconnected_or_multi_hw_input():
     g = tensor_power_graph(2, 3)  # two components
     single = closure(WordOps(2), W(1, 1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="connected"):
         isomorphic(g, single)
+    # connected, but no arrow enters either of the first two nodes
+    two_tops = CrystalGraph(n=2, kind="word", nodes=(W(1), W(2), W(3)),
+                            weights=((1, 0), (1, 0), (0, 1)),
+                            arrows=((2, -1, -1), (-1, 2, -1)))
+    with pytest.raises(ValueError, match="unique highest-weight"):
+        isomorphic(two_tops, two_tops)
 
 
 def test_isomorphic_requires_matching_weights():

@@ -146,6 +146,26 @@ def test_q_powers_multiply(k):
     assert RatFunc.q_power(k) == Q ** k if k >= 0 else True
 
 
+def _sympy_expr(x: RatFunc):
+    return _to_sympy(x.num).as_expr() / _to_sympy(x.den).as_expr()
+
+
+@settings(max_examples=100, deadline=None)
+@given(ratfuncs(allow_zero=False), st.integers(min_value=-5, max_value=5),
+       st.integers(min_value=1, max_value=3))
+def test_integer_operands_and_powers_equal_sympy(a, k, m):
+    """k - x, x ** -m and from_int(k) equal sympy's values, and equal
+    values hash alike however they were built."""
+    expr = _sympy_expr(a)
+    assert sympy.cancel(_sympy_expr(k - a) - (k - expr)) == 0
+    assert sympy.cancel(_sympy_expr(a ** -m) - expr ** -m) == 0
+    assert _sympy_expr(RatFunc.from_int(k)) == k
+    assert RatFunc.from_int(k) == k
+    scaled = RatFunc(pmul(a.num, (k or 1, 1)), pmul(a.den, (k or 1, 1)))
+    assert scaled == a and hash(scaled) == hash(a)
+    assert hash(a ** -m * a ** m) == hash(ONE)
+
+
 def test_pmul_agrees_with_int_polynomials():
     assert pmul((1, 1), (1, -1)) == (1, 0, -1)
     assert pmul((), (1, 2)) == ()

@@ -260,5 +260,7 @@ def test_a_residue_map_that_is_not_invertible_fails(monkeypatch):
 
     monkeypatch.setattr(checks, "tilde_fbar1", unbarred)
     rep = residue_check(2, 1)
-    assert [(r["check"], r["instance"]) for r in _failures(rep)] == [
-        ("residue-isomorphism", "n=2 N=1 b=[1] op=fbar1")]
+    assert [(r["check"], r["instance"], r["witness"])
+            for r in _failures(rep)] == [
+        ("residue-isomorphism", "n=2 N=1 b=[1] op=fbar1",
+         {"rank": 1, "expected": 2})]

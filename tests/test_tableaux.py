@@ -69,6 +69,8 @@ def test_readings():
     shape2 = shape_from_partition((2,))
     t2 = Tableau(shape=shape2, entries=(1, 2))  # (1,2)=1, (2,1)=2
     assert reading_word(t2, "row") == word([1, 2])
+    with pytest.raises(ValueError, match="unknown reading"):
+        reading_word(t2, "diagonal")
 
 
 def test_tableau_operator_examples():

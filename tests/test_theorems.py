@@ -102,6 +102,26 @@ def test_a_formula_that_cannot_be_formed_is_a_failed_record(monkeypatch):
         "witness": {"error": "f_1 vanished while forming the formula"}}]
 
 
+def test_a_formula_that_names_the_wrong_node_is_a_failed_record(monkeypatch):
+    """The j = 1 side moved to 2 (x) b_lam: the witness lists the node the
+    formula names but the product lacks as highest, and the one it misses."""
+    real = theorems.highest_weight_formula_side
+
+    def moved(parts, n, graph):
+        side = real(parts, n, graph)
+        side[1] = (bytes([2]), side[1][1])
+        return side
+
+    monkeypatch.setattr(theorems, "highest_weight_formula_side", moved)
+    rep = verify_highest_weight_formula((2,), 2)
+    assert rep["passed"] is False
+    assert rep["records"] == [{
+        "check": "highest-weight-formula", "instance": "n=2 lam=(2,)",
+        "status": "fail",
+        "witness": {"missing": [{"letter": 2, "weight": [2, 1]}],
+                    "extra": [{"letter": 1, "weight": [3, 0]}]}}]
+
+
 def test_highest_weight_formula_examples():
     side = highest_weight_formula_side((1,), 3, crystal_of_shape((1,), 3))
     assert list(side) == [1]

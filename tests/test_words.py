@@ -3,7 +3,8 @@
 import pytest
 
 from queercrystals import (all_words, e_even, ebar, ebar1, eps, f_even, fbar,
-                           fbar1, is_highest_weight, phi, weight_of, word)
+                           fbar1, is_highest_weight, phi, tensor_power_graph,
+                           weight_of, word)
 from queercrystals.words import check_word
 
 
@@ -127,3 +128,5 @@ def test_validation_errors():
         e_even(3, W(1), 3)
     with pytest.raises(ValueError):
         e_even(0, W(1), 3)
+    with pytest.raises(ValueError, match="tensor power must be >= 0"):
+        tensor_power_graph(2, -1)

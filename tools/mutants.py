@@ -1,5 +1,7 @@
-"""Mutation check for the word kernel, the Weyl action, the tableaux and
-the verifiers (check records, the exact checks, graph isomorphism).
+"""Mutation check for the word kernel, the Weyl action, the staircase
+tableaux, the graph layer (tensor, validation, isomorphism), the exact
+side (rational functions, the algebra action, string decompositions) and
+the verifiers (check records, the exact checks).
 
 Each mutant replaces one snippet of one source file by a wrong variant
 and names the test files that must kill it.  It is applied to a fresh
@@ -28,6 +30,11 @@ WORDS = ("tests/test_kernel_oracles.py", "tests/test_weyl.py",
          "tests/test_words.py", "tests/test_tableaux.py")
 CHECKS = ("tests/test_qrep_checks.py",)
 GRAPHS = ("tests/test_graphs.py",)
+LAURENT = ("tests/test_laurent.py",)
+EXACT = ("tests/test_qrep_action.py", "tests/test_qrep_kashiwara.py",
+         "tests/test_qrep_operator_oracle.py") + CHECKS
+# the staircase model, also against the Schur P character oracle
+STAIRCASE = WORDS + ("tests/test_schur_p.py",)
 
 # (file, snippet, replacement, what the mutant breaks, tests that kill it)
 MUTANTS = (
@@ -42,11 +49,11 @@ MUTANTS = (
     (PKG + "_kernel_py.py", "apply_ebar(w, i) is None for i in range(1, n)",
      "apply_ebar(w, i) is None for i in range(2, n)",
      "is_q_highest skips ebar1", WORDS),
-    (PKG + "_kernel_py.py", "for s in reversed(rw):\n        w = weyl_s",
-     "for s in rw:\n        w = weyl_s",
-     "the kernel conjugates by S_w where S_w^-1 belongs", WORDS),
-    (PKG + "graphs.py", "for s in reversed(rw):", "for s in rw:",
-     "the generic conjugation by S_w where S_w^-1 belongs", WORDS),
+    (PKG + "_kernel_py.py", "for s in reversed(rw):", "for s in rw:",
+     "the conjugation by S_w, on words and on stored graphs, applies "
+     "S_w where S_w^-1 belongs", WORDS + GRAPHS),
+    (PKG + "_kernel_py.py", "_signature(w, i)[1]", "_signature(w, i)[0]",
+     "is_gl_highest reads the surviving pluses for the minuses", WORDS),
     (PKG + "words.py", "    return kernel.apply_fbar(w, i)",
      "    return kernel.apply_ebar(w, i)",
      "words.fbar raises instead of lowering", WORDS),
@@ -55,6 +62,19 @@ MUTANTS = (
      "all_words drops the letter n", WORDS),
     (PKG + "tableaux.py", "r + c - parts[0]", "r + c - parts[-1]",
      "b_lambda measures anti-diagonals from the last part", WORDS),
+    (PKG + "tableaux.py", "tuple(list(parts) + [0] * (n - len(parts)))",
+     "tuple([0] * (n - len(parts)) + list(parts))",
+     "b_lambda expects the zero parts of its weight first", STAIRCASE),
+    (PKG + "tableaux.py", "for i in range(d, d + p):",
+     "for i in range(d - (d > 1), d + p - (d > 1)):",
+     "shape_from_partition starts later anti-diagonals a row higher",
+     STAIRCASE),
+    (PKG + "tableaux.py", "key=lambda k: (boxes[k][0], -boxes[k][1])",
+     "key=lambda k: (-boxes[k][0], -boxes[k][1])",
+     "the row reading takes the rows bottom to top", STAIRCASE),
+    (PKG + "tableaux.py", "key=lambda k: (-boxes[k][1], boxes[k][0])",
+     "key=lambda k: (boxes[k][1], boxes[k][0])",
+     "the column reading takes the columns left to right", STAIRCASE),
     (PKG + "tableaux.py",
      "    if label not in all_labels(n):\n"
      "        raise ValueError(", "    if False:\n        raise ValueError(",
@@ -76,7 +96,7 @@ MUTANTS = (
     (PKG + "qrep/checks.py", "ok = support == {expected}",
      "ok = support <= {expected}",
      "a vanished residue passes as the expected target", CHECKS),
-    (PKG + "qrep/checks.py", "[1]) == 2 ** N))", "[1]) >= 2 ** (N - 1)))",
+    (PKG + "qrep/checks.py", "rank == 2 ** N,", "rank >= 2 ** (N - 1),",
      "a residue map of half rank passes as invertible", CHECKS),
     (PKG + "qrep/checks.py", "            if witness is None:\n"
      "                witness = next(",
@@ -84,6 +104,36 @@ MUTANTS = (
      "a nonzero residue of a squared odd operator passes", CHECKS),
     (PKG + "graphs.py", "if a != b:", "if a > b:",
      "isomorphic misses an arrow that only the second graph has", GRAPHS),
+    (PKG + "graphs.py", "phi[c // size] > eps[c % size]",
+     "phi[c // size] >= eps[c % size]",
+     "tensor lowers the left factor when phi_i = eps_i", GRAPHS),
+    (PKG + "graphs.py", "[wb[0] == 0 and wb[1] == 0 for",
+     "[wb[0] == 0 for", "tensor's odd rule reads only wt_1 of the right "
+     "factor", GRAPHS),
+    (PKG + "graphs.py", "if len(targets) != len(set(targets)) or any(",
+     "if any(", "validate skips its partial-matching check", GRAPHS),
+    (PKG + "qrep/laurent.py", "            if c < 0:\n                g = -g",
+     "            if c > 0:\n                g = -g",
+     "a monomial denominator is made negative, not positive", LAURENT),
+    (PKG + "qrep/laurent.py",
+     "g = pcontent(a) if a[-1] > 0 else -pcontent(a)", "g = pcontent(a)",
+     "pgcd keeps a negative leading coefficient", LAURENT),
+    (PKG + "qrep/laurent.py", "if other.num[-1] < 0:",
+     "if other.num[-1] > 0:",
+     "the reciprocal shortcut leaves a negative denominator", LAURENT),
+    (PKG + "qrep/action.py", "if flip and sum(b for _, b in t[:p]) & 1:",
+     "if flip and sum(b for _, b in t[p + 1:]) & 1:",
+     "kbar_1 takes its super sign from the factors to its right", EXACT),
+    (PKG + "qrep/action.py", "{}, {i: -1, i + 1: 1}", "{}, {i: 1, i + 1: -1}",
+     "e_i picks up the inverse power of q from its right", EXACT),
+    (PKG + "qrep/kashiwara.py", "if wt[i - 1] - wt[i] < k:",
+     "if wt[i - 1] - wt[i] <= k:",
+     "string decomposition drops the strings that end at the weight", EXACT),
+    (PKG + "qrep/kashiwara.py", "ONE / gauss_int(m)",
+     "ONE / gauss_int(m - 1)",
+     "the divided power divides by [m-1] instead of [m]", EXACT),
+    (PKG + "qrep/kashiwara.py", "if k != r and c:", "if k > r and c:",
+     "_rref clears below its pivots only", EXACT),
 )
 
 
