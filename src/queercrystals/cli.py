@@ -75,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument("--shape", metavar="PARTS",
                       help="strict partition, e.g. 3,1")
     g.add_argument("-n", "--rank", type=int, required=True)
-    g.add_argument("--reading", choices=("row", "col"),
-                   help="reading word for --shape (default row)")
     g.add_argument("--format", choices=("dot", "json"), default="dot")
     g.add_argument("-o", "--output", metavar="PATH")
     g.set_defaults(handler=cmd_graph, subparser=g)
@@ -110,15 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_graph(args, parser) -> int:
     n = args.rank
-    if args.reading and not args.shape:
-        parser.error("--reading applies only to --shape")
     if args.vector:
         graph = vector_crystal(n)
     elif args.tensor is not None:
         graph = tensor_power_graph(n, args.tensor)
     else:
         parts = _parse_shape(args.shape, parser, n)
-        graph = crystal_of_shape(parts, n, args.reading or "row")
+        graph = crystal_of_shape(parts, n)
     if args.format == "dot":
         _emit(graph_to_dot(graph), args.output, parser)
     else:

@@ -22,9 +22,10 @@ graph's arrays from node index k and returns an index, or None.
 ``closure`` records the arrows while it searches, from one ``moves`` call
 per node (the kernel's one-pass scan on words); ``build_graph`` applies
 f_i and fbar1 to each element of a given set.  Stored graphs are split
-into components (``graph_components``) and tensored (``tensor``) on node
-indices along their arrays; ``components`` splits any element set through
-an ops adapter.
+into components (``graph_components``), compared (``isomorphic``) and
+tensored (``tensor``) on node indices along their arrays, the first two
+by one breadth-first search (``_search``); ``components`` splits any
+element set through an ops adapter.
 """
 
 from dataclasses import dataclass
@@ -66,15 +67,11 @@ class CrystalGraph:
                 len(succ) != len(self.nodes) for succ in self.arrows):
             raise ValueError("need one successor per node for every label")
         object.__setattr__(
-            self, "_index", {b: k for k, b in enumerate(self.nodes)})
+            self, "node_index", {b: k for k, b in enumerate(self.nodes)})
         # label -> successor array, and label -> predecessor array once derived
         object.__setattr__(
             self, "_succ", dict(zip(all_labels(self.n), self.arrows)))
         object.__setattr__(self, "_pred", {})
-
-    @property
-    def node_index(self) -> dict:
-        return self._index
 
     @property
     def edges(self) -> tuple:
@@ -373,6 +370,26 @@ def tensor(left: CrystalGraph, right: CrystalGraph) -> CrystalGraph:
     )
 
 
+def _steps(graph: CrystalGraph) -> list:
+    """The successor arrays, then the predecessor arrays, in label order."""
+    labels = all_labels(graph.n)
+    return list(graph.arrows) + [graph.predecessors(lab) for lab in labels]
+
+
+def _search(steps, start, seen) -> list:
+    """Breadth-first search along index arrays: the indices reached from
+    start, in the order they are met, each marked in ``seen``."""
+    seen[start] = True
+    found = [start]
+    for v in found:
+        for step in steps:
+            u = step[v]
+            if u >= 0 and not seen[u]:
+                seen[u] = True
+                found.append(u)
+    return found
+
+
 def graph_components(graph: CrystalGraph) -> list:
     """Components of a stored graph, split on node indices.
 
@@ -381,27 +398,10 @@ def graph_components(graph: CrystalGraph) -> list:
     out in the parent's (canonical) order.  Components come in the order
     of their first node, and a connected graph is returned as it is.
     """
-    steps = list(graph.arrows)
-    steps += [graph.predecessors(lab) for lab in all_labels(graph.n)]
-    component = [-1] * len(graph)
-    members = []
-    for start in range(len(graph)):
-        if component[start] >= 0:
-            continue
-        c = len(members)
-        component[start] = c
-        found = [start]
-        todo = [start]
-        while todo:
-            v = todo.pop()
-            for step in steps:
-                u = step[v]
-                if u >= 0 and component[u] < 0:
-                    component[u] = c
-                    found.append(u)
-                    todo.append(u)
-        found.sort()
-        members.append(found)
+    steps = _steps(graph)
+    seen = [False] * len(graph)
+    members = [sorted(_search(steps, start, seen))
+               for start in range(len(graph)) if not seen[start]]
     if len(members) == 1:
         return [graph]
     # local[k] is node k's index in its component; local[-1] keeps -1
@@ -456,43 +456,32 @@ def validate(graph: CrystalGraph) -> None:
 def isomorphic(g1: CrystalGraph, g2: CrystalGraph):
     """Label- and weight-preserving isomorphism of connected crystals.
 
-    Both graphs must be connected with exactly one highest-weight node;
-    the map is grown from the highest-weight pair along the stored arrays.
-    Returns a node mapping, or None when the graphs are not isomorphic.
+    Both graphs must be connected with exactly one highest-weight node.
+    Each is searched from that node, along its arrays in label order; the
+    graphs are isomorphic exactly when, node for node, the two searches
+    meet the same weight and the same arrows, read as search ranks.
+    Returns the node mapping, or None when the graphs are not isomorphic.
     """
-    tops = []
+    searches = []
     for g in (g1, g2):
-        if len(graph_components(g)) != 1:
-            raise ValueError("isomorphic() needs connected graphs")
         hw = highest_weight_nodes(g)
+        steps = _steps(g)
+        # the search reaches every node just when g is connected
+        seen = [False] * len(g)
+        order = _search(steps, g.node_index[hw[0]], seen) if hw else []
+        if hw and len(order) != len(g):
+            raise ValueError("isomorphic() needs connected graphs")
         if len(hw) != 1:
             raise ValueError("isomorphic() needs a unique highest-weight node")
-        tops.append(g.node_index[hw[0]])
-    if len(g1) != len(g2):
+        # rank[k] is node k's place in the search; rank[-1] keeps -1
+        rank = [0] * len(g) + [-1]
+        for r, k in enumerate(order):
+            rank[k] = r
+        # the weights met, then each label's arrows, in search order
+        met = [[g.weights[k] for k in order]]
+        met += [[rank[step[k]] for k in order] for step in steps]
+        searches.append((order, met))
+    (order1, met1), (order2, met2) = searches
+    if met1 != met2:
         return None
-    h1, h2 = tops
-    steps = list(zip(g1.arrows, g2.arrows))
-    steps += [(g1.predecessors(lab), g2.predecessors(lab))
-              for lab in all_labels(g1.n)]
-    image = [-1] * len(g1)
-    image[h1] = h2
-    todo = [h1]
-    while todo:
-        v = todo.pop()
-        w = image[v]
-        if g1.weights[v] != g2.weights[w]:
-            return None
-        for t1, t2 in steps:
-            a, b = t1[v], t2[w]
-            if a < 0 or b < 0:
-                if a != b:
-                    return None
-            elif image[a] < 0:
-                image[a] = b
-                todo.append(a)
-            elif image[a] != b:
-                return None
-    # every node reached, and no two sent to one: arrows map both ways
-    if len(set(image) - {-1}) != len(g1):
-        return None
-    return {g1.nodes[a]: g2.nodes[b] for a, b in enumerate(image)}
+    return {g1.nodes[a]: g2.nodes[b] for a, b in sorted(zip(order1, order2))}

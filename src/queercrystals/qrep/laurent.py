@@ -265,6 +265,8 @@ class RatFunc:
     def __rtruediv__(self, other):
         # 1 / x takes the reciprocal shortcut of ONE / x: no new RatFunc 1
         other = ONE if other == 1 else RatFunc._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return other / self
 
     def __pow__(self, k: int):

@@ -8,11 +8,11 @@ this is the staircase with row lengths 1,2,3,4,4,3,2 and 19 boxes.
 Semistandard fillings (rows weakly increasing, columns strictly
 increasing, entries 1..n) are mapped into words by an admissible reading,
 and the word operators pull back to tableau operators.  Two readings are
-provided; they induce the same tableau operators, which the test suite
-checks exhaustively.
+provided; they induce the same tableau operators, which
+``theorems.verify_reading_independence`` checks on every filling.
 
-Tableau crystal graphs are built on the reading words with the kernel's
-word operators, with nodes ordered by the tableau's canonical key
+Tableau crystal graphs are built on the row-reading words with the
+kernel's word operators, with nodes ordered by the tableau's canonical key
 (weight, then entries in box order).  Each node is then decoded once
 into a ``Tableau``, and decoding checks that it is semistandard; every
 operator result is a node, so every result is checked.  ``TableauOps``
@@ -52,6 +52,11 @@ def check_strict_partition(parts, n: int) -> Parts:
     if len(parts) > n:
         raise ValueError(f"{parts} has more than {n} parts")
     return parts
+
+
+def partition_weight(parts, n: int) -> tuple:
+    """A partition as a weight: its parts padded with zeros to length n."""
+    return tuple(list(parts) + [0] * (n - len(parts)))
 
 
 def strict_partitions(max_size: int, n: int):
@@ -249,8 +254,7 @@ def _decoded(ops: TableauOps, words: CrystalGraph) -> CrystalGraph:
                         weights=words.weights, arrows=words.arrows)
 
 
-def tableau_operator(direction: str, label, t: Tableau, n: int,
-                     reading: str = "row"):
+def tableau_operator(direction: str, label, t: Tableau, n: int):
     """Apply one operator (direction "e"/"f", label 1..n-1 or "1bar") to a
     tableau with entries in 1..n."""
     if direction not in ("e", "f"):
@@ -258,7 +262,7 @@ def tableau_operator(direction: str, label, t: Tableau, n: int,
     if label not in all_labels(n):
         raise ValueError(f"label {label!r} is not one of {all_labels(n)}")
     check_word(t.entries, n)
-    ops = TableauOps(t.shape, n, reading)
+    ops = TableauOps(t.shape, n)
     if label == ODD:
         return ops.ebar1(t) if direction == "e" else ops.fbar1(t)
     return ops.e(label, t) if direction == "e" else ops.f(label, t)
@@ -271,15 +275,14 @@ def b_lambda(parts, n: int) -> Tableau:
     raising operators; any violation raises, since it would contradict
     the structure this tableau is defined to carry.
     """
-    parts = check_strict_partition(parts, n)
     shape = shape_from_partition(parts, n)
+    parts = shape.partition
     # box (r, c) lies on anti-diagonal d = r + c - lam_1
     t = Tableau(shape=shape,
                 entries=tuple(r + c - parts[0] for r, c in shape.boxes))
     if not is_semistandard(shape, t.entries):
         raise VerificationError(f"canonical tableau of {parts} not semistandard")
-    expected = tuple(list(parts) + [0] * (n - len(parts)))
-    if t.weight(n) != expected:
+    if t.weight(n) != partition_weight(parts, n):
         raise VerificationError(f"canonical tableau of {parts} has wrong weight")
     if not kernel.is_q_highest(reading_word(t), n):
         raise VerificationError(
@@ -287,23 +290,21 @@ def b_lambda(parts, n: int) -> Tableau:
     return t
 
 
-def crystal_of_shape(parts, n: int, reading: str = "row"):
+def crystal_of_shape(parts, n: int):
     """Connected crystal of the highest weight lam, on staircase tableaux.
 
     This is the component of ``b_lambda`` inside the full filling set; see
     the module docstring for why the full set may be larger.
     """
-    parts = check_strict_partition(parts, n)
     t = b_lambda(parts, n)
-    ops = TableauOps(t.shape, n, reading)
+    ops = TableauOps(t.shape, n)
     return _decoded(ops, closure(_ReadingWordOps(ops), ops.encode(t)))
 
 
-def full_ssyt_graph(parts, n: int, reading: str = "row"):
+def full_ssyt_graph(parts, n: int):
     """Crystal graph on every semistandard filling of the staircase."""
-    parts = check_strict_partition(parts, n)
     shape = shape_from_partition(parts, n)
-    ops = TableauOps(shape, n, reading)
+    ops = TableauOps(shape, n)
     fillings = [ops.encode(t) for t in enumerate_ssyt(shape, n)]
     return _decoded(ops, build_graph(_ReadingWordOps(ops), fillings))
 

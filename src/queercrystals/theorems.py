@@ -24,7 +24,8 @@ from .graphs import (WordOps, build_graph, fbar_ops, graph_components,
                      highest_weight_nodes, isomorphic, tensor, validate)
 from .reports import check, record, report
 from .tableaux import (TableauOps, b_lambda, check_strict_partition,
-                       crystal_of_shape, enumerate_ssyt, shape_from_partition)
+                       crystal_of_shape, enumerate_ssyt, partition_weight,
+                       shape_from_partition)
 
 
 def vector_crystal(n: int):
@@ -40,10 +41,6 @@ def tensor_power_graph(n: int, N: int):
     return build_graph(WordOps(n), list(words.all_words(n, N)))
 
 
-def partition_weight(parts, n: int) -> tuple:
-    return tuple(list(parts) + [0] * (n - len(parts)))
-
-
 def strict_successors(parts, n: int) -> list:
     """Pairs (j, lam + eps_j) for which lam + eps_j is a strict partition."""
     parts = check_strict_partition(parts, n)
@@ -51,9 +48,7 @@ def strict_successors(parts, n: int) -> list:
     for j in range(1, n + 1):
         mu = list(partition_weight(parts, n))
         mu[j - 1] += 1
-        decreasing = all(mu[k] >= mu[k + 1] for k in range(n - 1))
-        strict = all(mu[k] > mu[k + 1] for k in range(n - 1) if mu[k + 1] > 0)
-        if decreasing and strict:
+        if all(mu[k] > mu[k + 1] for k in range(n - 1) if mu[k + 1] > 0):
             out.append((j, tuple(x for x in mu if x > 0)))
     return out
 

@@ -52,6 +52,7 @@ def _check_even_index(i: int, n: int) -> None:
 
 def weight_of(w: Word, n: int) -> tuple:
     """Weight vector: entry j counts occurrences of the letter j."""
+    check_word(w, n)
     return kernel.weight_of(w, n)
 
 
@@ -107,6 +108,7 @@ def fbar(i: int, w: Word, n: int):
 
 def is_highest_weight(w: Word, n: int) -> bool:
     """True iff all raising operators e_i and ebar_i (i = 1..n-1) vanish."""
+    check_word(w, n)
     return kernel.is_q_highest(w, n)
 
 

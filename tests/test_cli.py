@@ -135,7 +135,7 @@ def test_invalid_shape_is_a_usage_error(capsys):
     ["verify", "--qrep", "residue", "-n", "2", "-N", "1", "--shape", "5"],
     ["verify", "--qrep", "comult", "-n", "2", "-N", "7"],
     ["verify", "--theorem", "b", "--shape", "2,1", "-n", "3", "-N", "0"],
-    ["graph", "--tensor", "3", "-n", "2", "--reading", "col"],
+    ["graph", "--tensor", "-1", "-n", "2"],
     ["graph", "--shape", "1", "-n", "3", "-o", "."],
     ["verify", "--theorem", "b", "--shape", "1", "-n", "2",
      "-o", str(MISSING_DIR / "x.dot")],
@@ -243,6 +243,10 @@ def test_verify_qrep_relations(capsys):
                     "-N", "1")
     assert code == 0
     assert json.loads(out)["passed"] is True
+    # without -N the tensor power is 2
+    code, out = run(capsys, "verify", "--qrep", "relations", "-n", "1")
+    assert code == 0
+    assert json.loads(out)["N"] == 2
 
 
 def test_verify_remaining_selectors(capsys):
@@ -294,7 +298,6 @@ OPTIONS = {
         [st.just(("--vector",)), option("--tensor", POWERS),
          option("--shape", SHAPES)],
         [(9, option("-n", RANKS)),
-         (3, option("--reading", mostly(["row", "col"], ["diag"]))),
          (3, option("--format", mostly(["dot", "json"], ["xml"])))]),
     "verify": (
         [option("--theorem", mostly(["b", "c", "e3"], ["z"])),

@@ -80,7 +80,7 @@ def test_graph_components_equal_the_generic_split():
         tensor_power_graph(2, 4),
         tensor_power_graph(3, 3),
         full_ssyt_graph((3,), 2),
-        full_ssyt_graph((3, 1), 3, "col"),
+        full_ssyt_graph((3, 1), 3),
         tensor(vector_crystal(3), crystal_of_shape((2, 1), 3)),
     ]
     for g in cases:

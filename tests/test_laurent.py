@@ -81,7 +81,16 @@ def test_basic_values():
     assert Q * (ONE / Q) == ONE
     assert RatFunc((1,), (-1,)) == RatFunc((-1,))
     assert not ZERO
+    assert repr(ZERO) == "0"
     assert RatFunc.q_power(-2) * RatFunc.q_power(2) == ONE
+    with pytest.raises(AttributeError, match="immutable"):
+        Q.num = (1,)
+    # only integers combine with a RatFunc, on either side
+    assert Q != "q"
+    for combine in (lambda x: Q + x, lambda x: Q - x, lambda x: x - Q,
+                    lambda x: Q * x, lambda x: Q / x, lambda x: x / Q):
+        with pytest.raises(TypeError):
+            combine("q")
 
 
 def test_normal_form_invariants():
@@ -89,6 +98,7 @@ def test_normal_form_invariants():
     assert x.num == (-1, 1) and x.den == (0, 2)
     assert x.den[-1] > 0
     assert pgcd(x.num, x.den) == (1,)
+    assert pgcd((), ()) == ()
 
 
 def test_gauss_integers():

@@ -24,13 +24,10 @@ PINNED = {
     "tensor_power_graph(3, 3)": (
         "bb8ac61eb27305aef936e67e3e8f52d550df16f59049621b6592158120efa4d9",
         "d1b06c7275ad4abc71491ec2c19311734aae3bea84ba0356e172e34c43363f96"),
-    "crystal_of_shape((3, 1), 4, 'row')": (
+    "crystal_of_shape((3, 1), 4)": (
         "41118fc6a71faa120a30549998b148122cc932fd33eb7fbc03ef476dd0e0d268",
         "a714ff8d35bdb8eb0bf06dd97fb4051402301b659cdbb8c4978f180baf239336"),
-    "crystal_of_shape((3, 1), 4, 'col')": (
-        "41118fc6a71faa120a30549998b148122cc932fd33eb7fbc03ef476dd0e0d268",
-        "a714ff8d35bdb8eb0bf06dd97fb4051402301b659cdbb8c4978f180baf239336"),
-    "crystal_of_shape((4, 2, 1), 4, 'col')": (
+    "crystal_of_shape((4, 2, 1), 4)": (
         "5df429f85a1d6c1f8246619ae55f5dd7986ec3055985acd70a6fdde21d66c340",
         "153261e2f0b18bf1393da9eafd937e5a4c6bdc799d2f810063db8a68aefcb363"),
     "full_ssyt_graph((2, 1), 3)": (
@@ -57,11 +54,8 @@ def sha(text: str) -> str:
 
 def pinned_graphs():
     yield "tensor_power_graph(3, 3)", tensor_power_graph(3, 3)
-    for reading in ("row", "col"):
-        yield (f"crystal_of_shape((3, 1), 4, {reading!r})",
-               crystal_of_shape((3, 1), 4, reading))
-    yield ("crystal_of_shape((4, 2, 1), 4, 'col')",
-           crystal_of_shape((4, 2, 1), 4, "col"))
+    yield "crystal_of_shape((3, 1), 4)", crystal_of_shape((3, 1), 4)
+    yield "crystal_of_shape((4, 2, 1), 4)", crystal_of_shape((4, 2, 1), 4)
     yield "full_ssyt_graph((2, 1), 3)", full_ssyt_graph((2, 1), 3)
     yield ("tensor(crystal_of_shape((2, 1), 3), vector_crystal(3))",
            tensor(crystal_of_shape((2, 1), 3), vector_crystal(3)))

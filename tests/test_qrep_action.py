@@ -1,9 +1,11 @@
 """Generator action on V and tensor powers: tables, signs, weights."""
 
-from queercrystals.qrep.action import act_on_tensor
-from queercrystals.qrep.laurent import ONE, Q, RatFunc
+import pytest
+
+from queercrystals.qrep.action import act_on_tensor, act_prim
+from queercrystals.qrep.laurent import ONE, Q, ZERO, RatFunc
 from queercrystals.qrep.tensorspace import (basis, tensor_weight, unit,
-                                            vec_sub)
+                                            vec_scale, vec_sub)
 
 
 def v(*symbols):
@@ -40,6 +42,10 @@ def test_action_table_on_v():
     ]
     for g, t, expected in cases:
         assert act_on_tensor(g, unit(t), n) == expected, (g, t)
+    with pytest.raises(ValueError, match="unknown symbol"):
+        act_prim(("kbar2",), unit(v(2)))
+    with pytest.raises(ValueError, match="unknown generator"):
+        act_on_tensor(("k", 1), unit(v(1)), n)
 
 
 def test_full_action_table_is_weight_homogeneous():
@@ -133,3 +139,4 @@ def test_identity_of_weight_zero_qh():
 def test_vec_sub_strips_zeros():
     a = {v(1): ONE}
     assert vec_sub(a, a) == {}
+    assert vec_scale(ZERO, a) == {}

@@ -264,3 +264,23 @@ def test_a_residue_map_that_is_not_invertible_fails(monkeypatch):
             for r in _failures(rep)] == [
         ("residue-isomorphism", "n=2 N=1 b=[1] op=fbar1",
          {"rank": 1, "expected": 2})]
+
+
+def test_a_lattice_basis_that_misses_a_tensor_fails(monkeypatch):
+    """lattice-dimension compares lattice_basis(b) with the basis tensors
+    of pattern b, so a dropped tensor fails, and so does one of another
+    pattern in its place, although that keeps the size 2^N."""
+    real = checks.lattice_basis
+
+    def swapped(b):
+        """The first tensor's first letter swapped for the other one."""
+        first, *rest = real(b)
+        return rest + [((3 - first[0][0], 0),) + first[1:]]
+
+    for broken in (lambda b: real(b)[1:], swapped):
+        monkeypatch.setattr(checks, "lattice_basis", broken)
+        rep = residue_check(2, 2)
+        failed = [r["instance"] for r in _failures(rep)
+                  if r["check"] == "lattice-dimension"]
+        assert failed == [f"n=2 N=2 b={b}"
+                          for b in ([1, 1], [1, 2], [2, 1], [2, 2])]

@@ -160,6 +160,9 @@ def test_rejects_non_weight_vectors():
                lambda: tilde_e(1, mixed, n), lambda: tilde_f(1, mixed, n)):
         with pytest.raises(ValueError):
             fn()
+    # the zero vector has no weight either, and maps to zero
+    assert string_decomposition({}, 1, n) == []
+    assert tilde_e(1, {}, n) == {} and tilde_f(1, {}, n) == {}
 
 
 def test_odd_nilpotence_is_exact_only_at_q_zero():

@@ -81,6 +81,10 @@ def test_tableau_operator_examples():
     odd = tableau_operator("f", ODD, ones, 2)
     assert odd.entries == (1, 2)  # the other box
     assert tableau_operator("e", 1, ones, 2) is None
+    # rank 1 has no odd operators
+    single = b_lambda((1,), 1)
+    ops = TableauOps(single.shape, 1)
+    assert ops.ebar1(single) is None and ops.fbar1(single) is None
     # b_(3,2,1) at rank 3 holds the letter 3, which rank 2 does not have
     with pytest.raises(ValueError, match="out of range"):
         tableau_operator("f", 1, b_lambda((3, 2, 1), 3), 2)
@@ -103,6 +107,8 @@ def test_tableau_operator_rejects_broken_fillings():
     ops = TableauOps(shape, 3)
     with pytest.raises(StructureError):
         ops.decode(word([3, 2, 1]))  # column would not increase
+    with pytest.raises(StructureError):
+        ops.decode(word([1, 2, 3]))  # row (2, 1), (2, 2) would decrease
 
 
 def test_b_lambda_examples():
@@ -148,11 +154,12 @@ def test_canonical_tableau_is_the_only_hw_of_its_weight_in_the_full_set():
 
 def test_operator_stability_never_breaks_semistandardness():
     # building the graph raises StructureError if an operator ever leaves
-    # the filling set
+    # the filling set, under either reading
     for n in (2, 3):
         for lam in strict_partitions(5, n):
-            full_ssyt_graph(lam, n, "row")
-            full_ssyt_graph(lam, n, "col")
+            full_ssyt_graph(lam, n)
+            shape = shape_from_partition(lam, n)
+            build_graph(TableauOps(shape, n, "col"), enumerate_ssyt(shape, n))
 
 
 def graph_fields(g):
@@ -160,15 +167,16 @@ def graph_fields(g):
 
 
 def test_crystal_of_shape_equals_the_generic_closure_on_tableaux():
-    # the generic closure over TableauOps, one operator at a time, is the
-    # oracle for the recording closure on reading words
+    # the generic closure over TableauOps, one operator at a time and
+    # under either reading, is the oracle for the recording closure on
+    # row-reading words
     for n in (1, 2, 3, 4):
         for lam in strict_partitions(6, n):
             t = b_lambda(lam, n)
+            got = crystal_of_shape(lam, n)
             for reading in ("row", "col"):
                 ops = TableauOps(t.shape, n, reading)
                 oracle = build_graph(ops, closure_set(ops, t))
-                got = crystal_of_shape(lam, n, reading)
                 assert graph_fields(got) == graph_fields(oracle), \
                     (n, lam, reading)
 
@@ -177,10 +185,10 @@ def test_full_ssyt_graph_equals_the_generic_build_on_tableaux():
     for n in (1, 2, 3, 4):
         for lam in strict_partitions(6, n):
             shape = shape_from_partition(lam, n)
+            got = full_ssyt_graph(lam, n)
             for reading in ("row", "col"):
                 oracle = build_graph(TableauOps(shape, n, reading),
                                      enumerate_ssyt(shape, n))
-                got = full_ssyt_graph(lam, n, reading)
                 assert graph_fields(got) == graph_fields(oracle), \
                     (n, lam, reading)
 

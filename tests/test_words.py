@@ -5,7 +5,7 @@ import pytest
 from queercrystals import (all_words, e_even, ebar, ebar1, eps, f_even, fbar,
                            fbar1, is_highest_weight, phi, tensor_power_graph,
                            weight_of, word)
-from queercrystals.words import check_word
+from queercrystals.words import check_word, letters
 
 
 def W(*letters):
@@ -13,6 +13,7 @@ def W(*letters):
 
 
 def test_weight_of_examples():
+    assert letters(W(1, 3)) == (1, 3)
     assert weight_of(W(), 3) == (0, 0, 0)
     assert weight_of(W(1, 3), 3) == (1, 0, 1)
     assert weight_of(W(1, 1), 3) == (2, 0, 0)
@@ -130,3 +131,9 @@ def test_validation_errors():
         e_even(0, W(1), 3)
     with pytest.raises(ValueError, match="tensor power must be >= 0"):
         tensor_power_graph(2, -1)
+    # letters outside 1..n, below it and above it
+    for bad in (W(0, 1), W(7)):
+        with pytest.raises(ValueError, match="out of range"):
+            weight_of(bad, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        is_highest_weight(W(5), 3)

@@ -1,6 +1,7 @@
 """Mutation check for the word kernel, the Weyl action, the staircase
-tableaux, the graph layer (tensor, validation, isomorphism), the exact
-side (rational functions, the algebra action, string decompositions) and
+tableaux, the graph layer (search, components, tensor, validation,
+isomorphism), serialization, the CLI, the exact side (rational functions,
+basis tensors and vectors, the algebra action, string decompositions) and
 the verifiers (check records, the exact checks).
 
 Each mutant replaces one snippet of one source file by a wrong variant
@@ -30,6 +31,7 @@ WORDS = ("tests/test_kernel_oracles.py", "tests/test_weyl.py",
          "tests/test_words.py", "tests/test_tableaux.py")
 CHECKS = ("tests/test_qrep_checks.py",)
 GRAPHS = ("tests/test_graphs.py",)
+CLI = ("tests/test_cli.py",)
 LAURENT = ("tests/test_laurent.py",)
 EXACT = ("tests/test_qrep_action.py", "tests/test_qrep_kashiwara.py",
          "tests/test_qrep_operator_oracle.py") + CHECKS
@@ -60,11 +62,16 @@ MUTANTS = (
     (PKG + "words.py", "product(range(1, n + 1), repeat=length)",
      "product(range(1, n), repeat=length)",
      "all_words drops the letter n", WORDS),
+    (PKG + "words.py",
+     "    check_word(w, n)\n    return kernel.weight_of(w, n)",
+     "    return kernel.weight_of(w, n)",
+     "weight_of counts a letter outside 1..n as another one", WORDS),
     (PKG + "tableaux.py", "r + c - parts[0]", "r + c - parts[-1]",
      "b_lambda measures anti-diagonals from the last part", WORDS),
     (PKG + "tableaux.py", "tuple(list(parts) + [0] * (n - len(parts)))",
      "tuple([0] * (n - len(parts)) + list(parts))",
-     "b_lambda expects the zero parts of its weight first", STAIRCASE),
+     "partition_weight puts the zero parts first, for b_lambda and the "
+     "theorems alike", STAIRCASE),
     (PKG + "tableaux.py", "for i in range(d, d + p):",
      "for i in range(d - (d > 1), d + p - (d > 1)):",
      "shape_from_partition starts later anti-diagonals a row higher",
@@ -93,6 +100,10 @@ MUTANTS = (
     (PKG + "qrep/checks.py", 'for kind in ("e", "f")]',
      'for kind in ("f", "e")]',
      "the word arrows e_i and f_i trade keys", CHECKS),
+    (PKG + "qrep/checks.py", "ok = set(src) == spans[b]",
+     "ok = len(src) == len(spans[b])",
+     "lattice-dimension compares sizes only, so a wrong tensor passes",
+     CHECKS),
     (PKG + "qrep/checks.py", "ok = support == {expected}",
      "ok = support <= {expected}",
      "a vanished residue passes as the expected target", CHECKS),
@@ -102,8 +113,15 @@ MUTANTS = (
      "                witness = next(",
      "            if False:\n                witness = next(",
      "a nonzero residue of a squared odd operator passes", CHECKS),
-    (PKG + "graphs.py", "if a != b:", "if a > b:",
-     "isomorphic misses an arrow that only the second graph has", GRAPHS),
+    (PKG + "graphs.py", "if met1 != met2:", "if met1[0] != met2[0]:",
+     "isomorphic compares the weights its searches meet, not the arrows",
+     GRAPHS),
+    (PKG + "graphs.py", "    seen[start] = True", "    seen[start] = False",
+     "_search leaves its start unmarked, so an arrow back meets it again",
+     GRAPHS),
+    (PKG + "graphs.py", "local[k] = j", "local[k] = k",
+     "graph_components keeps the parent's indices in a component's arrows",
+     GRAPHS),
     (PKG + "graphs.py", "phi[c // size] > eps[c % size]",
      "phi[c // size] >= eps[c % size]",
      "tensor lowers the left factor when phi_i = eps_i", GRAPHS),
@@ -112,6 +130,17 @@ MUTANTS = (
      "factor", GRAPHS),
     (PKG + "graphs.py", "if len(targets) != len(set(targets)) or any(",
      "if any(", "validate skips its partial-matching check", GRAPHS),
+    (PKG + "serialize.py", "style=dashed];", "style=dotted];",
+     "DOT draws an odd arrow dotted, not dashed", CLI),
+    (PKG + "cli.py", "N = 2 if args.power is None",
+     "N = 1 if args.power is None",
+     "verify --qrep takes N = 1 when -N is not given", CLI),
+    (PKG + "qrep/tensorspace.py", "sum(s for _, s in t) & 1",
+     "sum(s for _, s in t[1:]) & 1",
+     "parity skips the first factor's bar", EXACT),
+    (PKG + "qrep/tensorspace.py", "    if s:\n        out[t] = s",
+     "    if True:\n        out[t] = s",
+     "vec_add keeps a coefficient that sums to zero", EXACT),
     (PKG + "qrep/laurent.py", "            if c < 0:\n                g = -g",
      "            if c > 0:\n                g = -g",
      "a monomial denominator is made negative, not positive", LAURENT),
