@@ -9,16 +9,24 @@ Even operators use the signature rule: each letter contributes "+" when it
 equals i and "-" when it equals i+1, adjacent "+-" pairs cancel
 iteratively, and the raising operator edits the letter owning the
 rightmost surviving "-" while the lowering operator edits the leftmost
-surviving "+".  ``moves`` gives every label's result from one pass: a
-letter a is "+" for the label a and "-" for the label a-1, so one scan
-keeps the signature of every label at once.  The simple reflection S_i
-comes from one signature too: it writes -^a +^b over the surviving
--^b +^a.  The odd pair ebar1/fbar1 flips the rightmost letter in {1, 2},
-and ebar_i/fbar_i for every i conjugate that pair by S_w with
+surviving "+".  Each Kashiwara operator changes exactly one letter,
+and ``_put`` is that one edit.  ``moves`` gives every label's result
+from one pass: a letter a is "+" for the label a and "-" for the label
+a-1, so one scan keeps the signature of every label at once.  The simple
+reflection S_i comes from one signature too: it writes -^a +^b over the
+surviving -^b +^a.  The odd pair ebar1/fbar1 flips the rightmost letter
+in {1, 2}, and ebar_i/fbar_i for every i conjugate that pair by S_w with
 w = ``_conjugating_word(i)``, the empty word at i = 1.
 """
 
 IMPLEMENTATION = "pure"
+
+_LETTER = tuple(bytes([a]) for a in range(256))
+
+
+def _put(w: bytes, pos: int, letter: int) -> bytes:
+    """The word w with its letter at ``pos`` changed to ``letter``."""
+    return w[:pos] + _LETTER[letter] + w[pos + 1:]
 
 
 def weight_of(w: bytes, n: int) -> tuple:
@@ -56,9 +64,7 @@ def apply_e(w: bytes, i: int):
     plus, minus = _signature(w, i)
     if not minus:
         return None
-    out = bytearray(w)
-    out[minus[-1]] = i
-    return bytes(out)
+    return _put(w, minus[-1], i)
 
 
 def apply_f(w: bytes, i: int):
@@ -66,9 +72,7 @@ def apply_f(w: bytes, i: int):
     plus, minus = _signature(w, i)
     if not plus:
         return None
-    out = bytearray(w)
-    out[plus[0]] = i + 1
-    return bytes(out)
+    return _put(w, plus[0], i + 1)
 
 
 def _flip_odd(w: bytes, letter: int):
@@ -77,9 +81,7 @@ def _flip_odd(w: bytes, letter: int):
         if w[pos] <= 2:
             if w[pos] != letter:
                 return None
-            out = bytearray(w)
-            out[pos] = 3 - letter
-            return bytes(out)
+            return _put(w, pos, 3 - letter)
     return None
 
 
@@ -120,30 +122,14 @@ def moves(w: bytes, n: int) -> tuple:
     down = []
     up = []
     for i in range(1, n):
-        if count[i]:
-            out = bytearray(w)
-            out[bottom[i]] = i + 1
-            down.append(bytes(out))
-        else:
-            down.append(None)
-        if minus[i] >= 0:
-            out = bytearray(w)
-            out[minus[i]] = i
-            up.append(bytes(out))
-        else:
-            up.append(None)
+        down.append(_put(w, bottom[i], i + 1) if count[i] else None)
+        up.append(_put(w, minus[i], i) if minus[i] >= 0 else None)
     if n >= 2:
         pos = max(w.rfind(1), w.rfind(2))
-        fbar1 = ebar1 = None
-        if pos >= 0:
-            out = bytearray(w)
-            out[pos] = 3 - w[pos]
-            if w[pos] == 1:
-                fbar1 = bytes(out)
-            else:
-                ebar1 = bytes(out)
-        down.append(fbar1)
-        up.append(ebar1)
+        flipped = _put(w, pos, 3 - w[pos]) if pos >= 0 else None
+        lowers = pos >= 0 and w[pos] == 1
+        down.append(flipped if lowers else None)
+        up.append(None if lowers else flipped)
     return tuple(down), tuple(up)
 
 

@@ -210,18 +210,8 @@ def fbar_ops(ops, i, b):
 
 def is_highest_weight_ops(ops, b) -> bool:
     """All raising operators e_i, ebar_i (i = 1..n-1) vanish on b."""
-    fast = getattr(ops, "is_highest_weight", None)
-    if fast is not None:
-        return fast(b)
-    for i in even_labels(ops.n):
-        if ops.e(i, b) is not None:
-            return False
-    if ops.n >= 2 and ops.ebar1(b) is not None:
-        return False
-    for i in range(2, ops.n):
-        if ebar_ops(ops, i, b) is not None:
-            return False
-    return True
+    return all(ops.e(i, b) is None and ebar_ops(ops, i, b) is None
+               for i in even_labels(ops.n))
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,6 @@ def relations_catalogue(n: int) -> list:
     def qh(h):
         return op(("qh", tuple(h)))
 
-    def alpha_pairing(i, h):
-        return h[i - 1] - h[i]
-
     e, f, ebar, fbar = ({i: generator_expr((kind, i), n) for i in range(1, n)}
                         for kind in ("e", "f", "ebar", "fbar"))
     kbar = {j: generator_expr(("kbar", j), n) for j in range(1, n + 1)}
@@ -66,6 +63,10 @@ def relations_catalogue(n: int) -> list:
                     rels.append((f"{name} i={i} j={j}", bracket(a[i], b[j]),
                                  diagonal(i) if i == j else zero))
 
+    def commute(name, a, b):
+        """a b = b a."""
+        rels.append((name, compose(a, b), compose(b, a)))
+
     def kbar_shift(i, s):
         """kbar_i q^{s k_{i+1}} - kbar_{i+1} q^{s k_i}."""
         return expr_sum(compose(kbar[i], qh_expr(n, (i + 1, s))),
@@ -76,22 +77,17 @@ def relations_catalogue(n: int) -> list:
         hsum = tuple(x + y for x, y in zip(h1, h2))
         rels.append((f"qh-additivity h1={h1} h2={h2}",
                      compose(qh(h1), qh(h2)), qh(hsum)))
+    # q^h e_i q^-h = q^<h, alpha_i> e_i, and f_i takes the inverse power
     for i in range(1, n):
         for h in h_samples[:2]:
-            rels.append((
-                f"qh-e-commutation i={i} h={h}",
-                compose(compose(qh(h), e[i]), qh(tuple(-x for x in h))),
-                scale(RatFunc.q_power(alpha_pairing(i, h)), e[i])))
-            rels.append((
-                f"qh-f-commutation i={i} h={h}",
-                compose(compose(qh(h), f[i]), qh(tuple(-x for x in h))),
-                scale(RatFunc.q_power(-alpha_pairing(i, h)), f[i])))
+            for kind, gens, sign in (("e", e, 1), ("f", f, -1)):
+                rels.append((
+                    f"qh-{kind}-commutation i={i} h={h}",
+                    compose(compose(qh(h), gens[i]), qh(tuple(-x for x in h))),
+                    scale(RatFunc.q_power(sign * (h[i - 1] - h[i])),
+                          gens[i])))
     for j in range(1, n + 1):
-        h = h_samples[-1]
-        rels.append((
-            f"qh-kbar-commute j={j}",
-            compose(qh(h), kbar[j]),
-            compose(kbar[j], qh(h))))
+        commute(f"qh-kbar-commute j={j}", qh(h_samples[-1]), kbar[j])
     coeff = ONE / (Q - qinv)
     commutators(("e-f-commutator", e, f, lambda i: expr_sum(
         scale(coeff, qh_expr(n, (i, 1), (i + 1, -1))),
@@ -99,14 +95,8 @@ def relations_catalogue(n: int) -> list:
     for i in range(1, n):
         for j in range(1, n):
             if abs(i - j) > 1:
-                rels.append((
-                    f"e-e-distant-commute i={i} j={j}",
-                    compose(e[i], e[j]),
-                    compose(e[j], e[i])))
-                rels.append((
-                    f"f-f-distant-commute i={i} j={j}",
-                    compose(f[i], f[j]),
-                    compose(f[j], f[i])))
+                commute(f"e-e-distant-commute i={i} j={j}", e[i], e[j])
+                commute(f"f-f-distant-commute i={i} j={j}", f[i], f[j])
             if abs(i - j) == 1:
                 for kind, gens in (("e", e), ("f", f)):
                     rels.append((f"{kind}-serre i={i} j={j}",
@@ -132,14 +122,8 @@ def relations_catalogue(n: int) -> list:
     commutators(("e-fbar-commutator", e, fbar, lambda i: kbar_shift(i, -1)),
                 ("ebar-f-commutator", ebar, f, lambda i: kbar_shift(i, 1)))
     for i in range(1, n):
-        rels.append((
-            f"e-ebar-commute i={i}",
-            compose(e[i], ebar[i]),
-            compose(ebar[i], e[i])))
-        rels.append((
-            f"f-fbar-commute i={i}",
-            compose(f[i], fbar[i]),
-            compose(fbar[i], f[i])))
+        commute(f"e-ebar-commute i={i}", e[i], ebar[i])
+        commute(f"f-fbar-commute i={i}", f[i], fbar[i])
     for i in range(1, n - 1):
         rels.append((f"e-braid-odd i={i}", bracket(e[i], e[i + 1], Q),
                      bracket(ebar[i], ebar[i + 1], -Q)))

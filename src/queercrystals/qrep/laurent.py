@@ -206,6 +206,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant equals its integer, so it must hash as that integer
+        if self.den == (1,) and len(self.num) <= 1:
+            return hash(sum(self.num))
         return hash((self.num, self.den))
 
     def __add__(self, other):

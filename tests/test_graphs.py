@@ -7,7 +7,8 @@ from queercrystals import (ODD, CrystalGraph, WordOps, all_words, closure,
                            highest_weight_nodes, isomorphic, kernel, tensor,
                            tensor_power_graph, vector_crystal, word)
 from queercrystals.graphs import (all_labels, build_graph, ebar_ops, fbar_ops,
-                                  graph_components, validate, weyl_s_ops)
+                                  graph_components, is_highest_weight_ops,
+                                  validate, weyl_s_ops)
 
 
 def W(*letters):
@@ -183,6 +184,20 @@ def test_highest_weight_detection_agrees_between_routes():
         via_graph = set(highest_weight_nodes(g))
         via_kernel = {w for w in g.nodes if is_highest_weight(w, n)}
         assert via_graph == via_kernel
+
+
+def test_the_adapter_highest_weight_test_is_the_kernels_on_words():
+    """e_i and ebar_i vanish for every i through WordOps exactly where the
+    kernel's is_q_highest holds, on every word of length <= 4, n <= 4."""
+    cases = 0
+    for n in (1, 2, 3, 4):
+        ops = WordOps(n)
+        for length in range(5):
+            for w in all_words(n, length):
+                assert is_highest_weight_ops(ops, w) == \
+                    kernel.is_q_highest(w, n), (n, w)
+                cases += 1
+    assert cases == 498
 
 
 def test_a_stored_graph_answers_operator_calls_as_the_kernel_does():

@@ -176,6 +176,16 @@ def test_integer_operands_and_powers_equal_sympy(a, k, m):
     assert hash(a ** -m * a ** m) == hash(ONE)
 
 
+def test_a_constant_hashes_as_its_integer():
+    """A constant equals its integer, so the two must hash alike: a set or
+    dict key holds them as one."""
+    for k in range(-3, 4):
+        c = RatFunc.from_int(k)
+        assert c == k and hash(c) == hash(k)
+        assert len({c, k}) == 1
+    assert {1: "x"}.get(ONE) == "x"
+
+
 def test_pmul_agrees_with_int_polynomials():
     assert pmul((1, 1), (1, -1)) == (1, 0, -1)
     assert pmul((), (1, 2)) == ()

@@ -3,6 +3,8 @@
 import gc
 import weakref
 
+import pytest
+
 from queercrystals.qrep import checks
 from queercrystals.qrep.action import (Operator, compose, expr_sum,
                                        identity_expr, op)
@@ -80,6 +82,32 @@ def test_commutators_vanish_off_the_diagonal():
         f"n=3 N=1 e-f-commutator i={i} j={j}" for i, j in pairs] + [
         f"n=3 N=1 {name} i={i} j={j}" for i, j in pairs
         for name in ("e-fbar-commutator", "ebar-f-commutator")]
+
+
+@pytest.mark.parametrize("n, swap, family, failing", [
+    (3, {("ebar", 1): ("f", 1), ("ebar", 2): ("f", 2)}, "e-ebar-commute",
+     ["i=1", "i=2"]),
+    (3, {("fbar", 1): ("e", 1), ("fbar", 2): ("e", 2)}, "f-fbar-commute",
+     ["i=1", "i=2"]),
+    (4, {("e", 3): ("f", 1)}, "e-e-distant-commute",
+     ["i=1 j=3", "i=3 j=1"]),
+    (4, {("f", 3): ("e", 1)}, "f-f-distant-commute",
+     ["i=1 j=3", "i=3 j=1"]),
+    (2, {("kbar", 1): ("e", 1), ("kbar", 2): ("e", 1)}, "qh-kbar-commute",
+     ["j=1", "j=2"]),
+])
+def test_each_commuting_family_fails_on_a_pair_that_does_not_commute(
+        monkeypatch, n, swap, family, failing):
+    """A generator swapped for one it does not commute with fails every
+    relation of the family, so neither side of a commuting relation is
+    the other side repeated."""
+    real = checks.generator_expr
+    monkeypatch.setattr(checks, "generator_expr",
+                        lambda g, n: real(swap.get(g, g), n))
+    rep = verify_relations(n, 1, which=family)
+    assert [r["instance"] for r in _failures(rep)] == [
+        f"n={n} N=1 {family} {at}" for at in failing]
+    assert len(rep["records"]) == len(failing)
 
 
 def test_a_false_relation_fails_with_a_witness(monkeypatch):

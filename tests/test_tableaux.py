@@ -8,7 +8,8 @@ from queercrystals import (WordOps, b_lambda, closure, crystal_of_shape,
                            tableau_operator, word)
 from queercrystals.errors import StructureError
 from queercrystals.graphs import (ODD, build_graph, closure_set,
-                                  graph_components, highest_weight_nodes)
+                                  graph_components, highest_weight_nodes,
+                                  is_highest_weight_ops)
 from queercrystals.tableaux import (Tableau, TableauOps,
                                     check_strict_partition, strict_partitions,
                                     tableau_json)
@@ -150,6 +151,21 @@ def test_canonical_tableau_is_the_only_hw_of_its_weight_in_the_full_set():
             hw = [t for t in highest_weight_nodes(g)
                   if g.weights[g.node_index[t]] == target]
             assert hw == [b_lambda(lam, n)]
+
+
+def test_the_adapter_highest_weight_test_on_tableaux():
+    """The generic test through TableauOps, which conjugates ebar1 along
+    e_i/f_i strings of fillings, agrees with the kernel's test on each
+    filling's reading word: every filling of strict lam, |lam| <= 5."""
+    cases = 0
+    for n in (1, 2, 3, 4):
+        for lam in strict_partitions(5, n):
+            ops = TableauOps(shape_from_partition(lam, n), n)
+            for t in enumerate_ssyt(ops.shape, n):
+                assert is_highest_weight_ops(ops, t) == \
+                    ops.is_highest_weight(t), (n, lam, t.entries)
+                cases += 1
+    assert cases == 2474
 
 
 def test_operator_stability_never_breaks_semistandardness():

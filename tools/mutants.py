@@ -1,8 +1,9 @@
 """Mutation check for the word kernel, the Weyl action, the staircase
 tableaux, the graph layer (search, components, tensor, validation,
-isomorphism), serialization, the CLI, the exact side (rational functions,
-basis tensors and vectors, the algebra action, string decompositions) and
-the verifiers (check records, the exact checks).
+isomorphism, the adapters' highest-weight test), serialization, the CLI,
+the exact side (rational functions, basis tensors and vectors, the algebra
+action, string decompositions) and the verifiers (check records, the exact
+checks, the commuting relations).
 
 Each mutant replaces one snippet of one source file by a wrong variant
 and names the test files that must kill it.  It is applied to a fresh
@@ -44,8 +45,12 @@ MUTANTS = (
      "S_i writes one minus too many", WORDS),
     (PKG + "_kernel_py.py", "minus + plus", "plus + minus",
      "S_i rewrites the unmatched positions out of order", WORDS),
-    (PKG + "_kernel_py.py", "out[pos] = 3 - letter", "out[pos] = letter",
+    (PKG + "_kernel_py.py", "_put(w, pos, 3 - letter)",
+     "_put(w, pos, letter)",
      "the odd flip leaves its letter as it was", WORDS),
+    (PKG + "_kernel_py.py", "w[pos + 1:]", "w[pos:]",
+     "the one letter edit inserts its letter instead of replacing one",
+     WORDS),
     (PKG + "_kernel_py.py", "if w[pos] <= 2:", "if w[pos] < 2:",
      "the odd flip looks past a rightmost letter 2", WORDS),
     (PKG + "_kernel_py.py", "apply_ebar(w, i) is None for i in range(1, n)",
@@ -94,6 +99,10 @@ MUTANTS = (
     (PKG + "qrep/checks.py", "diagonal(i) if i == j else zero",
      "diagonal(i) if i <= j else zero",
      "a commutator above the diagonal takes the diagonal term", CHECKS),
+    (PKG + "qrep/checks.py",
+     "rels.append((name, compose(a, b), compose(b, a)))",
+     "rels.append((name, compose(a, b), compose(a, b)))",
+     "a commuting relation compares a b with itself", CHECKS),
     (PKG + "qrep/checks.py", "lambda i: kbar_shift(i, -1)",
      "lambda i: kbar_shift(i, 1)",
      "[e_i, fbar_i] takes the shift of [ebar_i, f_i]", CHECKS),
@@ -122,6 +131,11 @@ MUTANTS = (
     (PKG + "graphs.py", "local[k] = j", "local[k] = k",
      "graph_components keeps the parent's indices in a component's arrows",
      GRAPHS),
+    (PKG + "graphs.py",
+     "ops.e(i, b) is None and ebar_ops(ops, i, b) is None",
+     "ops.e(i, b) is None",
+     "the adapters' highest-weight test ignores the odd raising operators",
+     ("tests/test_graphs.py", "tests/test_tableaux.py")),
     (PKG + "graphs.py", "phi[c // size] > eps[c % size]",
      "phi[c // size] >= eps[c % size]",
      "tensor lowers the left factor when phi_i = eps_i", GRAPHS),
@@ -147,6 +161,9 @@ MUTANTS = (
     (PKG + "qrep/laurent.py",
      "g = pcontent(a) if a[-1] > 0 else -pcontent(a)", "g = pcontent(a)",
      "pgcd keeps a negative leading coefficient", LAURENT),
+    (PKG + "qrep/laurent.py", "if self.den == (1,) and len(self.num) <= 1:",
+     "if False:", "a constant hashes apart from the integer it equals",
+     LAURENT),
     (PKG + "qrep/laurent.py", "if other.num[-1] < 0:",
      "if other.num[-1] > 0:",
      "the reciprocal shortcut leaves a negative denominator", LAURENT),
