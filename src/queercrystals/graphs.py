@@ -3,12 +3,14 @@
 A ``CrystalGraph`` stores the nodes (in a canonical order), their weights,
 and the arrows of the lowering operators f_1..f_{n-1} and fbar1, in one
 form: per label, an array giving each node's successor index, -1 where
-the operator vanishes.  Everything else (the (source, label, target)
-edge list, predecessor arrays, string lengths, components) is derived
-from these arrays on request; a graph keeps its predecessor arrays once
-derived.  Arrows for the conjugated odd operators fbar_i (i >= 2) are
-not stored either: they are determined by the stored structure through
-the Weyl-group action.
+the operator vanishes.  Everything else (the node -> index map, the
+(source, label, target) edge list, predecessor arrays, string lengths,
+components) is derived from these arrays on request; a graph keeps its
+node index and predecessor arrays once derived.  Arrows for the
+conjugated odd operators fbar_i (i >= 2) are not stored either: they are
+determined by the stored structure through the Weyl-group action.
+Graphs, like the tableau types, are immutable slotted values
+(``_Frozen``), compared, hashed and printed by their fields.
 
 Canonical node order: weight descending lexicographically, then a
 kind-specific payload key.  This makes serialization and component
@@ -24,11 +26,11 @@ per node (the kernel's one-pass scan on words); ``build_graph`` applies
 f_i and fbar1 to each element of a given set.  Stored graphs are split
 into components (``graph_components``), compared (``isomorphic``) and
 tensored (``tensor``) on node indices along their arrays, the first two
-by one breadth-first search (``_search``); ``components`` splits any
+by one breadth-first search (``_search``); ``tensor`` orders its pairs
+by one packed integer per summed weight.  ``components`` splits any
 element set through an ops adapter.
 """
 
-from dataclasses import dataclass
 from functools import partial
 
 from . import kernel
@@ -45,33 +47,92 @@ def all_labels(n: int) -> tuple:
     return even_labels(n) + ((ODD,) if n >= 2 else ())
 
 
-@dataclass(frozen=True)
-class CrystalGraph:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """An immutable slotted value, as a frozen dataclass is: ``__init__``
+    sets each field once through ``_set``, and assigning to a field later
+    raises AttributeError.  Two values are equal when they are of one
+    class with equal ``_fields``; a value hashes as the tuple of its
+    fields, prints as ``Name(field=value, ...)`` and is pickled and
+    copied through its constructor."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild a value through its constructor
+        return type(self), self._values()
+
+
+class CrystalGraph(_Frozen):
     """Nodes in canonical order, their weights, and one successor array
     per label: ``arrows[k][s]`` is the index of f(node s) for the k-th
     label of ``all_labels(n)``, or -1 where that operator vanishes.
+    ``node_index`` (node -> index) and the predecessor arrays are derived
+    on first request and kept.
 
     A graph is also an ops adapter on its node indices: ``weight``, ``f``,
     ``e``, ``fbar1``, ``ebar1`` and ``sort_key`` take an index and return
     an index, or None where the operator vanishes, so the generic
     operators (``ebar_ops``, ``fbar_ops``, ``components``) run on it."""
 
+    __slots__ = ("n", "kind", "nodes", "weights", "arrows", "_succ", "_pred",
+                 "_node_index", "__weakref__")
+    _fields = ("n", "kind", "nodes", "weights", "arrows")
     n: int
     kind: str  # "word" | "tableau" | "pair"
     nodes: tuple
     weights: tuple
     arrows: tuple  # one tuple of successor indices per label
 
-    def __post_init__(self):
-        if len(self.arrows) != len(all_labels(self.n)) or any(
-                len(succ) != len(self.nodes) for succ in self.arrows):
+    def __init__(self, n, kind, nodes, weights, arrows):
+        if len(weights) != len(nodes):
+            raise ValueError("need one weight per node")
+        if len(arrows) != len(all_labels(n)) or any(
+                len(succ) != len(nodes) for succ in arrows):
             raise ValueError("need one successor per node for every label")
-        object.__setattr__(
-            self, "node_index", {b: k for k, b in enumerate(self.nodes)})
+        _set(self, "n", n)
+        _set(self, "kind", kind)
+        _set(self, "nodes", nodes)
+        _set(self, "weights", weights)
+        _set(self, "arrows", arrows)
         # label -> successor array, and label -> predecessor array once derived
-        object.__setattr__(
-            self, "_succ", dict(zip(all_labels(self.n), self.arrows)))
-        object.__setattr__(self, "_pred", {})
+        _set(self, "_succ", dict(zip(all_labels(n), arrows)))
+        _set(self, "_pred", {})
+        _set(self, "_node_index", None)
+
+    @property
+    def node_index(self) -> dict:
+        """Node -> index; derived on first request and kept."""
+        index = self._node_index
+        if index is None:
+            index = {b: k for k, b in enumerate(self.nodes)}
+            _set(self, "_node_index", index)
+        return index
 
     @property
     def edges(self) -> tuple:
@@ -310,52 +371,79 @@ def components(ops, elements) -> list:
     return out
 
 
+def _packed(weights, low: int, base: int) -> list:
+    """Each weight as one integer: its entries less ``low`` as digits in
+    ``base``, the first entry most significant."""
+    out = []
+    for w in weights:
+        p = 0
+        for x in w:
+            p = p * base + x - low
+        out.append(p)
+    return out
+
+
 def tensor(left: CrystalGraph, right: CrystalGraph) -> CrystalGraph:
     """Tensor-product crystal of two graphs, on all pairs of nodes.
 
-    The pair (a, b) of node indices is coded a * len(right) + b, so the
-    canonical order (weight descending, then a, then b) sorts codes.  An
-    even f_i acts on the left factor when phi_i(a) > eps_i(b), else on the
-    right; fbar1 acts on the left when the right factor's weight starts
-    (0, 0), else on the right.
+    The pair (a, b) of node indices is coded a * len(right) + b.  Each
+    factor's weights are packed into integers in one base wide enough for
+    the digits of a sum, so the packing adds and orders like the weight
+    tuples, and the canonical order (weight descending, then a, then b)
+    sorts the codes by the negated packed sum, equal keys in code order.
+    An even f_i acts on the left factor when phi_i(a) > eps_i(b), else on
+    the right; fbar1 acts on the left when the right factor's weight
+    starts (0, 0), else on the right.
     """
     if left.n != right.n:
         raise ValueError("tensor factors must share the rank")
     size = len(right)
-    keyed = sorted(
-        (tuple(-x - y for x, y in zip(wa, wb)), a * size + b)
-        for a, wa in enumerate(left.weights)
-        for b, wb in enumerate(right.weights))
-    codes = [c for _, c in keyed]
-    position = [0] * len(codes)
-    for k, c in enumerate(codes):
-        position[c] = k
+    entries = [[x for w in g.weights for x in w] for g in (left, right)]
+    low = [min(xs, default=0) for xs in entries]
+    base = 1 + sum(max(xs, default=0) for xs in entries) - sum(low)
+    packed_right = _packed(right.weights, low[1], base)
+    keys = [-(p + q) for p in _packed(left.weights, low[0], base)
+            for q in packed_right]
+    codes = sorted(range(len(keys)), key=keys.__getitem__)
+    # one weight tuple per distinct key, summed from one pair that has it
+    weight = {}
+    for key, c in dict(zip(keys, range(len(keys)))).items():
+        a, b = divmod(c, size)
+        weight[key] = tuple(x + y for x, y in zip(left.weights[a],
+                                                  right.weights[b]))
+    # position[c] is the place of code c: the inverse permutation
+    position = sorted(range(len(codes)), key=codes.__getitem__)
+    # rows[a][b] is the position of the pair (a, b); rows[a][-1] is -1
+    rows = [position[a * size:(a + 1) * size] + [-1]
+            for a in range(len(left))]
+    vanished = [-1] * size
     arrows = []
     for lab in all_labels(left.n):
         succ_left, succ_right = left.successors(lab), right.successors(lab)
         if lab == ODD:
             zero = [wb[0] == 0 and wb[1] == 0 for wb in right.weights]
-            on_left = (zero[c % size] for c in codes)
+            on_left = [zero] * len(left)
         else:
             phi = _string_lengths(succ_left)
             eps = _string_lengths(right.predecessors(lab))
-            on_left = (phi[c // size] > eps[c % size] for c in codes)
+            by_phi = {p: [p > e for e in eps] for p in set(phi)}
+            on_left = map(by_phi.__getitem__, phi)
+        # the target of every pair, in code order: each row picks, pair by
+        # pair, the left factor's target where left_acts, else the right's
         targets = []
-        for c, left_acts in zip(codes, on_left):
-            a, b = divmod(c, size)
-            if left_acts:
-                d = succ_left[a]
-                targets.append(-1 if d < 0 else position[d * size + b])
-            else:
-                d = succ_right[b]
-                targets.append(-1 if d < 0 else position[a * size + d])
-        arrows.append(tuple(targets))
+        for row, d, left_acts in zip(rows, succ_left, on_left):
+            lowered_right = map(row.__getitem__, succ_right)
+            lowered_left = rows[d] if d >= 0 else vanished
+            targets += map(tuple.__getitem__,
+                           zip(lowered_right, lowered_left), left_acts)
+        arrows.append(tuple(map(targets.__getitem__, codes)))
+    pairs = [(x, y) for x in left.nodes for y in right.nodes]
     return CrystalGraph(
         n=left.n,
         kind="pair",
-        nodes=tuple((left.nodes[c // size], right.nodes[c % size])
-                    for c in codes),
-        weights=tuple(tuple(-x for x in w) for w, _ in keyed),
+        nodes=tuple(map(pairs.__getitem__, codes)),
+        weights=tuple(map(weight.__getitem__,
+                          map(keys.__getitem__, codes))),
         arrows=tuple(arrows),
     )
 

@@ -27,13 +27,12 @@ d), which is the crystal of the irreducible highest weight module with
 highest weight lam; ``full_ssyt_graph`` exposes the whole filling set.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import kernel
 from .errors import StructureError, VerificationError
-from .graphs import (ODD, CrystalGraph, WordOps, all_labels, build_graph,
-                     closure)
+from .graphs import (ODD, CrystalGraph, WordOps, _Frozen, _set, all_labels,
+                     build_graph, closure)
 from .words import check_rank, check_word
 
 Parts = tuple  # strict partition as a tuple of parts
@@ -75,16 +74,31 @@ def strict_partitions(max_size: int, n: int):
     return out
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class SkewShape(_Frozen):
+    __slots__ = _fields = ("partition", "boxes")
     partition: Parts
     boxes: tuple  # (row, col) pairs, row-major order
 
+    def __init__(self, partition, boxes):
+        _set(self, "partition", partition)
+        _set(self, "boxes", boxes)
 
-@dataclass(frozen=True)
-class Tableau:
+
+class Tableau(_Frozen):
+    __slots__ = _fields = ("shape", "entries")
     shape: SkewShape
     entries: tuple  # aligned with shape.boxes
+
+    def __init__(self, shape, entries):
+        _set(self, "shape", shape)
+        _set(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # node lookups compare tableaux of one shape object
+        return self.entries == other.entries and (
+            self.shape is other.shape or self.shape == other.shape)
 
     def __hash__(self):
         # equal tableaux have equal entries; the shape only breaks ties
@@ -191,7 +205,7 @@ class TableauOps:
         return bytes(map(t.entries.__getitem__, self.order))
 
     def decode(self, w: bytes) -> Tableau:
-        entries = tuple(w[p] for p in self.positions)
+        entries = tuple(map(w.__getitem__, self.positions))
         if not is_semistandard(self.shape, entries):
             raise StructureError(
                 f"operator produced a non-semistandard filling {entries} "
@@ -240,7 +254,7 @@ class _ReadingWordOps(WordOps):
         self.positions = ops.positions
 
     def sort_key(self, w):
-        return bytes(w[p] for p in self.positions)
+        return bytes(map(w.__getitem__, self.positions))
 
 
 def _decoded(ops: TableauOps, words: CrystalGraph) -> CrystalGraph:

@@ -224,6 +224,24 @@ def test_package_runs_as_a_module():
     assert proc.stdout.count("->") == 2
 
 
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    # every CLI command pays for what the package imports; dataclasses
+    # alone brought in inspect, ast, dis and tokenize
+    import os
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, queercrystals, queercrystals.cli, "
+            "queercrystals.qrep.checks; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=env, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_verify_passes_and_reports(capsys):
     code, out = run(capsys, "verify", "--theorem", "b", "--shape", "2,1",
                     "-n", "3")

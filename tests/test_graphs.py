@@ -1,5 +1,9 @@
 """Crystal graphs: closures, components, tensor products, isomorphism."""
 
+import copy
+import pickle
+import weakref
+
 import pytest
 
 from queercrystals import (ODD, CrystalGraph, WordOps, all_words, closure,
@@ -170,6 +174,40 @@ def test_arrow_arrays_must_match_the_labels_and_nodes():
                      weights=((1, 0), (0, 1)), arrows=((1, -1), (1,)))
 
 
+def test_weights_must_match_the_nodes():
+    # one weight for two nodes used to pass, and graph_to_json and
+    # validate then raised IndexError
+    with pytest.raises(ValueError, match="one weight per node"):
+        CrystalGraph(n=2, kind="word", nodes=(W(1), W(2)),
+                     weights=((1, 0),), arrows=((1, -1), (1, -1)))
+
+
+def test_a_graph_is_an_immutable_value():
+    g = vector_crystal(2)
+    fields = (2, "word", (W(1), W(2)), ((1, 0), (0, 1)), ((1, -1), (1, -1)))
+    same = CrystalGraph(*fields)
+    assert same == g and same is not g
+    assert hash(same) == hash(g) == hash(fields)
+    assert CrystalGraph(2, "pair", *fields[2:]) != g
+    assert g != fields
+    assert repr(g) == (
+        "CrystalGraph(n=2, kind='word', nodes=(b'\\x01', b'\\x02'), "
+        "weights=((1, 0), (0, 1)), arrows=((1, -1), (1, -1)))")
+    for name in ("n", "kind", "nodes", "weights", "arrows", "node_index",
+                 "extra"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+    with pytest.raises(AttributeError):
+        del g.nodes
+    assert g == same
+    for twin in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert twin == g and twin.successors(ODD) == g.successors(ODD)
+    # the layer tracer keeps weak references to the graphs it sees
+    assert weakref.ref(g)() is g
+    assert g.node_index == {b: k for k, b in enumerate(g.nodes)}
+    assert g.node_index is g.node_index
+
+
 def test_graph_invariants_across_tensor_powers():
     for n in (2, 3):
         for N in range(0, 4):
@@ -287,6 +325,36 @@ def test_tensor_of_graphs_matches_word_operators():
                for s, lab, d in prod.edges}
         assert got == edge_set(direct), (n, len(left), len(right))
         validate(prod)
+
+
+def test_tensor_orders_pairs_by_summed_weight_then_indices():
+    """tensor sorts packed integer keys; the order they stand for is the
+    summed weight tuple, descending, then the left and right indices."""
+    def bare(*weights):
+        # a graph with these weights and no arrows
+        return CrystalGraph(n=3, kind="word", nodes=tuple(range(len(weights))),
+                            weights=weights, arrows=((-1,) * len(weights),) * 3)
+
+    cases = [
+        (bare((0, 3, -2), (-1, 0, 5), (2, 2, 2)),
+         bare((1, -4, 0), (0, 0, 0), (3, 1, -1), (0, 5, 0))),
+        (bare((4, 0, 0), (0, 4, 0), (3, 0, 1)), bare((0, 0, 3), (1, 0, 2))),
+        # summed entries reach 2: in base 2, (0, 2, 0) would pack as (1, 0, 0)
+        (bare((0, 1, 0), (1, 0, 0)), bare((0, 1, 0), (0, 0, 0))),
+        (vector_crystal(3), crystal_of_shape((3, 1), 3)),
+        (crystal_of_shape((2, 1), 3), vector_crystal(3)),
+        (tensor_power_graph(3, 2), crystal_of_shape((4,), 3)),
+    ]
+    for left, right in cases:
+        summed = {(a, b): tuple(x + y for x, y in zip(wa, wb))
+                  for a, wa in enumerate(left.weights)
+                  for b, wb in enumerate(right.weights)}
+        order = sorted(summed, key=lambda ab: (
+            tuple(-x for x in summed[ab]), ab))
+        prod = tensor(left, right)
+        assert prod.nodes == tuple((left.nodes[a], right.nodes[b])
+                                   for a, b in order)
+        assert prod.weights == tuple(summed[ab] for ab in order)
 
 
 def test_tensor_factors_must_share_the_rank():

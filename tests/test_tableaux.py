@@ -1,5 +1,8 @@
 """Staircase shapes, semistandard fillings, readings, tableau operators."""
 
+import copy
+import pickle
+
 import pytest
 
 from queercrystals import (WordOps, b_lambda, closure, crystal_of_shape,
@@ -231,12 +234,36 @@ def test_an_operator_leaving_the_fillings_raises(monkeypatch):
 def test_tableau_hash_and_equality():
     t = b_lambda((2, 1), 3)
     same = Tableau(shape=shape_from_partition((2, 1), 3), entries=t.entries)
-    assert same == t and hash(same) == hash(t)
+    assert same == t and hash(same) == hash(t) == hash(t.entries)
+    assert same.shape is not t.shape
     assert len({t, same}) == 1
     # equal entries on different shapes are different tableaux
     other = Tableau(shape=shape_from_partition((3,), 3), entries=t.entries)
     assert other != t
     assert len({t, other}) == 2
+
+
+def test_tableaux_and_shapes_are_immutable_values():
+    t = b_lambda((2, 1), 3)
+    shape = t.shape
+    assert shape == shape_from_partition((2, 1), 3)
+    assert shape != shape_from_partition((3,), 3)
+    assert hash(shape) == hash((shape.partition, shape.boxes))
+    assert shape != (shape.partition, shape.boxes)
+    assert t != (shape, t.entries)
+    assert repr(shape) == (
+        "SkewShape(partition=(2, 1), boxes=((1, 2), (2, 1), (2, 2)))")
+    assert repr(t) == f"Tableau(shape={shape!r}, entries=(1, 1, 2))"
+    for value, name in ((t, "shape"), (t, "entries"), (shape, "partition"),
+                        (shape, "boxes")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert t.entries == (1, 1, 2) and shape.partition == (2, 1)
+    for value in (t, shape):
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.copy(value) == value
 
 
 def test_tableau_json_schema():

@@ -1,9 +1,10 @@
 """Mutation check for the word kernel, the Weyl action, the staircase
-tableaux, the graph layer (search, components, tensor, validation,
-isomorphism, the adapters' highest-weight test), serialization, the CLI,
-the exact side (rational functions, basis tensors and vectors, the algebra
-action, string decompositions) and the verifiers (check records, the exact
-checks, the commuting relations).
+tableaux and their equality, the graph layer (search, components, tensor
+and its packed weight keys, validation, isomorphism, the adapters'
+highest-weight test), serialization, the CLI, the exact side (rational
+functions, basis tensors and vectors, the algebra action, string
+decompositions) and the verifiers (check records, the exact checks, the
+commuting relations).
 
 Each mutant replaces one snippet of one source file by a wrong variant
 and names the test files that must kill it.  It is applied to a fresh
@@ -91,6 +92,11 @@ MUTANTS = (
      "    if label not in all_labels(n):\n"
      "        raise ValueError(", "    if False:\n        raise ValueError(",
      "tableau_operator takes any label", WORDS),
+    (PKG + "tableaux.py",
+     "return self.entries == other.entries and (\n"
+     "            self.shape is other.shape or self.shape == other.shape)",
+     "return self.entries == other.entries",
+     "a tableau equals one with the same entries on another shape", WORDS),
     (PKG + "tableaux.py", 'if direction not in ("e", "f"):',
      'if direction not in ("e", "f", "up"):',
      'tableau_operator takes "up" for "f"', WORDS),
@@ -136,9 +142,11 @@ MUTANTS = (
      "ops.e(i, b) is None",
      "the adapters' highest-weight test ignores the odd raising operators",
      ("tests/test_graphs.py", "tests/test_tableaux.py")),
-    (PKG + "graphs.py", "phi[c // size] > eps[c % size]",
-     "phi[c // size] >= eps[c % size]",
+    (PKG + "graphs.py", "[p > e for e in eps]", "[p >= e for e in eps]",
      "tensor lowers the left factor when phi_i = eps_i", GRAPHS),
+    (PKG + "graphs.py", "base = 1 + sum(", "base = sum(",
+     "tensor packs weights in a base one too small for the digits of a "
+     "sum", GRAPHS),
     (PKG + "graphs.py", "[wb[0] == 0 and wb[1] == 0 for",
      "[wb[0] == 0 for", "tensor's odd rule reads only wt_1 of the right "
      "factor", GRAPHS),
