@@ -9,10 +9,12 @@ Even operators use the signature rule: each letter contributes "+" when it
 equals i and "-" when it equals i+1, adjacent "+-" pairs cancel
 iteratively, and the raising operator edits the letter owning the
 rightmost surviving "-" while the lowering operator edits the leftmost
-surviving "+".  Each Kashiwara operator changes exactly one letter,
-and ``_put`` is that one edit.  ``moves`` gives every label's result
-from one pass: a letter a is "+" for the label a and "-" for the label
-a-1, so one scan keeps the signature of every label at once.  The simple
+surviving "+".  Each Kashiwara operator changes exactly one letter, and
+the new letter depends only on the operator (``edit_letters``), so the
+position it edits fixes its result; ``_put`` is that one edit.
+``edits`` gives every label's position from one pass: a letter a is "+"
+for the label a and "-" for the label a-1, so one scan keeps the
+signature of every label at once.  The simple
 reflection S_i comes from one signature too: it writes -^a +^b over the
 surviving -^b +^a.  The odd pair ebar1/fbar1 flips the rightmost letter
 in {1, 2}, and ebar_i/fbar_i for every i conjugate that pair by S_w with
@@ -95,23 +97,28 @@ def apply_ebar1(w: bytes):
     return _flip_odd(w, 2)
 
 
-def moves(w: bytes, n: int) -> tuple:
-    """All lowering and raising results of a word, from one scan.
+def edits(w: bytes, n: int) -> tuple:
+    """The position every lowering and raising operator edits, from one scan.
 
-    Returns ``(f_1..f_{n-1}, fbar1)`` and ``(e_1..e_{n-1}, ebar1)``, each
-    entry a word or None (the odd entries only when n >= 2), equal to the
-    per-label ``apply_f``/``apply_fbar1`` and ``apply_e``/``apply_ebar1``.
-    Per label only the stack's size and its bottom are kept: the leftmost
-    surviving "+" is the first one pushed since the stack was last empty,
-    and the rightmost surviving "-" is the last one that met an empty stack.
+    Returns the positions for ``(f_1..f_{n-1}, fbar1)`` and for
+    ``(e_1..e_{n-1}, ebar1)``, -1 where the operator vanishes (the odd
+    entries only when n >= 2).  An operator writes the letter that
+    ``edit_letters`` gives it, so ``_put(w, pos, letter)`` is its result,
+    equal to the per-label ``apply_f``/``apply_fbar1`` and
+    ``apply_e``/``apply_ebar1``.  Per label only the stack's size and its
+    bottom are kept: the leftmost surviving "+" is the first one pushed
+    since the stack was last empty (-1 while it is empty), and the
+    rightmost surviving "-" is the last one that met an empty stack.
     """
     count = [0] * (n + 1)
-    bottom = [0] * (n + 1)
+    bottom = [-1] * (n + 1)
     minus = [-1] * (n + 1)
     for pos, a in enumerate(w):
         if a > 1:
             if count[a - 1]:
                 count[a - 1] -= 1
+                if not count[a - 1]:
+                    bottom[a - 1] = -1
             else:
                 minus[a - 1] = pos
         if count[a]:
@@ -119,18 +126,22 @@ def moves(w: bytes, n: int) -> tuple:
         else:
             count[a] = 1
             bottom[a] = pos
-    down = []
-    up = []
-    for i in range(1, n):
-        down.append(_put(w, bottom[i], i + 1) if count[i] else None)
-        up.append(_put(w, minus[i], i) if minus[i] >= 0 else None)
+    down = bottom[1:n]
+    up = minus[1:n]
     if n >= 2:
         pos = max(w.rfind(1), w.rfind(2))
-        flipped = _put(w, pos, 3 - w[pos]) if pos >= 0 else None
         lowers = pos >= 0 and w[pos] == 1
-        down.append(flipped if lowers else None)
-        up.append(None if lowers else flipped)
-    return tuple(down), tuple(up)
+        down.append(pos if lowers else -1)
+        up.append(-1 if lowers else pos)
+    return down, up
+
+
+def edit_letters(n: int) -> tuple:
+    """The letter each operator of ``edits`` writes, in its order: i+1 for
+    f_i and 2 for fbar1, i for e_i and 1 for ebar1."""
+    odd = n >= 2
+    return (tuple(range(2, n + 1)) + (2,) * odd,
+            tuple(range(1, n)) + (1,) * odd)
 
 
 def weyl_s(w: bytes, i: int) -> bytes:

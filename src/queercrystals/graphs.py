@@ -21,8 +21,9 @@ highest-weight detection and the Weyl action can be written once: words
 (``WordOps``), tableaux (``TableauOps``), and stored graphs, which are
 their own adapter on node indices: ``ebar_ops(graph, i, k)`` walks the
 graph's arrays from node index k and returns an index, or None.
-``closure`` records the arrows while it searches, from one ``moves`` call
-per node (the kernel's one-pass scan on words); ``build_graph`` applies
+``closure`` records the arrows while it searches a word's component: one
+``kernel.edits`` scan per node gives the position each operator edits,
+and ``kernel._put`` writes the result there; ``build_graph`` applies
 f_i and fbar1 to each element of a given set.  Stored graphs are split
 into components (``graph_components``), compared (``isomorphic``) and
 tensored (``tensor``) on node indices along their arrays, the first two
@@ -213,9 +214,6 @@ class WordOps:
     def fbar1(self, w):
         return kernel.apply_fbar1(w) if self.n >= 2 else None
 
-    def moves(self, w):
-        return kernel.moves(w, self.n)
-
     def sort_key(self, w):
         return w
 
@@ -327,26 +325,42 @@ def build_graph(ops, elements) -> CrystalGraph:
 
 
 def closure(ops, seed) -> CrystalGraph:
-    """Connected component of the seed as a crystal graph.
+    """Connected component of the seed word as a crystal graph.
 
-    ``ops`` needs ``moves``: one call per node gives its lowering results
-    (f_1..f_{n-1}, fbar1) and its raising ones.  The search follows both
-    and keeps the lowering ones, which become the arrows once the nodes
-    are sorted, so no operator is applied twice.  The generic form, for
-    any adapter, is ``build_graph(ops, closure_set(ops, seed))``; it gives
-    the same graph.
+    ``ops`` is a word adapter.  One ``kernel.edits`` scan per node gives
+    the positions its lowering operators (f_1..f_{n-1}, fbar1) and its
+    raising ones edit, and ``kernel._put`` writes each result.  The search
+    follows both and keeps the lowering results, which become the arrows
+    once the nodes are sorted, so no operator is applied twice.  The
+    generic form, for any adapter, is ``build_graph(ops, closure_set(ops,
+    seed))``; it gives the same graph.
     """
+    n = ops.n
+    down_letters, up_letters = kernel.edit_letters(n)
+    edits = kernel.edits
+    put = kernel._put
     lowered = {seed: None}
     todo = [seed]
-    moves = ops.moves
     while todo:
         b = todo.pop()
-        down, up = moves(b)
-        lowered[b] = down
-        for x in down + up:
-            if x is not None and x not in lowered:
+        down, up = edits(b, n)
+        row = []
+        for p, a in zip(down, down_letters):
+            if p < 0:
+                row.append(None)
+                continue
+            x = put(b, p, a)
+            row.append(x)
+            if x not in lowered:
                 lowered[x] = None
                 todo.append(x)
+        lowered[b] = row
+        for p, a in zip(up, up_letters):
+            if p >= 0:
+                x = put(b, p, a)
+                if x not in lowered:
+                    lowered[x] = None
+                    todo.append(x)
     nodes, weights, index = _ordered(ops, lowered)
     # one row of target indices per node, transposed to one array per label
     arrows = tuple(zip(*(tuple(map(index.__getitem__, lowered[b]))

@@ -239,14 +239,21 @@ def verify_comult_odd(n: int) -> dict:
 
 def _word_edges(n: int, N: int) -> dict:
     """Combinatorial operator tables on all words of length N, keyed
-    e_1, f_1, ..., e_{n-1}, f_{n-1}, ebar1, fbar1; one scan per word."""
+    e_1, f_1, ..., e_{n-1}, f_{n-1}, ebar1, fbar1; one scan per word gives
+    the positions, and each result is the one letter edit there."""
     keys = [(kind, i) for i in range(1, n) for kind in ("e", "f")]
     if n >= 2:
         keys += [("ebar1",), ("fbar1",)]
+    down_letters, up_letters = word_kernel.edit_letters(n)
+    # each key with the letter its operator writes
+    keyed = list(zip(keys, (a for pair in zip(up_letters, down_letters)
+                            for a in pair)))
     out = {}
     for w in all_words(n, N):
-        down, up = word_kernel.moves(w, n)
-        out[w] = dict(zip(keys, (x for pair in zip(up, down) for x in pair)))
+        down, up = word_kernel.edits(w, n)
+        positions = (p for pair in zip(up, down) for p in pair)
+        out[w] = {key: None if p < 0 else word_kernel._put(w, p, a)
+                  for (key, a), p in zip(keyed, positions)}
     return out
 
 

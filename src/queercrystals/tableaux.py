@@ -120,17 +120,22 @@ def shape_from_partition(parts, n: int | None = None) -> SkewShape:
 
 @lru_cache(maxsize=None)
 def _neighbors(boxes: tuple) -> tuple:
-    """Per box index: (left-neighbor index or -1, up-neighbor index or -1)."""
+    """Per box index: the indices of its left, up, right and down
+    neighbors, -1 where there is none."""
     index = {b: k for k, b in enumerate(boxes)}
-    out = []
-    for r, c in boxes:
-        out.append((index.get((r, c - 1), -1), index.get((r - 1, c), -1)))
-    return tuple(out)
+    return tuple(tuple(index.get(b, -1) for b in
+                       ((r, c - 1), (r - 1, c), (r, c + 1), (r + 1, c)))
+                 for r, c in boxes)
 
 
 def is_semistandard(shape: SkewShape, entries) -> bool:
     """Rows weakly increase left to right, columns strictly top to bottom."""
-    for k, (left, up) in enumerate(_neighbors(shape.boxes)):
+    return _semistandard(_neighbors(shape.boxes), entries)
+
+
+def _semistandard(neighbors: tuple, entries) -> bool:
+    """``is_semistandard`` on the ``_neighbors`` table of the shape."""
+    for k, (left, up, _, _) in enumerate(neighbors):
         if left >= 0 and entries[left] > entries[k]:
             return False
         if up >= 0 and entries[up] >= entries[k]:
@@ -150,7 +155,7 @@ def enumerate_ssyt(shape: SkewShape, n: int) -> list:
         if k == m:
             out.append(Tableau(shape=shape, entries=tuple(entries)))
             return
-        left, up = neighbors[k]
+        left, up, _, _ = neighbors[k]
         lo = 1
         if left >= 0 and entries[left] > lo:
             lo = entries[left]
@@ -200,17 +205,33 @@ class TableauOps:
         # reading position of each box, in box order
         self.positions = tuple(
             sorted(range(len(self.order)), key=self.order.__getitem__))
+        self.neighbors = _neighbors(shape.boxes)
 
     def encode(self, t: Tableau) -> bytes:
         return bytes(map(t.entries.__getitem__, self.order))
 
     def decode(self, w: bytes) -> Tableau:
         entries = tuple(map(w.__getitem__, self.positions))
-        if not is_semistandard(self.shape, entries):
+        if not _semistandard(self.neighbors, entries):
             raise StructureError(
                 f"operator produced a non-semistandard filling {entries} "
                 f"on shape {self.shape.partition}")
         return Tableau(shape=self.shape, entries=entries)
+
+    def keeps_semistandard(self, entries, k: int, a: int) -> bool:
+        """Whether a semistandard filling stays semistandard with its box k
+        set to ``a``: only the box's four neighbors can break a row or a
+        column, so this equals ``is_semistandard`` of the edited filling."""
+        left, up, right, down = self.neighbors[k]
+        if left >= 0 and entries[left] > a:
+            return False
+        if up >= 0 and entries[up] >= a:
+            return False
+        if right >= 0 and a > entries[right]:
+            return False
+        if down >= 0 and a >= entries[down]:
+            return False
+        return True
 
     def lift(self, w):
         """Decode an operator result; None (the crystal zero) stays None."""

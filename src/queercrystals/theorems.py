@@ -184,46 +184,55 @@ def verify_highest_weight_formula(parts, n: int) -> dict:
 def verify_reading_independence(parts, n: int) -> dict:
     """Row and column readings induce identical operators on all fillings.
 
-    Each filling is encoded once per reading, and one ``kernel.moves``
-    call per word gives every operator's result on it; they are compared
-    in the order f_1, e_1, ..., f_{n-1}, e_{n-1}, fbar1, ebar1.  The column
-    result is read back in row order, so the two results compare as the
-    tableaux they encode.  Every result is checked to be semistandard: one
-    found among the row words of the fillings passes, and any other is
-    decoded, which raises.
+    Each filling is encoded once per reading, and one ``kernel.edits``
+    scan per word gives the position every operator edits on it.  An
+    operator changes one letter, to a letter that does not depend on the
+    reading, so the two results are the same tableau exactly when the two
+    positions, each mapped to a box through its reading's ``order``, are
+    the same box (or both vanish).  They are compared in the order f_1,
+    e_1, ..., f_{n-1}, e_{n-1}, fbar1, ebar1.  Every result is checked to
+    be semistandard on its edited box alone, against that box's
+    neighbors, which is equivalent for a one-box change of a semistandard
+    filling; a result that fails is decoded, which raises.
     """
     parts = check_strict_partition(parts, n)
     instance = f"n={n} lam={parts}"
     shape = shape_from_partition(parts, n)
     row_ops = TableauOps(shape, n, "row")
     col_ops = TableauOps(shape, n, "col")
-    # (name, 0 for lowering or 1 for raising, position in the moves tuple)
+    down_letters, up_letters = kernel.edit_letters(n)
+    # (name, 0 for lowering or 1 for raising, index in edits, letter written)
     operators = []
     for i in range(1, n):
-        operators.append((f"f_{i}", 0, i - 1))
-        operators.append((f"e_{i}", 1, i - 1))
+        operators.append((f"f_{i}", 0, i - 1, down_letters[i - 1]))
+        operators.append((f"e_{i}", 1, i - 1, up_letters[i - 1]))
     if n >= 2:
-        operators.append(("fbar1", 0, n - 1))
-        operators.append(("ebar1", 1, n - 1))
-    fillings = enumerate_ssyt(shape, n)
-    semistandard = {row_ops.encode(t) for t in fillings}
-    # a column word's letters in row-reading order
-    col_to_row = tuple(col_ops.order.index(k) for k in row_ops.order)
+        operators.append(("fbar1", 0, n - 1, down_letters[n - 1]))
+        operators.append(("ebar1", 1, n - 1, up_letters[n - 1]))
+    # the box at each reading position, and box -1 at position -1 (the
+    # crystal zero) from the entry appended last
+    row_box = row_ops.order + (-1,)
+    col_box = col_ops.order + (-1,)
+    # the check reads boxes, so it serves both readings
+    fits = row_ops.keeps_semistandard
     mismatch = None
-    for t in fillings:
-        row_moves = kernel.moves(row_ops.encode(t), n)
-        col_moves = kernel.moves(col_ops.encode(t), n)
-        for name, side, k in operators:
-            x = row_moves[side][k]
-            y = col_moves[side][k]
-            if x is not None and x not in semistandard:
-                row_ops.decode(x)
-            if y is not None:
-                y = bytes(map(y.__getitem__, col_to_row))
-                if y != x and y not in semistandard:
-                    row_ops.decode(y)
+    for t in enumerate_ssyt(shape, n):
+        row_word = row_ops.encode(t)
+        col_word = col_ops.encode(t)
+        row_edits = kernel.edits(row_word, n)
+        col_edits = kernel.edits(col_word, n)
+        entries = t.entries
+        for name, side, k, letter in operators:
+            p = row_edits[side][k]
+            q = col_edits[side][k]
+            x = row_box[p]
+            y = col_box[q]
+            if x >= 0 and not fits(entries, x, letter):
+                row_ops.decode(kernel._put(row_word, p, letter))
+            if y != x and y >= 0 and not fits(entries, y, letter):
+                col_ops.decode(kernel._put(col_word, q, letter))
             if x != y:
-                mismatch = {"tableau": list(t.entries), "op": name}
+                mismatch = {"tableau": list(entries), "op": name}
                 break
         if mismatch:
             break

@@ -214,16 +214,17 @@ def test_full_ssyt_graph_equals_the_generic_build_on_tableaux():
 
 def test_an_operator_leaving_the_fillings_raises(monkeypatch):
     # every node of a built graph is decoded and checked semistandard:
-    # crystal_of_shape takes its arrows from kernel.moves, full_ssyt_graph
-    # from kernel.apply_f
-    real = kernel.moves
+    # crystal_of_shape takes its arrows from kernel.edits, full_ssyt_graph
+    # from kernel.apply_f.  Here every f_i edits the first letter, the top
+    # of the two-box column, which must hold 1
+    real = kernel.edits
 
-    def moves(w, n):
+    def edits(w, n):
         down, up = real(w, n)
-        return (bytes([3] * len(w)),) * (n - 1) + down[n - 1:], up
+        return [0] * (n - 1) + down[n - 1:], up
 
     with monkeypatch.context() as patch:
-        patch.setattr(kernel, "moves", moves)
+        patch.setattr(kernel, "edits", edits)
         with pytest.raises(StructureError):
             crystal_of_shape((2, 1), 3)
     monkeypatch.setattr(kernel, "apply_f", lambda w, i: bytes([3] * len(w)))

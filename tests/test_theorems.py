@@ -173,15 +173,15 @@ def test_a_reading_that_is_not_admissible_fails_with_a_witness(monkeypatch):
 
 
 def test_reading_independence_applies_every_operator_to_both_words(monkeypatch):
-    # one kernel.moves call per word gives all 2n operators' results
+    # one kernel.edits scan per word gives all 2n operators' positions
     calls = []
-    real = kernel.moves
+    real = kernel.edits
 
     def counting(w, n):
         calls.append(w)
         return real(w, n)
 
-    monkeypatch.setattr(kernel, "moves", counting)
+    monkeypatch.setattr(kernel, "edits", counting)
     n, lam = 3, (3, 1)
     assert verify_reading_independence(lam, n)["passed"]
     fillings = tableaux.enumerate_ssyt(tableaux.shape_from_partition(lam, n), n)
@@ -203,23 +203,25 @@ def column_words_of(lam, n):
 def test_a_changed_result_of_each_operator_is_reported_by_name(monkeypatch,
                                                               op):
     # on column words, one operator's result flips between the crystal zero
-    # and the (semistandard) word itself, so it differs on every filling
+    # and the (semistandard) word itself, an edit that writes the letter
+    # already there, so it differs on every filling
     n, lam = 3, (3, 2, 1)
     fillings, column_words = column_words_of(lam, n)
     side = 0 if op[0] == "f" else 1
     k = n - 1 if op.endswith("bar1") else int(op[-1]) - 1
-    real = kernel.moves
+    letter = kernel.edit_letters(n)[side][k]
+    real = kernel.edits
 
-    def moves(w, n):
-        results = real(w, n)
+    def edits(w, n):
+        positions = real(w, n)
         if w in column_words:
-            row = list(results[side])
-            row[k] = w if row[k] is None else None
-            results = list(results)
-            results[side] = tuple(row)
-        return tuple(results)
+            row = list(positions[side])
+            row[k] = w.index(letter) if row[k] < 0 else -1
+            positions = list(positions)
+            positions[side] = row
+        return tuple(positions)
 
-    monkeypatch.setattr(kernel, "moves", moves)
+    monkeypatch.setattr(kernel, "edits", edits)
     rep = verify_reading_independence(lam, n)
     assert rep["passed"] is False
     (rec,) = rep["records"]
@@ -229,17 +231,20 @@ def test_a_changed_result_of_each_operator_is_reported_by_name(monkeypatch,
 @pytest.mark.parametrize("broken", ["every word", "column words"])
 def test_a_non_semistandard_result_raises_under_either_reading(monkeypatch,
                                                               broken):
+    # every even lowering operator edits the first letter of the word, the
+    # top box of the three-box column under both readings, which must
+    # hold 1
     n, lam = 3, (3, 2, 1)
     _, column_words = column_words_of(lam, n)
-    real = kernel.moves
+    real = kernel.edits
 
-    def moves(w, n):
+    def edits(w, n):
         down, up = real(w, n)
         if broken == "every word" or w in column_words:
-            down = (bytes([n] * len(w)),) * (n - 1) + down[n - 1:]
+            down = [0] * (n - 1) + down[n - 1:]
         return down, up
 
-    monkeypatch.setattr(kernel, "moves", moves)
+    monkeypatch.setattr(kernel, "edits", edits)
     with pytest.raises(StructureError):
         verify_reading_independence(lam, n)
 

@@ -1,10 +1,11 @@
-"""Mutation check for the word kernel, the Weyl action, the staircase
-tableaux and their equality, the graph layer (search, components, tensor
-and its packed weight keys, validation, isomorphism, the adapters'
+"""Mutation check for the word kernel and its one-pass scan, the Weyl
+action, the staircase tableaux, their equality and the one-box
+semistandard check, the graph layer (search, components, tensor and its
+packed weight keys, validation, isomorphism, the adapters'
 highest-weight test), serialization, the CLI, the exact side (rational
 functions, basis tensors and vectors, the algebra action, string
-decompositions) and the verifiers (check records, the exact checks, the
-commuting relations).
+decompositions) and the verifiers (check records, reading independence,
+the exact checks, the commuting relations).
 
 Each mutant replaces one snippet of one source file by a wrong variant
 and names the test files that must kill it.  It is applied to a fresh
@@ -32,6 +33,7 @@ PKG = "src/queercrystals/"
 WORDS = ("tests/test_kernel_oracles.py", "tests/test_weyl.py",
          "tests/test_words.py", "tests/test_tableaux.py")
 CHECKS = ("tests/test_qrep_checks.py",)
+THEOREMS = ("tests/test_theorems.py",)
 GRAPHS = ("tests/test_graphs.py",)
 CLI = ("tests/test_cli.py",)
 LAURENT = ("tests/test_laurent.py",)
@@ -62,6 +64,18 @@ MUTANTS = (
      "S_w where S_w^-1 belongs", WORDS + GRAPHS),
     (PKG + "_kernel_py.py", "_signature(w, i)[1]", "_signature(w, i)[0]",
      "is_gl_highest reads the surviving pluses for the minuses", WORDS),
+    (PKG + "_kernel_py.py",
+     "            else:\n                minus[a - 1] = pos",
+     "            if True:\n                minus[a - 1] = pos",
+     "the scan records a letter i+1 that a plus cancels as e_i's position",
+     WORDS),
+    (PKG + "_kernel_py.py", "                if not count[a - 1]:\n"
+     "                    bottom[a - 1] = -1\n", "",
+     "the scan keeps f_i's position after every plus before it is "
+     "cancelled", WORDS),
+    (PKG + "_kernel_py.py", "lowers = pos >= 0 and w[pos] == 1",
+     "lowers = pos >= 0 and w[pos] == 2",
+     "the scan gives fbar1 the position of ebar1 and the reverse", WORDS),
     (PKG + "words.py", "    return kernel.apply_fbar(w, i)",
      "    return kernel.apply_ebar(w, i)",
      "words.fbar raises instead of lowering", WORDS),
@@ -97,6 +111,19 @@ MUTANTS = (
      "            self.shape is other.shape or self.shape == other.shape)",
      "return self.entries == other.entries",
      "a tableau equals one with the same entries on another shape", WORDS),
+    (PKG + "tableaux.py", "entries[up] >= a", "entries[up] > a",
+     "the one-box check lets a box equal the box above it",
+     WORDS + THEOREMS),
+    (PKG + "tableaux.py", "        if right >= 0 and a > entries[right]:\n"
+     "            return False\n", "",
+     "the one-box check ignores the right neighbor", WORDS + THEOREMS),
+    (PKG + "tableaux.py", "        if down >= 0 and a >= entries[down]:\n"
+     "            return False\n", "",
+     "the one-box check ignores the neighbor below", WORDS + THEOREMS),
+    (PKG + "theorems.py", "col_box = col_ops.order + (-1,)",
+     "col_box = row_ops.order + (-1,)",
+     "reading independence maps column positions to boxes by the row "
+     "reading", THEOREMS),
     (PKG + "tableaux.py", 'if direction not in ("e", "f"):',
      'if direction not in ("e", "f", "up"):',
      'tableau_operator takes "up" for "f"', WORDS),
