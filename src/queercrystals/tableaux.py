@@ -25,8 +25,14 @@ lam = (3): three free boxes read onto the whole of B^(x)3, which splits).
 canonical highest tableau b_lam (anti-diagonal d filled with the letter
 d), which is the crystal of the irreducible highest weight module with
 highest weight lam; ``full_ssyt_graph`` exposes the whole filling set.
+The checks of one shape build the crystals of its neighbours lam + eps_j
+again, so ``crystal_of_shape`` keeps the last 16 it built, keyed by the
+normalized partition and the rank, for the life of the process: callers
+share one immutable graph, with the node index and predecessor arrays it
+derives on request.
 """
 
+import operator
 from functools import lru_cache
 
 from . import kernel
@@ -38,10 +44,19 @@ from .words import check_rank, check_word
 Parts = tuple  # strict partition as a tuple of parts
 
 
+def _integer(x, what: str) -> int:
+    """``x`` as an int, through ``operator.index``: a float or a string
+    is refused, not truncated or parsed."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+
+
 def check_strict_partition(parts, n: int) -> Parts:
     """Validate and normalize a strict partition with at most n parts."""
-    check_rank(n)
-    parts = tuple(int(p) for p in parts)
+    check_rank(_integer(n, "rank"))
+    parts = tuple(_integer(p, "part") for p in parts)
     if not parts:
         raise ValueError("empty partition")
     if any(p <= 0 for p in parts):
@@ -325,12 +340,21 @@ def b_lambda(parts, n: int) -> Tableau:
     return t
 
 
-def crystal_of_shape(parts, n: int):
+def crystal_of_shape(parts, n: int) -> CrystalGraph:
     """Connected crystal of the highest weight lam, on staircase tableaux.
 
     This is the component of ``b_lambda`` inside the full filling set; see
-    the module docstring for why the full set may be larger.
+    the module docstring for why the full set may be larger.  The graph is
+    shared between callers and immutable: calls with equal (lam, n), lam
+    given as any sequence of integers, return one graph while it is among
+    the last 16 built.
     """
+    parts = check_strict_partition(parts, n)
+    return _crystal_of_shape(parts, operator.index(n))
+
+
+@lru_cache(maxsize=16)
+def _crystal_of_shape(parts: Parts, n: int) -> CrystalGraph:
     t = b_lambda(parts, n)
     ops = TableauOps(t.shape, n)
     return _decoded(ops, closure(_ReadingWordOps(ops), ops.encode(t)))

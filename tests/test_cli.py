@@ -123,6 +123,10 @@ def test_invalid_shape_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["conjecture", "--shape", "1,5", "-n", "3"])
     assert exc.value.code == 2
+    # a non-integer part is refused, not truncated to the shape (2, 1)
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "--shape", "2.7,1", "-n", "2"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,12 +8,13 @@ import pytest
 from queercrystals import (WordOps, b_lambda, closure, crystal_of_shape,
                            enumerate_ssyt, full_ssyt_graph, isomorphic,
                            kernel, reading_word, shape_from_partition,
-                           tableau_operator, word)
+                           tableau_operator, verify_unique_highest_weight,
+                           word)
 from queercrystals.errors import StructureError
-from queercrystals.graphs import (ODD, build_graph, closure_set,
+from queercrystals.graphs import (ODD, all_labels, build_graph, closure_set,
                                   graph_components, highest_weight_nodes,
                                   is_highest_weight_ops)
-from queercrystals.tableaux import (Tableau, TableauOps,
+from queercrystals.tableaux import (Tableau, TableauOps, _crystal_of_shape,
                                     check_strict_partition, strict_partitions,
                                     tableau_json)
 
@@ -50,6 +51,18 @@ def test_strict_partition_validation():
         check_strict_partition((), 3)
     with pytest.raises(ValueError):
         check_strict_partition((3, 2, 1), 2)  # more parts than the rank
+
+
+@pytest.mark.parametrize("parts, n, bad", [
+    ((2.7, 1), 2, "2.7"),     # was truncated to (2, 1)
+    (("3", 1), 2, "'3'"),     # was parsed to (3, 1)
+    ((2, 1), 3.0, "3.0"),     # a rank must be an integer too
+])
+def test_a_part_or_rank_that_is_not_an_integer_is_refused(parts, n, bad):
+    with pytest.raises(ValueError, match=f"must be an integer, got {bad}"):
+        check_strict_partition(parts, n)
+    with pytest.raises(ValueError, match="must be an integer"):
+        crystal_of_shape(parts, n)
 
 
 def test_enumerate_ssyt_counts():
@@ -212,7 +225,8 @@ def test_full_ssyt_graph_equals_the_generic_build_on_tableaux():
                     (n, lam, reading)
 
 
-def test_an_operator_leaving_the_fillings_raises(monkeypatch):
+def test_an_operator_leaving_the_fillings_raises(monkeypatch,
+                                                fresh_shape_crystals):
     # every node of a built graph is decoded and checked semistandard:
     # crystal_of_shape takes its arrows from kernel.edits, full_ssyt_graph
     # from kernel.apply_f.  Here every f_i edits the first letter, the top
@@ -273,3 +287,67 @@ def test_tableau_json_schema():
     assert data["shape"] == [2, 1]
     assert {"row": 2, "col": 2, "entry": 2} in data["cells"]
     assert len(data["cells"]) == 3
+
+
+# the crystal_of_shape memo
+
+
+def test_one_shape_in_any_integer_sequence_is_one_graph():
+    g = crystal_of_shape((3, 1), 3)
+    assert crystal_of_shape([3, 1], 3) is g
+    assert crystal_of_shape(iter((3, 1)), 3) is g
+
+
+def test_the_rank_is_part_of_the_key():
+    g3, g4 = crystal_of_shape((2, 1), 3), crystal_of_shape((2, 1), 4)
+    assert (g3.n, g4.n) == (3, 4)
+    assert len(g3) == 8 and len(g4) == 20
+    assert crystal_of_shape((2, 1), 3) is g3 and g3 != g4
+
+
+@pytest.mark.parametrize("parts, n", [
+    ((2, 2), 3), ((0,), 3), ((), 3), ((3, 2, 1), 2), ((2.9,), 2),
+    (("3", 1), 2), ((2, 1), 0), ((2, 1), 2.0)])
+def test_an_invalid_shape_raises_and_stores_nothing(parts, n):
+    crystal_of_shape((1,), 2)
+    before = _crystal_of_shape.cache_info()
+    with pytest.raises(ValueError):
+        crystal_of_shape(parts, n)
+    after = _crystal_of_shape.cache_info()
+    assert after.currsize == before.currsize
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_a_shared_graph_equals_a_fresh_build():
+    # every shape up to |lam| = 6 at n <= 4: the shared graph, after the
+    # checks of theorem b have derived its node index and predecessor
+    # arrays, equals an uncached build field for field, and so do those
+    # derived arrays
+    shapes = 0
+    for n in (1, 2, 3, 4):
+        for lam in strict_partitions(6, n):
+            shared = crystal_of_shape(lam, n)
+            assert verify_unique_highest_weight(lam, n)["passed"]
+            assert crystal_of_shape(lam, n) is shared
+            fresh = _crystal_of_shape.__wrapped__(lam, n)
+            assert fresh is not shared
+            assert shared == fresh
+            assert shared.node_index == fresh.node_index
+            for label in all_labels(n):
+                assert shared.predecessors(label) == \
+                    fresh.predecessors(label), (n, lam, label)
+            shapes += 1
+    assert shapes == 44
+
+
+def test_an_evicted_shape_rebuilds_to_an_equal_graph(fresh_shape_crystals):
+    first = crystal_of_shape((1,), 2)
+    others = [(lam, n) for n in (2, 3, 4) for lam in strict_partitions(4, n)
+              if (lam, n) != ((1,), 2)][:16]
+    assert len(set(others)) == 16
+    for lam, n in others:
+        crystal_of_shape(lam, n)
+    assert _crystal_of_shape.cache_info().currsize == 16
+    again = crystal_of_shape((1,), 2)
+    assert again is not first
+    assert again == first

@@ -155,7 +155,8 @@ def test_reading_independence_small_sweep():
             assert verify_reading_independence(lam, n)["passed"]
 
 
-def test_a_reading_that_is_not_admissible_fails_with_a_witness(monkeypatch):
+def test_a_reading_that_is_not_admissible_fails_with_a_witness(
+        monkeypatch, fresh_shape_crystals):
     # reversing the row reading is not admissible: on lam = (2) the two
     # boxes swap roles, and f_1 lowers the other box of the first filling
     real = tableaux.reading_order
@@ -172,7 +173,8 @@ def test_a_reading_that_is_not_admissible_fails_with_a_witness(monkeypatch):
     assert rec["witness"] == {"tableau": [1, 1], "op": "f_1"}
 
 
-def test_reading_independence_applies_every_operator_to_both_words(monkeypatch):
+def test_reading_independence_applies_every_operator_to_both_words(
+        monkeypatch, fresh_shape_crystals):
     # one kernel.edits scan per word gives all 2n operators' positions
     calls = []
     real = kernel.edits
@@ -200,8 +202,8 @@ def column_words_of(lam, n):
 
 
 @pytest.mark.parametrize("op", ["f_1", "e_1", "f_2", "e_2", "fbar1", "ebar1"])
-def test_a_changed_result_of_each_operator_is_reported_by_name(monkeypatch,
-                                                              op):
+def test_a_changed_result_of_each_operator_is_reported_by_name(
+        monkeypatch, fresh_shape_crystals, op):
     # on column words, one operator's result flips between the crystal zero
     # and the (semistandard) word itself, an edit that writes the letter
     # already there, so it differs on every filling
@@ -229,8 +231,8 @@ def test_a_changed_result_of_each_operator_is_reported_by_name(monkeypatch,
 
 
 @pytest.mark.parametrize("broken", ["every word", "column words"])
-def test_a_non_semistandard_result_raises_under_either_reading(monkeypatch,
-                                                              broken):
+def test_a_non_semistandard_result_raises_under_either_reading(
+        monkeypatch, fresh_shape_crystals, broken):
     # every even lowering operator edits the first letter of the word, the
     # top box of the three-box column under both readings, which must
     # hold 1

@@ -1,11 +1,11 @@
 """Mutation check for the word kernel and its one-pass scan, the Weyl
-action, the staircase tableaux, their equality and the one-box
-semistandard check, the graph layer (search, components, tensor and its
-packed weight keys, validation, isomorphism, the adapters'
-highest-weight test), serialization, the CLI, the exact side (rational
-functions, basis tensors and vectors, the algebra action, string
-decompositions) and the verifiers (check records, reading independence,
-the exact checks, the commuting relations).
+action, the staircase tableaux, their equality, the one-box semistandard
+check and the memo of their crystals, the graph layer (search,
+components, tensor and its packed weight keys, validation, isomorphism,
+the adapters' highest-weight test), serialization, the CLI, the exact
+side (rational functions, basis tensors and vectors, the algebra action,
+string decompositions) and the verifiers (check records, reading
+independence, the exact checks, the commuting relations).
 
 Each mutant replaces one snippet of one source file by a wrong variant
 and names the test files that must kill it.  It is applied to a fresh
@@ -39,6 +39,8 @@ CLI = ("tests/test_cli.py",)
 LAURENT = ("tests/test_laurent.py",)
 EXACT = ("tests/test_qrep_action.py", "tests/test_qrep_kashiwara.py",
          "tests/test_qrep_operator_oracle.py") + CHECKS
+# the tests of the crystal_of_shape memo and its input check
+MEMO = ("tests/test_tableaux.py",)
 # the staircase model, also against the Schur P character oracle
 STAIRCASE = WORDS + ("tests/test_schur_p.py",)
 
@@ -124,6 +126,23 @@ MUTANTS = (
      "col_box = row_ops.order + (-1,)",
      "reading independence maps column positions to boxes by the row "
      "reading", THEOREMS),
+    (PKG + "tableaux.py",
+     "return _crystal_of_shape(parts, operator.index(n))",
+     "return globals().setdefault(\n        (\"memo\", parts), "
+     "_crystal_of_shape(parts, operator.index(n)))",
+     "the crystal_of_shape memo leaves the rank out of its key", MEMO),
+    (PKG + "tableaux.py",
+     "    parts = check_strict_partition(parts, n)\n"
+     "    return _crystal_of_shape(",
+     "    check_strict_partition(parts, n)\n    return _crystal_of_shape(",
+     "the crystal_of_shape memo keys on the parts as given, not normalized",
+     MEMO),
+    (PKG + "tableaux.py", "@lru_cache(maxsize=16)",
+     "@lru_cache(maxsize=None)",
+     "the crystal_of_shape memo grows without bound", MEMO),
+    (PKG + "tableaux.py", "return operator.index(x)", "return int(x)",
+     "a part of 2.9 or '3' is truncated or parsed, and shares the memo "
+     "entry of an integer shape", MEMO),
     (PKG + "tableaux.py", 'if direction not in ("e", "f"):',
      'if direction not in ("e", "f", "up"):',
      'tableau_operator takes "up" for "f"', WORDS),
