@@ -33,6 +33,7 @@ element set through an ops adapter.
 """
 
 from functools import partial
+from types import MappingProxyType
 
 from . import kernel
 from .errors import StructureError
@@ -93,8 +94,8 @@ class CrystalGraph(_Frozen):
     """Nodes in canonical order, their weights, and one successor array
     per label: ``arrows[k][s]`` is the index of f(node s) for the k-th
     label of ``all_labels(n)``, or -1 where that operator vanishes.
-    ``node_index`` (node -> index) and the predecessor arrays are derived
-    on first request and kept.
+    ``node_index`` (node -> index, read-only) and the predecessor arrays
+    are derived on first request and kept.
 
     A graph is also an ops adapter on its node indices: ``weight``, ``f``,
     ``e``, ``fbar1``, ``ebar1`` and ``sort_key`` take an index and return
@@ -127,11 +128,12 @@ class CrystalGraph(_Frozen):
         _set(self, "_node_index", None)
 
     @property
-    def node_index(self) -> dict:
-        """Node -> index; derived on first request and kept."""
+    def node_index(self):
+        """Node -> index, as a read-only mapping; derived on first request
+        and kept, so every caller of a shared graph reads the same one."""
         index = self._node_index
         if index is None:
-            index = {b: k for k, b in enumerate(self.nodes)}
+            index = MappingProxyType({b: k for k, b in enumerate(self.nodes)})
             _set(self, "_node_index", index)
         return index
 

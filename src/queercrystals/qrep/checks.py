@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .. import kernel as word_kernel
 from ..reports import check, record, report
-from ..words import all_words, check_rank
+from ..words import _integer, all_words, check_rank
 from .action import (Operator, bracket, compose, expr_sum, generator_expr,
                      identity_expr, op, qh_expr, scale)
 from .laurent import ONE, Q, RatFunc
@@ -27,7 +27,7 @@ from .kashiwara import (_rows, _rref, tilde_e, tilde_ebar1, tilde_ebar1_expr,
 def _check_rank_and_power(n: int, N: int) -> None:
     """Reject instances with no basis tensor to evaluate."""
     check_rank(n)
-    if N < 1:
+    if _integer(N, "tensor power") < 1:
         raise ValueError(f"tensor power must be >= 1, got {N}")
 
 

@@ -7,16 +7,19 @@ this is the staircase with row lengths 1,2,3,4,4,3,2 and 19 boxes.
 
 Semistandard fillings (rows weakly increasing, columns strictly
 increasing, entries 1..n) are mapped into words by an admissible reading,
-and the word operators pull back to tableau operators.  Two readings are
-provided; they induce the same tableau operators, which
-``theorems.verify_reading_independence`` checks on every filling.
+and the word operators pull back to tableau operators.  ``_fillings`` is
+the one enumerator of fillings, as entry tuples; ``enumerate_ssyt`` wraps
+them as ``Tableau`` objects.  Two readings are provided; they induce the
+same tableau operators, which ``theorems.verify_reading_independence``
+checks on every filling.
 
 Tableau crystal graphs are built on the row-reading words with the
 kernel's word operators, with nodes ordered by the tableau's canonical key
-(weight, then entries in box order).  Each node is then decoded once
-into a ``Tableau``, and decoding checks that it is semistandard; every
-operator result is a node, so every result is checked.  ``TableauOps``
-applies single operators to ``Tableau`` objects directly.
+(weight, then entries in box order).  The entries computed for that sort
+are kept, and each node is made a ``Tableau`` from them once, which
+checks that it is semistandard; every operator result is a node, so
+every result is checked.  ``TableauOps`` applies single operators to
+``Tableau`` objects directly.
 
 The full set of semistandard fillings is stable under the operators but
 is in general a disjoint union of several connected crystals (already for
@@ -39,23 +42,14 @@ from . import kernel
 from .errors import StructureError, VerificationError
 from .graphs import (ODD, CrystalGraph, WordOps, _Frozen, _set, all_labels,
                      build_graph, closure)
-from .words import check_rank, check_word
+from .words import _integer, check_rank, check_word
 
 Parts = tuple  # strict partition as a tuple of parts
 
 
-def _integer(x, what: str) -> int:
-    """``x`` as an int, through ``operator.index``: a float or a string
-    is refused, not truncated or parsed."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {x!r}") from None
-
-
 def check_strict_partition(parts, n: int) -> Parts:
     """Validate and normalize a strict partition with at most n parts."""
-    check_rank(_integer(n, "rank"))
+    check_rank(n)
     parts = tuple(_integer(p, "part") for p in parts)
     if not parts:
         raise ValueError("empty partition")
@@ -158,17 +152,17 @@ def _semistandard(neighbors: tuple, entries) -> bool:
     return True
 
 
-def enumerate_ssyt(shape: SkewShape, n: int) -> list:
-    """All semistandard fillings, ordered by row-major filling sequence."""
-    boxes = shape.boxes
-    neighbors = _neighbors(boxes)
-    m = len(boxes)
+def _fillings(neighbors: tuple, n: int) -> list:
+    """The entry tuples of every semistandard filling with entries 1..n,
+    on the shape whose ``_neighbors`` table is given, depth-first in
+    row-major filling sequence (so in lexicographic order of entries)."""
+    m = len(neighbors)
     out = []
     entries = [0] * m
 
     def fill(k):
         if k == m:
-            out.append(Tableau(shape=shape, entries=tuple(entries)))
+            out.append(tuple(entries))
             return
         left, up, _, _ = neighbors[k]
         lo = 1
@@ -179,10 +173,16 @@ def enumerate_ssyt(shape: SkewShape, n: int) -> list:
         for v in range(lo, n + 1):
             entries[k] = v
             fill(k + 1)
-        entries[k] = 0
 
     fill(0)
     return out
+
+
+def enumerate_ssyt(shape: SkewShape, n: int) -> list:
+    """All semistandard fillings as ``Tableau`` objects, in the order of
+    ``_fillings``, the one enumerator: by row-major filling sequence."""
+    return [Tableau(shape=shape, entries=entries)
+            for entries in _fillings(_neighbors(shape.boxes), n)]
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +226,11 @@ class TableauOps:
         return bytes(map(t.entries.__getitem__, self.order))
 
     def decode(self, w: bytes) -> Tableau:
-        entries = tuple(map(w.__getitem__, self.positions))
+        return self.tableau(tuple(map(w.__getitem__, self.positions)))
+
+    def tableau(self, entries: tuple) -> Tableau:
+        """The tableau with these entries (in box order), checked to be
+        semistandard."""
         if not _semistandard(self.neighbors, entries):
             raise StructureError(
                 f"operator produced a non-semistandard filling {entries} "
@@ -282,25 +286,34 @@ class _ReadingWordOps(WordOps):
     """Word operators on the reading words of one tableau shape.
 
     Words sort like the tableaux they read (weight, then entries), so a
-    graph built on them has the tableau graph's node order.
+    graph built on them has the tableau graph's node order.  The sort key
+    of a word is its tableau's entries in box order; ``entries`` keeps it
+    for ``_decoded``, so each node is permuted to box order once.
     """
 
     def __init__(self, ops: TableauOps):
         super().__init__(ops.n)
         self.positions = ops.positions
+        self.entries = {}  # reading word -> entries in box order
 
     def sort_key(self, w):
-        return bytes(map(w.__getitem__, self.positions))
+        key = self.entries[w] = tuple(map(w.__getitem__, self.positions))
+        return key
 
 
-def _decoded(ops: TableauOps, words: CrystalGraph) -> CrystalGraph:
-    """A graph on reading words as a tableau graph.
+def _decoded(ops: TableauOps, words_ops: _ReadingWordOps,
+             words: CrystalGraph) -> CrystalGraph:
+    """A graph built through ``words_ops`` on reading words, as a tableau
+    graph.
 
-    Every node is decoded, and so checked to be semistandard, once; every
-    operator result is a node, so this covers all of them.
+    Every node's entries were kept when the build sorted it; each is made
+    a tableau, and so checked to be semistandard, once.  Every operator
+    result is a node, so this covers all of them.
     """
     return CrystalGraph(n=words.n, kind=ops.kind,
-                        nodes=tuple(map(ops.decode, words.nodes)),
+                        nodes=tuple(map(ops.tableau,
+                                        map(words_ops.entries.__getitem__,
+                                            words.nodes))),
                         weights=words.weights, arrows=words.arrows)
 
 
@@ -357,15 +370,18 @@ def crystal_of_shape(parts, n: int) -> CrystalGraph:
 def _crystal_of_shape(parts: Parts, n: int) -> CrystalGraph:
     t = b_lambda(parts, n)
     ops = TableauOps(t.shape, n)
-    return _decoded(ops, closure(_ReadingWordOps(ops), ops.encode(t)))
+    words_ops = _ReadingWordOps(ops)
+    return _decoded(ops, words_ops, closure(words_ops, ops.encode(t)))
 
 
 def full_ssyt_graph(parts, n: int):
     """Crystal graph on every semistandard filling of the staircase."""
     shape = shape_from_partition(parts, n)
     ops = TableauOps(shape, n)
-    fillings = [ops.encode(t) for t in enumerate_ssyt(shape, n)]
-    return _decoded(ops, build_graph(_ReadingWordOps(ops), fillings))
+    words_ops = _ReadingWordOps(ops)
+    fillings = [bytes(map(entries.__getitem__, ops.order))
+                for entries in _fillings(ops.neighbors, n)]
+    return _decoded(ops, words_ops, build_graph(words_ops, fillings))
 
 
 def tableau_json(t: Tableau) -> dict:

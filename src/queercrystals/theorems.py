@@ -23,9 +23,9 @@ from .errors import VerificationError
 from .graphs import (WordOps, build_graph, fbar_ops, graph_components,
                      highest_weight_nodes, isomorphic, tensor, validate)
 from .reports import check, record, report
-from .tableaux import (TableauOps, b_lambda, check_strict_partition,
-                       crystal_of_shape, enumerate_ssyt, partition_weight,
-                       shape_from_partition)
+from .tableaux import (TableauOps, _fillings, b_lambda,
+                       check_strict_partition, crystal_of_shape,
+                       partition_weight, shape_from_partition)
 
 
 def vector_crystal(n: int):
@@ -36,6 +36,7 @@ def vector_crystal(n: int):
 def tensor_power_graph(n: int, N: int):
     """Crystal graph on all words of length N (all components at once)."""
     words.check_rank(n)
+    N = words._integer(N, "tensor power")
     if N < 0:
         raise ValueError(f"tensor power must be >= 0, got {N}")
     return build_graph(WordOps(n), list(words.all_words(n, N)))
@@ -184,16 +185,26 @@ def verify_highest_weight_formula(parts, n: int) -> dict:
 def verify_reading_independence(parts, n: int) -> dict:
     """Row and column readings induce identical operators on all fillings.
 
-    Each filling is encoded once per reading, and one ``kernel.edits``
-    scan per word gives the position every operator edits on it.  An
-    operator changes one letter, to a letter that does not depend on the
-    reading, so the two results are the same tableau exactly when the two
-    positions, each mapped to a box through its reading's ``order``, are
-    the same box (or both vanish).  They are compared in the order f_1,
-    e_1, ..., f_{n-1}, e_{n-1}, fbar1, ebar1.  Every result is checked to
-    be semistandard on its edited box alone, against that box's
-    neighbors, which is equivalent for a one-box change of a semistandard
-    filling; a result that fails is decoded, which raises.
+    Every filling's entry tuple comes from ``tableaux._fillings``, and
+    one ``kernel.edits`` scan of a word gives the position every operator
+    edits on it.  An operator changes one letter, to a letter that does
+    not depend on the reading, so the two results are the same tableau
+    exactly when the two positions, each mapped to a box through its
+    reading's ``order``, are the same box (or both vanish).
+
+    The column word is scanned only when it differs from the row word:
+    the scan is a function of the word, so equal words share their
+    positions.  On a shape whose two orders agree, the column word is not
+    even read.  Two equal words put an operator's results in different
+    boxes exactly when its position is one where the orders name
+    different boxes (``apart``); when no position meets ``apart``, every
+    operator agrees and only its result is checked.  Otherwise the
+    operators are compared one by one, in the order f_1, e_1, ...,
+    f_{n-1}, e_{n-1}, fbar1, ebar1, and the first that differs is the
+    witness.  Every result is checked to be semistandard on its edited
+    box alone, against that box's neighbors, which is equivalent for a
+    one-box change of a semistandard filling; a result that fails is
+    decoded, which raises.
     """
     parts = check_strict_partition(parts, n)
     instance = f"n={n} lam={parts}"
@@ -209,28 +220,44 @@ def verify_reading_independence(parts, n: int) -> dict:
     if n >= 2:
         operators.append(("fbar1", 0, n - 1, down_letters[n - 1]))
         operators.append(("ebar1", 1, n - 1, up_letters[n - 1]))
+    checks = [op[1:] for op in operators]
     # the box at each reading position, and box -1 at position -1 (the
     # crystal zero) from the entry appended last
-    row_box = row_ops.order + (-1,)
-    col_box = col_ops.order + (-1,)
+    row_order, col_order = row_ops.order, col_ops.order
+    row_box = row_order + (-1,)
+    col_box = col_order + (-1,)
+    # the reading positions where the two orders name different boxes
+    apart = {p for p, (x, y) in enumerate(zip(row_order, col_order))
+             if x != y}
+    edits = kernel.edits
+    put = kernel._put
     # the check reads boxes, so it serves both readings
     fits = row_ops.keeps_semistandard
     mismatch = None
-    for t in enumerate_ssyt(shape, n):
-        row_word = row_ops.encode(t)
-        col_word = col_ops.encode(t)
-        row_edits = kernel.edits(row_word, n)
-        col_edits = kernel.edits(col_word, n)
-        entries = t.entries
+    for entries in _fillings(row_ops.neighbors, n):
+        row_word = bytes(map(entries.__getitem__, row_order))
+        row_edits = edits(row_word, n)
+        col_word, col_edits = row_word, row_edits
+        if apart:
+            col_word = bytes(map(entries.__getitem__, col_order))
+            if col_word != row_word:
+                col_edits = edits(col_word, n)
+        if col_edits is row_edits and apart.isdisjoint(row_edits[0]) \
+                and apart.isdisjoint(row_edits[1]):
+            for side, k, letter in checks:
+                p = row_edits[side][k]
+                if p >= 0 and not fits(entries, row_box[p], letter):
+                    row_ops.decode(put(row_word, p, letter))
+            continue
         for name, side, k, letter in operators:
             p = row_edits[side][k]
             q = col_edits[side][k]
             x = row_box[p]
             y = col_box[q]
             if x >= 0 and not fits(entries, x, letter):
-                row_ops.decode(kernel._put(row_word, p, letter))
+                row_ops.decode(put(row_word, p, letter))
             if y != x and y >= 0 and not fits(entries, y, letter):
-                col_ops.decode(kernel._put(col_word, q, letter))
+                col_ops.decode(put(col_word, q, letter))
             if x != y:
                 mismatch = {"tableau": list(entries), "op": name}
                 break

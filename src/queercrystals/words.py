@@ -15,6 +15,7 @@ definitions these closed forms are equivalent to; the equivalence is
 checked exhaustively in the test suite.
 """
 
+import operator
 from itertools import product
 
 from . import kernel
@@ -32,9 +33,19 @@ def letters(w: Word) -> tuple:
     return tuple(w)
 
 
+def _integer(x, what: str) -> int:
+    """``x`` as an int, through ``operator.index``: a float or a string
+    is refused, not truncated or parsed."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+
+
 def check_rank(n: int) -> None:
-    """A word stores one letter per byte, which caps the rank at 255."""
-    if not 1 <= n <= 255:
+    """A rank must be an integer, and a word stores one letter per byte,
+    which caps it at 255."""
+    if not 1 <= _integer(n, "rank") <= 255:
         raise ValueError(f"rank must be in 1..255, got {n}")
 
 

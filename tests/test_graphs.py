@@ -208,6 +208,18 @@ def test_a_graph_is_an_immutable_value():
     assert g.node_index is g.node_index
 
 
+def test_a_shared_node_index_cannot_be_written(fresh_shape_crystals):
+    # crystal_of_shape hands one graph to every caller, so a write into
+    # its node index would reach every later check on that crystal
+    g = crystal_of_shape((2, 1), 3)
+    with pytest.raises(TypeError):
+        g.node_index[g.nodes[0]] = 5
+    with pytest.raises(TypeError):
+        del g.node_index[g.nodes[0]]
+    assert crystal_of_shape((2, 1), 3).node_index[g.nodes[0]] == 0
+    assert g.node_index == {b: k for k, b in enumerate(g.nodes)}
+
+
 def test_graph_invariants_across_tensor_powers():
     for n in (2, 3):
         for N in range(0, 4):

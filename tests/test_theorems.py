@@ -1,5 +1,7 @@
 """Decomposition, highest-weight formula, reading independence, conjecture."""
 
+from itertools import product
+
 import pytest
 
 from queercrystals import (crystal_of_shape, decompose_product,
@@ -11,6 +13,7 @@ from queercrystals import (crystal_of_shape, decompose_product,
                            verify_unique_highest_weight)
 from queercrystals import kernel, tableaux, theorems
 from queercrystals.errors import StructureError, VerificationError
+from queercrystals.reports import check, report
 from queercrystals.tableaux import strict_partitions
 from queercrystals.theorems import highest_weight_formula_side
 
@@ -173,9 +176,13 @@ def test_a_reading_that_is_not_admissible_fails_with_a_witness(
     assert rec["witness"] == {"tableau": [1, 1], "op": "f_1"}
 
 
-def test_reading_independence_applies_every_operator_to_both_words(
-        monkeypatch, fresh_shape_crystals):
-    # one kernel.edits scan per word gives all 2n operators' positions
+@pytest.mark.parametrize("lam", [(3, 1), (3, 2, 1)])
+def test_reading_independence_scans_each_distinct_word_once(
+        monkeypatch, fresh_shape_crystals, lam):
+    # one kernel.edits scan per word gives all 2n operators' positions; the
+    # column word is scanned only when it is not the row word.  On (3, 1)
+    # the two readings are one order, on (3, 2, 1) every filling's words
+    # differ
     calls = []
     real = kernel.edits
 
@@ -184,12 +191,96 @@ def test_reading_independence_applies_every_operator_to_both_words(
         return real(w, n)
 
     monkeypatch.setattr(kernel, "edits", counting)
-    n, lam = 3, (3, 1)
+    n = 3
     assert verify_reading_independence(lam, n)["passed"]
     fillings = tableaux.enumerate_ssyt(tableaux.shape_from_partition(lam, n), n)
-    assert len(calls) == 2 * len(fillings)
-    assert sorted(calls) == sorted(
-        [tableaux.reading_word(t, r) for t in fillings for r in ("row", "col")])
+    rows = [tableaux.reading_word(t) for t in fillings]
+    columns = [tableaux.reading_word(t, "col") for t in fillings]
+    words = rows + [c for r, c in zip(rows, columns) if c != r]
+    expected = {(3, 1): len(fillings), (3, 2, 1): 2 * len(fillings)}[lam]
+    assert len(calls) == len(words) == expected
+    assert sorted(calls) == sorted(words)
+
+
+def two_scan_reading_independence(parts, n):
+    """Reading independence with two scans per filling, each reading's
+    positions mapped to boxes, operator by operator.  The
+    fillings come from every word of the right length that is
+    semistandard, in lexicographic order, not from the library's
+    enumerator."""
+    parts = tableaux.check_strict_partition(parts, n)
+    instance = f"n={n} lam={parts}"
+    shape = tableaux.shape_from_partition(parts, n)
+    row_ops = tableaux.TableauOps(shape, n, "row")
+    col_ops = tableaux.TableauOps(shape, n, "col")
+    down_letters, up_letters = kernel.edit_letters(n)
+    operators = []
+    for i in range(1, n):
+        operators.append((f"f_{i}", 0, i - 1, down_letters[i - 1]))
+        operators.append((f"e_{i}", 1, i - 1, up_letters[i - 1]))
+    if n >= 2:
+        operators.append(("fbar1", 0, n - 1, down_letters[n - 1]))
+        operators.append(("ebar1", 1, n - 1, up_letters[n - 1]))
+    row_box = row_ops.order + (-1,)
+    col_box = col_ops.order + (-1,)
+    fits = row_ops.keeps_semistandard
+    mismatch = None
+    for entries in product(range(1, n + 1), repeat=len(shape.boxes)):
+        if not tableaux.is_semistandard(shape, entries):
+            continue
+        t = tableaux.Tableau(shape=shape, entries=entries)
+        row_word = row_ops.encode(t)
+        col_word = col_ops.encode(t)
+        row_edits = kernel.edits(row_word, n)
+        col_edits = kernel.edits(col_word, n)
+        for name, side, k, letter in operators:
+            p = row_edits[side][k]
+            q = col_edits[side][k]
+            x = row_box[p]
+            y = col_box[q]
+            if x >= 0 and not fits(entries, x, letter):
+                row_ops.decode(kernel._put(row_word, p, letter))
+            if y != x and y >= 0 and not fits(entries, y, letter):
+                col_ops.decode(kernel._put(col_word, q, letter))
+            if x != y:
+                mismatch = {"tableau": list(entries), "op": name}
+                break
+        if mismatch:
+            break
+    records = [check("reading-independence", instance, mismatch is None,
+                     mismatch)]
+    return report(records, instance=instance)
+
+
+def outcome(verify, lam, n):
+    try:
+        return "report", verify(lam, n)
+    except StructureError as exc:
+        return "raises", str(exc)
+
+
+@pytest.mark.parametrize("admissible", [True, False])
+def test_reading_independence_equals_the_two_scan_check(
+        monkeypatch, fresh_shape_crystals, admissible):
+    # the reversed row reading is not admissible: on most shapes it gives
+    # a witness or a non-semistandard result, and both checks must report
+    # the same one
+    if not admissible:
+        real = tableaux.reading_order
+
+        def reversed_column(boxes, reading):
+            order = real(boxes, "row")
+            return order[::-1] if reading == "col" else order
+
+        monkeypatch.setattr(tableaux, "reading_order", reversed_column)
+    failed = 0
+    for n in (1, 2, 3, 4):
+        for lam in strict_partitions(6, n):
+            got = outcome(verify_reading_independence, lam, n)
+            assert got == outcome(two_scan_reading_independence, lam, n), \
+                (n, lam)
+            failed += got[0] == "raises" or not got[1]["passed"]
+    assert (failed == 0) == admissible
 
 
 def column_words_of(lam, n):
@@ -248,6 +339,34 @@ def test_a_non_semistandard_result_raises_under_either_reading(
 
     monkeypatch.setattr(kernel, "edits", edits)
     with pytest.raises(StructureError):
+        verify_reading_independence(lam, n)
+
+
+@pytest.mark.parametrize("side", ["lowering", "raising"])
+def test_a_non_semistandard_result_raises_where_the_readings_agree(
+        monkeypatch, fresh_shape_crystals, side):
+    # on lam = (3, 1) the two readings are one order, so each filling is
+    # scanned once and no operator's results can differ: only the
+    # semistandard check of each result can fail.  Reading position 0 is
+    # the top of the two-box column and position 1 its bottom; every even
+    # lowering operator writing i + 1 at the top, or every even raising
+    # operator writing i at the bottom, breaks that column
+    n, lam = 3, (3, 1)
+    boxes = tableaux.shape_from_partition(lam, n).boxes
+    assert tableaux.reading_order(boxes, "row") == \
+        tableaux.reading_order(boxes, "col")
+    real = kernel.edits
+
+    def edits(w, n):
+        down, up = real(w, n)
+        if side == "lowering":
+            down = [0] * (n - 1) + down[n - 1:]
+        else:
+            up = [1] * (n - 1) + up[n - 1:]
+        return down, up
+
+    monkeypatch.setattr(kernel, "edits", edits)
+    with pytest.raises(StructureError, match="non-semistandard"):
         verify_reading_independence(lam, n)
 
 

@@ -4,8 +4,9 @@ import pytest
 
 from queercrystals import (all_words, e_even, ebar, ebar1, eps, f_even, fbar,
                            fbar1, is_highest_weight, phi, tensor_power_graph,
-                           weight_of, word)
-from queercrystals.words import check_word, letters
+                           vector_crystal, weight_of, word)
+from queercrystals.qrep.checks import residue_check
+from queercrystals.words import check_rank, check_word, letters
 
 
 def W(*letters):
@@ -137,3 +138,20 @@ def test_validation_errors():
             weight_of(bad, 3)
     with pytest.raises(ValueError, match="out of range"):
         is_highest_weight(W(5), 3)
+
+
+@pytest.mark.parametrize("n, N, bad", [
+    (2.0, 2, "rank must be an integer, got 2.0"),
+    ("2", 2, "rank must be an integer, got '2'"),
+    (2, 2.0, "tensor power must be an integer, got 2.0"),
+])
+def test_a_rank_or_power_that_is_not_an_integer_is_refused(n, N, bad):
+    # a float rank used to end in a bare TypeError from range
+    with pytest.raises(ValueError, match=bad):
+        tensor_power_graph(n, N)
+    with pytest.raises(ValueError, match=bad):
+        residue_check(n, N)
+    if type(n) is not int:
+        for entry in (check_rank, vector_crystal):
+            with pytest.raises(ValueError, match=bad):
+                entry(n)

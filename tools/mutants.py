@@ -1,11 +1,12 @@
 """Mutation check for the word kernel and its one-pass scan, the Weyl
-action, the staircase tableaux, their equality, the one-box semistandard
-check and the memo of their crystals, the graph layer (search,
-components, tensor and its packed weight keys, validation, isomorphism,
-the adapters' highest-weight test), serialization, the CLI, the exact
+action, the staircase tableaux, their enumerator, their equality, the
+one-box semistandard check and the memo of their crystals, the graph
+layer (search, components, tensor and its packed weight keys,
+validation, isomorphism, the adapters' highest-weight test), serialization, the CLI, the exact
 side (rational functions, basis tensors and vectors, the algebra action,
 string decompositions) and the verifiers (check records, reading
-independence, the exact checks, the commuting relations).
+independence and its one scan per distinct word, the exact checks, the
+commuting relations).
 
 Each mutant replaces one snippet of one source file by a wrong variant
 and names the test files that must kill it.  It is applied to a fresh
@@ -122,10 +123,28 @@ MUTANTS = (
     (PKG + "tableaux.py", "        if down >= 0 and a >= entries[down]:\n"
      "            return False\n", "",
      "the one-box check ignores the neighbor below", WORDS + THEOREMS),
-    (PKG + "theorems.py", "col_box = col_ops.order + (-1,)",
-     "col_box = row_ops.order + (-1,)",
+    (PKG + "theorems.py", "col_box = col_order + (-1,)",
+     "col_box = row_order + (-1,)",
      "reading independence maps column positions to boxes by the row "
      "reading", THEOREMS),
+    (PKG + "theorems.py", "                col_edits = edits(col_word, n)",
+     "                col_edits = row_edits",
+     "reading independence reuses the row word's scan for a column word "
+     "that differs", THEOREMS),
+    (PKG + "theorems.py",
+     "    apart = {p for p, (x, y) in enumerate(zip(row_order, col_order))\n"
+     "             if x != y}", "    apart = set()",
+     "reading independence takes every shape's two orders for one order",
+     THEOREMS),
+    (PKG + "theorems.py",
+     "                if p >= 0 and not fits(entries, row_box[p], letter):",
+     "                if False:",
+     "reading independence skips the semistandard check where the two "
+     "readings agree", THEOREMS),
+    (PKG + "tableaux.py", "        for v in range(lo, n + 1):",
+     "        for v in range(lo, n + (k < m - 1)):",
+     "the filling enumerator never puts the letter n in the last box",
+     WORDS + THEOREMS),
     (PKG + "tableaux.py",
      "return _crystal_of_shape(parts, operator.index(n))",
      "return globals().setdefault(\n        (\"memo\", parts), "
@@ -140,9 +159,9 @@ MUTANTS = (
     (PKG + "tableaux.py", "@lru_cache(maxsize=16)",
      "@lru_cache(maxsize=None)",
      "the crystal_of_shape memo grows without bound", MEMO),
-    (PKG + "tableaux.py", "return operator.index(x)", "return int(x)",
+    (PKG + "words.py", "return operator.index(x)", "return int(x)",
      "a part of 2.9 or '3' is truncated or parsed, and shares the memo "
-     "entry of an integer shape", MEMO),
+     "entry of an integer shape; a rank of 2.0 passes", WORDS),
     (PKG + "tableaux.py", 'if direction not in ("e", "f"):',
      'if direction not in ("e", "f", "up"):',
      'tableau_operator takes "up" for "f"', WORDS),
