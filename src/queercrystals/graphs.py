@@ -41,12 +41,10 @@ from .errors import StructureError
 ODD = "1bar"
 
 
-def even_labels(n: int) -> tuple:
-    return tuple(range(1, n))
-
-
 def all_labels(n: int) -> tuple:
-    return even_labels(n) + ((ODD,) if n >= 2 else ())
+    """The labels of the rank-n operators: 1..n-1, then the odd label
+    from n = 2 on.  Every operator list and arrow array follows it."""
+    return tuple(range(1, n)) + ((ODD,) if n >= 2 else ())
 
 
 _set = object.__setattr__
@@ -272,7 +270,7 @@ def fbar_ops(ops, i, b):
 def is_highest_weight_ops(ops, b) -> bool:
     """All raising operators e_i, ebar_i (i = 1..n-1) vanish on b."""
     return all(ops.e(i, b) is None and ebar_ops(ops, i, b) is None
-               for i in even_labels(ops.n))
+               for i in range(1, ops.n))
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +281,13 @@ def closure_set(ops, seed) -> set:
     """All elements reachable from the seed under e/f/ebar1/fbar1."""
     seen = {seed}
     todo = [seed]
-    n = ops.n
+    labels = all_labels(ops.n)
     while todo:
         b = todo.pop()
-        for i in range(1, n):
-            for x in (ops.f(i, b), ops.e(i, b)):
-                if x is not None and x not in seen:
-                    seen.add(x)
-                    todo.append(x)
-        if n >= 2:
-            for x in (ops.fbar1(b), ops.ebar1(b)):
+        for lab in labels:
+            moves = ((ops.fbar1(b), ops.ebar1(b)) if lab == ODD
+                     else (ops.f(lab, b), ops.e(lab, b)))
+            for x in moves:
                 if x is not None and x not in seen:
                     seen.add(x)
                     todo.append(x)
@@ -313,9 +308,8 @@ def _ordered(ops, elements):
 def build_graph(ops, elements) -> CrystalGraph:
     """Crystal graph on a set of elements closed under the operators."""
     nodes, weights, index = _ordered(ops, elements)
-    lowering = [partial(ops.f, i) for i in even_labels(ops.n)]
-    if ops.n >= 2:
-        lowering.append(ops.fbar1)
+    lowering = [ops.fbar1 if lab == ODD else partial(ops.f, lab)
+                for lab in all_labels(ops.n)]
     try:
         arrows = tuple(tuple(map(index.__getitem__, map(op, nodes)))
                        for op in lowering)

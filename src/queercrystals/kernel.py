@@ -4,8 +4,8 @@ Callers import the kernel from here; the functions live in their own
 module so that a tracer can wrap these names without wrapping the
 kernel's calls among themselves.  ``edits`` gives the position every
 operator edits on a word from one scan, for callers that need them all
-(``graphs.closure``, reading independence and the residue check's word
-tables); ``edit_letters`` gives the letter each one writes, and
+(``graphs.closure`` and reading independence), in ``graphs.all_labels``
+order; ``edit_letters`` gives the letter each one writes, and
 ``_put(w, pos, letter)``, the one letter edit, turns a position into the
 result word.  The per-label ``apply_*`` functions serve callers that need
 one operator, and are ``edits``'s oracle in the tests.

@@ -6,13 +6,15 @@ each basis tensor of V^(x)N with exact rational-function arithmetic, so a
 The residue check is the bridge to the combinatorial side: it confirms
 that the q-level Kashiwara operators preserve the integral lattice spanned
 by the basis tensors, and that setting q = 0 reproduces, pattern space by
-pattern space, exactly the arrows of the word crystal B^(x)N.
+pattern space, exactly the arrows of the word crystal B^(x)N, the graph
+``tensor_power_graph(n, N)``.
 """
 
 from fractions import Fraction
 
-from .. import kernel as word_kernel
+from ..graphs import ODD, all_labels
 from ..reports import check, record, report
+from ..theorems import tensor_power_graph
 from ..words import _integer, all_words, check_rank
 from .action import (Operator, bracket, compose, expr_sum, generator_expr,
                      identity_expr, op, qh_expr, scale)
@@ -162,6 +164,8 @@ def verify_relations(n: int, N: int, which: str | None = None) -> dict:
     once the next one starts.
     """
     _check_rank_and_power(n, N)
+    if which is not None and not isinstance(which, str):
+        raise ValueError(f"which must be a string or None, got {which!r}")
     records = []
     tensors = basis(n, N)
     catalogue = relations_catalogue(n)
@@ -221,6 +225,7 @@ def comult_formulas(n: int) -> list:
 
 def verify_comult_odd(n: int) -> dict:
     """Odd operators on V (x) V match their comultiplication formulas."""
+    check_rank(n)
     if n < 2:
         raise ValueError(f"odd comultiplication needs rank >= 2, got {n}")
     records = []
@@ -237,26 +242,6 @@ def verify_comult_odd(n: int) -> dict:
 # lattice stability and q -> 0 residues
 
 
-def _word_edges(n: int, N: int) -> dict:
-    """Combinatorial operator tables on all words of length N, keyed
-    e_1, f_1, ..., e_{n-1}, f_{n-1}, ebar1, fbar1; one scan per word gives
-    the positions, and each result is the one letter edit there."""
-    keys = [(kind, i) for i in range(1, n) for kind in ("e", "f")]
-    if n >= 2:
-        keys += [("ebar1",), ("fbar1",)]
-    down_letters, up_letters = word_kernel.edit_letters(n)
-    # each key with the letter its operator writes
-    keyed = list(zip(keys, (a for pair in zip(up_letters, down_letters)
-                            for a in pair)))
-    out = {}
-    for w in all_words(n, N):
-        down, up = word_kernel.edits(w, n)
-        positions = (p for pair in zip(up, down) for p in pair)
-        out[w] = {key: None if p < 0 else word_kernel._put(w, p, a)
-                  for (key, a), p in zip(keyed, positions)}
-    return out
-
-
 def residue_check(n: int, N: int) -> dict:
     """Lattice stability and the q=0 shadow of the Kashiwara operators.
 
@@ -265,18 +250,26 @@ def residue_check(n: int, N: int) -> dict:
     residue must land in l_{op(b)} (or vanish when op(b) does), and when
     op(b) is present the residue map l_b -> l_{op(b)} must be invertible.
     ktilde_1 must preserve each l_b.  The nonzero residue maps must
-    reproduce the word-crystal arrows exactly.
+    reproduce the arrows of the word crystal ``tensor_power_graph(n, N)``
+    exactly.  Patterns come in ``all_words`` order, and each one's
+    operators in the order e_1, f_1, ..., e_{n-1}, f_{n-1}, ebar1, fbar1.
     """
     _check_rank_and_power(n, N)
     records = []
-    edges = _word_edges(n, N)
-    q_ops = {}
-    for i in range(1, n):
-        q_ops[("e", i)] = lambda v, i=i: tilde_e(i, v, n)
-        q_ops[("f", i)] = lambda v, i=i: tilde_f(i, v, n)
-    if n >= 2:
-        q_ops[("ebar1",)] = lambda v: tilde_ebar1(v, n)
-        q_ops[("fbar1",)] = lambda v: tilde_fbar1(v, n)
+    graph = tensor_power_graph(n, N)
+    # per label its raising, then its lowering operator: the record key,
+    # the q-level operator, and the graph's arrows (an index, or -1)
+    table = []
+    for lab in all_labels(n):
+        if lab == ODD:
+            keys = ("ebar1",), ("fbar1",)
+            q_pair = (lambda v: tilde_ebar1(v, n), lambda v: tilde_fbar1(v, n))
+        else:
+            keys = ("e", lab), ("f", lab)
+            q_pair = (lambda v, i=lab: tilde_e(i, v, n),
+                      lambda v, i=lab: tilde_f(i, v, n))
+        table += zip(keys, q_pair,
+                     (graph.predecessors(lab), graph.successors(lab)))
 
     def residue_map(op_fn, src):
         """(columns over the target basis, pole witness or None)."""
@@ -300,24 +293,26 @@ def residue_check(n: int, N: int) -> dict:
     for t in tensors:
         spans.setdefault(pattern(t), set()).add(t)
     residue_edges = set()
-    for b in edges:
+    for b in all_words(n, N):
         src = lattice_basis(b)
         instance = f"n={n} N={N} b={list(b)}"
         ok = set(src) == spans[b]
         records.append(check("lattice-dimension", instance, ok))
         if not ok:
             continue  # maps on a wrong pattern space mean nothing
-        for op_key, expected in edges[b].items():
+        k = graph.node_index[b]
+        for op_key, q_op, arrows in table:
             at = f"{instance} op={'-'.join(str(x) for x in op_key)}"
-            cols, pole = residue_map(q_ops[op_key], src)
+            cols, pole = residue_map(q_op, src)
             records.append(check("lattice-stability", at, pole is None, pole))
             if pole is not None:
                 continue
             support = {pattern(t) for col in cols for t in col}
-            if expected is None:
+            if arrows[k] < 0:
                 records.append(check("residue-vanishes", at, not support,
                                      {"support": [list(p) for p in support]}))
                 continue
+            expected = graph.nodes[arrows[k]]
             ok = support == {expected}
             records.append(check("residue-target", at, ok,
                                  {"support": [list(p) for p in support],
@@ -339,24 +334,23 @@ def residue_check(n: int, N: int) -> dict:
             records.append(check("ktilde1-preserves", instance, support <= {b},
                                  {"support": [list(p) for p in support]}))
     # residue arrows = combinatorial arrows
-    comb_edges = {(b, k, v) for b, table in edges.items()
-                  for k, v in table.items() if v is not None}
+    comb_edges = {(graph.nodes[s], op_key, graph.nodes[d])
+                  for op_key, _, arrows in table
+                  for s, d in enumerate(arrows) if d >= 0}
     records.append(check(
         "residue-graph-equality", f"n={n} N={N}", residue_edges == comb_edges,
         {"missing": sorted(map(repr, comb_edges - residue_edges)),
          "extra": sorted(map(repr, residue_edges - comb_edges))}))
-    # nilpotence of the odd operators on L/qL: a pole, else the first
-    # nonzero residue, is the witness
-    if n >= 2:
-        for name in ("ebar1", "fbar1"):
-            fn = q_ops[(name,)]
-            cols, witness = residue_map(lambda v: fn(fn(v)), tensors)
-            if witness is None:
-                witness = next(
-                    ({"tensor": repr(t), "component": repr(t2),
-                      "value": str(value)}
-                     for t, col in zip(tensors, cols)
-                     for t2, value in col.items()), None)
-            records.append(check(f"tilde-{name}-squared-zero", f"n={n} N={N}",
-                                 witness is None, witness))
+    # nilpotence of the odd operators on L/qL (the table's pair after the
+    # n - 1 even ones): a pole, else the first nonzero residue, is the witness
+    for (name,), fn, _ in table[2 * (n - 1):]:
+        cols, witness = residue_map(lambda v: fn(fn(v)), tensors)
+        if witness is None:
+            witness = next(
+                ({"tensor": repr(t), "component": repr(t2),
+                  "value": str(value)}
+                 for t, col in zip(tensors, cols)
+                 for t2, value in col.items()), None)
+        records.append(check(f"tilde-{name}-squared-zero", f"n={n} N={N}",
+                             witness is None, witness))
     return report(records, n=n, N=N)

@@ -69,6 +69,8 @@ def partition_weight(parts, n: int) -> tuple:
 
 def strict_partitions(max_size: int, n: int):
     """All strict partitions with at most n parts and |lam| <= max_size."""
+    check_rank(n)
+    max_size = _integer(max_size, "size")
     out = []
 
     def grow(prefix, remaining, cap):

@@ -20,8 +20,9 @@ applied to b_lam.
 
 from . import kernel, words
 from .errors import VerificationError
-from .graphs import (WordOps, build_graph, fbar_ops, graph_components,
-                     highest_weight_nodes, isomorphic, tensor, validate)
+from .graphs import (ODD, WordOps, all_labels, build_graph, fbar_ops,
+                     graph_components, highest_weight_nodes, isomorphic,
+                     tensor, validate)
 from .reports import check, record, report
 from .tableaux import (TableauOps, _fillings, b_lambda,
                        check_strict_partition, crystal_of_shape,
@@ -212,14 +213,13 @@ def verify_reading_independence(parts, n: int) -> dict:
     row_ops = TableauOps(shape, n, "row")
     col_ops = TableauOps(shape, n, "col")
     down_letters, up_letters = kernel.edit_letters(n)
-    # (name, 0 for lowering or 1 for raising, index in edits, letter written)
+    # (name, 0 for lowering or 1 for raising, index in edits, letter
+    # written); edits lists each side's positions in all_labels order
     operators = []
-    for i in range(1, n):
-        operators.append((f"f_{i}", 0, i - 1, down_letters[i - 1]))
-        operators.append((f"e_{i}", 1, i - 1, up_letters[i - 1]))
-    if n >= 2:
-        operators.append(("fbar1", 0, n - 1, down_letters[n - 1]))
-        operators.append(("ebar1", 1, n - 1, up_letters[n - 1]))
+    for k, lab in enumerate(all_labels(n)):
+        suffix = "bar1" if lab == ODD else f"_{lab}"
+        operators.append((f"f{suffix}", 0, k, down_letters[k]))
+        operators.append((f"e{suffix}", 1, k, up_letters[k]))
     checks = [op[1:] for op in operators]
     # the box at each reading position, and box -1 at position -1 (the
     # crystal zero) from the entry appended last
@@ -276,12 +276,13 @@ def explore_conjecture(parts, n: int, max_depth: int | None = None) -> dict:
     descriptive: nothing is asserted about what must be found.
     """
     parts = check_strict_partition(parts, n)
-    if max_depth is not None and max_depth < 0:
+    if max_depth is None:
+        max_depth = sum(parts) + 1
+    max_depth = words._integer(max_depth, "max_depth")
+    if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     graph = crystal_of_shape(parts, n)
     top = graph.node_index[b_lambda(parts, n)]
-    if max_depth is None:
-        max_depth = sum(parts) + 1
     # breadth-first closure under the odd lowering operators, on node indices
     expressions = {top: []}
     frontier = [top]

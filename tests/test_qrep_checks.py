@@ -5,6 +5,8 @@ import weakref
 
 import pytest
 
+from queercrystals import CrystalGraph, tensor_power_graph
+from queercrystals.graphs import ODD, all_labels
 from queercrystals.qrep import checks
 from queercrystals.qrep.action import (Operator, compose, expr_sum,
                                        identity_expr, op)
@@ -181,6 +183,13 @@ def test_a_comultiplication_without_the_super_sign_fails(monkeypatch):
                                  "coefficient": "-2"}
 
 
+@pytest.mark.parametrize("which", [1, b"kbar", ["kbar"]])
+def test_a_relation_filter_that_is_not_a_string_is_refused(which):
+    # an int used to end in a TypeError from `in`
+    with pytest.raises(ValueError, match="which must be a string or None"):
+        verify_relations(2, 1, which=which)
+
+
 def test_comultiplication_of_odd_operators():
     for n in (2, 3):
         rep = verify_comult_odd(n)
@@ -200,6 +209,24 @@ def test_residue_on_the_two_fold_tensor():
     assert rep["passed"], _failures(rep)
     nil = [r for r in rep["records"] if r["check"].endswith("squared-zero")]
     assert len(nil) == 2 and all(r["status"] == "pass" for r in nil)
+
+
+def test_the_residue_arrows_are_read_from_the_stored_word_crystal(
+        monkeypatch):
+    """With the fbar1 arrows of the (2, 1) crystal removed, the residues of
+    fbar1 on [1] and of ebar1 on [2], which land where the true arrow
+    points, fail as residues that should vanish; no other record fails."""
+    real = tensor_power_graph(2, 1)
+    arrows = tuple((-1,) * len(real) if lab == ODD else succ
+                   for lab, succ in zip(all_labels(2), real.arrows))
+    broken = CrystalGraph(n=2, kind=real.kind, nodes=real.nodes,
+                          weights=real.weights, arrows=arrows)
+    monkeypatch.setattr(checks, "tensor_power_graph", lambda n, N: broken)
+    rep = residue_check(2, 1)
+    assert [(r["check"], r["instance"], r["witness"])
+            for r in _failures(rep)] == [
+        ("residue-vanishes", "n=2 N=1 b=[1] op=fbar1", {"support": [[2]]}),
+        ("residue-vanishes", "n=2 N=1 b=[2] op=ebar1", {"support": [[1]]})]
 
 
 def test_three_fold_tensor_depth():

@@ -65,6 +65,18 @@ def test_a_part_or_rank_that_is_not_an_integer_is_refused(parts, n, bad):
         crystal_of_shape(parts, n)
 
 
+def test_strict_partitions_refuses_a_bad_size_or_rank():
+    # 3.5 used to end in a bare TypeError from range
+    with pytest.raises(ValueError, match="size must be an integer, got 3.5"):
+        strict_partitions(3.5, 2)
+    # rank 0 used to return [] in silence
+    with pytest.raises(ValueError, match="rank must be in 1..255, got 0"):
+        strict_partitions(4, 0)
+    with pytest.raises(ValueError, match="rank must be an integer"):
+        strict_partitions(4, 2.0)
+    assert strict_partitions(3, 2) == [(1,), (2,), (2, 1), (3,)]
+
+
 def test_enumerate_ssyt_counts():
     assert len(enumerate_ssyt(shape_from_partition((2,)), 2)) == 4
     assert len(enumerate_ssyt(shape_from_partition((2, 1)), 2)) == 2

@@ -385,3 +385,12 @@ def test_conjecture_with_empty_budget_marks_not_found():
     assert sorted(v["found"] for v in vecs) == [False, True]
     full = explore_conjecture((2,), 2)
     assert all(v["found"] for v in full["highest_weight_vectors"])
+
+
+@pytest.mark.parametrize("max_depth", [1.5, "1", 2.0])
+def test_a_conjecture_depth_that_is_not_an_integer_is_refused(max_depth):
+    # 1.5 used to be accepted and reported as "max_depth": 1.5
+    with pytest.raises(ValueError, match="max_depth must be an integer"):
+        explore_conjecture((2, 1), 3, max_depth=max_depth)
+    with pytest.raises(ValueError, match="max_depth must be >= 0"):
+        explore_conjecture((2, 1), 3, max_depth=-1)

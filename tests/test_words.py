@@ -5,7 +5,7 @@ import pytest
 from queercrystals import (all_words, e_even, ebar, ebar1, eps, f_even, fbar,
                            fbar1, is_highest_weight, phi, tensor_power_graph,
                            vector_crystal, weight_of, word)
-from queercrystals.qrep.checks import residue_check
+from queercrystals.qrep.checks import residue_check, verify_comult_odd
 from queercrystals.words import check_rank, check_word, letters
 
 
@@ -152,6 +152,7 @@ def test_a_rank_or_power_that_is_not_an_integer_is_refused(n, N, bad):
     with pytest.raises(ValueError, match=bad):
         residue_check(n, N)
     if type(n) is not int:
-        for entry in (check_rank, vector_crystal):
+        # verify_comult_odd(2.0) used to end in a bare TypeError
+        for entry in (check_rank, vector_crystal, verify_comult_odd):
             with pytest.raises(ValueError, match=bad):
                 entry(n)

@@ -177,9 +177,11 @@ MUTANTS = (
     (PKG + "qrep/checks.py", "lambda i: kbar_shift(i, -1)",
      "lambda i: kbar_shift(i, 1)",
      "[e_i, fbar_i] takes the shift of [ebar_i, f_i]", CHECKS),
-    (PKG + "qrep/checks.py", 'for kind in ("e", "f")]',
-     'for kind in ("f", "e")]',
-     "the word arrows e_i and f_i trade keys", CHECKS),
+    (PKG + "qrep/checks.py",
+     "(graph.predecessors(lab), graph.successors(lab))",
+     "(graph.successors(lab), graph.predecessors(lab))",
+     "the residue check reads each raising operator's arrows for the "
+     "lowering one's and the reverse", CHECKS),
     (PKG + "qrep/checks.py", "ok = set(src) == spans[b]",
      "ok = len(src) == len(spans[b])",
      "lattice-dimension compares sizes only, so a wrong tensor passes",
@@ -189,9 +191,9 @@ MUTANTS = (
      "a vanished residue passes as the expected target", CHECKS),
     (PKG + "qrep/checks.py", "rank == 2 ** N,", "rank >= 2 ** (N - 1),",
      "a residue map of half rank passes as invertible", CHECKS),
-    (PKG + "qrep/checks.py", "            if witness is None:\n"
-     "                witness = next(",
-     "            if False:\n                witness = next(",
+    (PKG + "qrep/checks.py", "        if witness is None:\n"
+     "            witness = next(",
+     "        if False:\n            witness = next(",
      "a nonzero residue of a squared odd operator passes", CHECKS),
     (PKG + "graphs.py", "if met1 != met2:", "if met1[0] != met2[0]:",
      "isomorphic compares the weights its searches meet, not the arrows",
@@ -207,6 +209,13 @@ MUTANTS = (
      "ops.e(i, b) is None",
      "the adapters' highest-weight test ignores the odd raising operators",
      ("tests/test_graphs.py", "tests/test_tableaux.py")),
+    (PKG + "graphs.py", "for lab in all_labels(ops.n)]",
+     "for lab in all_labels(ops.n) if lab != ODD]",
+     "build_graph's lowering list loses the odd label", GRAPHS),
+    (PKG + "graphs.py", "(ops.fbar1(b), ops.ebar1(b))",
+     "(ops.fbar1(b), ops.fbar1(b))",
+     "closure_set reads fbar1 for both odd moves, so it never raises "
+     "along the odd label", WORDS),
     (PKG + "graphs.py", "[p > e for e in eps]", "[p >= e for e in eps]",
      "tensor lowers the left factor when phi_i = eps_i", GRAPHS),
     (PKG + "graphs.py", "base = 1 + sum(", "base = sum(",
