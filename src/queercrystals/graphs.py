@@ -325,9 +325,9 @@ def closure(ops, seed) -> CrystalGraph:
 
     ``ops`` is a word adapter.  One ``kernel.edits`` scan per node gives
     the positions its lowering operators (f_1..f_{n-1}, fbar1) and its
-    raising ones edit, and ``kernel._put`` writes each result.  The search
-    follows both and keeps the lowering results, which become the arrows
-    once the nodes are sorted, so no operator is applied twice.  The
+    raising ones edit, and ``kernel._put`` writes each result.  Every new
+    result is queued, and the lowering row becomes the node's arrows once
+    the nodes are sorted, so no operator is applied twice.  The
     generic form, for any adapter, is ``build_graph(ops, closure_set(ops,
     seed))``; it gives the same graph.
     """
@@ -340,23 +340,14 @@ def closure(ops, seed) -> CrystalGraph:
     while todo:
         b = todo.pop()
         down, up = edits(b, n)
-        row = []
-        for p, a in zip(down, down_letters):
-            if p < 0:
-                row.append(None)
-                continue
-            x = put(b, p, a)
-            row.append(x)
-            if x not in lowered:
+        row = [put(b, p, a) if p >= 0 else None
+               for p, a in zip(down, down_letters)]
+        lowered[b] = row
+        for x in row + [put(b, p, a) for p, a in zip(up, up_letters)
+                        if p >= 0]:
+            if x is not None and x not in lowered:
                 lowered[x] = None
                 todo.append(x)
-        lowered[b] = row
-        for p, a in zip(up, up_letters):
-            if p >= 0:
-                x = put(b, p, a)
-                if x not in lowered:
-                    lowered[x] = None
-                    todo.append(x)
     nodes, weights, index = _ordered(ops, lowered)
     # one row of target indices per node, transposed to one array per label
     arrows = tuple(zip(*(tuple(map(index.__getitem__, lowered[b]))

@@ -29,8 +29,7 @@ from .kashiwara import (_rows, _rref, tilde_e, tilde_ebar1, tilde_ebar1_expr,
 def _check_rank_and_power(n: int, N: int) -> None:
     """Reject instances with no basis tensor to evaluate."""
     check_rank(n)
-    if _integer(N, "tensor power") < 1:
-        raise ValueError(f"tensor power must be >= 1, got {N}")
+    _integer(N, "tensor power", least=1)
 
 
 def relations_catalogue(n: int) -> list:

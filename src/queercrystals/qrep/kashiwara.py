@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .action import (Operator, act_expr, act_prim, bracket, compose, op,
                      qh_expr, scale)
-from .laurent import ONE, Q, ZERO, gauss_factorial, gauss_int
+from .laurent import ONE, Q, ZERO, gauss_int
 from .tensorspace import basis, tensor_weight, unit, vec_scale, vec_sum
 
 # ---------------------------------------------------------------------------
@@ -102,8 +102,6 @@ def kernel_on_weight_space(i: int, tensors: list, n: int) -> list:
     images = [act_prim(("e", i), {t: ONE}) for t in tensors]
     index = {t: k for k, t in
              enumerate(sorted({t for img in images for t in img}))}
-    if not index:
-        return [{t: ONE} for t in tensors]
     rows, pivots = _rref(_rows(images, index))
     free = [c for c in range(len(tensors)) if c not in pivots]
     out = []
@@ -137,11 +135,9 @@ def _homogeneous_weight(vec: dict, n: int) -> tuple:
 
 
 def apply_f_power(vec: dict, i: int, k: int) -> dict:
-    """Divided power f_i^(k) = f_i^k / [k]!."""
-    for _ in range(k):
-        vec = act_prim(("f", i), vec)
-    if k >= 2:
-        vec = vec_scale(ONE / gauss_factorial(k), vec)
+    """Divided power f_i^(k) = f_i^k / [k]!, one divided step at a time."""
+    for m in range(1, k + 1):
+        vec = _divided_step(vec, i, m)
     return vec
 
 

@@ -37,9 +37,7 @@ def vector_crystal(n: int):
 def tensor_power_graph(n: int, N: int):
     """Crystal graph on all words of length N (all components at once)."""
     words.check_rank(n)
-    N = words._integer(N, "tensor power")
-    if N < 0:
-        raise ValueError(f"tensor power must be >= 0, got {N}")
+    N = words._integer(N, "tensor power", least=0)
     return build_graph(WordOps(n), list(words.all_words(n, N)))
 
 
@@ -193,19 +191,15 @@ def verify_reading_independence(parts, n: int) -> dict:
     exactly when the two positions, each mapped to a box through its
     reading's ``order``, are the same box (or both vanish).
 
-    The column word is scanned only when it differs from the row word:
-    the scan is a function of the word, so equal words share their
-    positions.  On a shape whose two orders agree, the column word is not
-    even read.  Two equal words put an operator's results in different
-    boxes exactly when its position is one where the orders name
-    different boxes (``apart``); when no position meets ``apart``, every
-    operator agrees and only its result is checked.  Otherwise the
-    operators are compared one by one, in the order f_1, e_1, ...,
-    f_{n-1}, e_{n-1}, fbar1, ebar1, and the first that differs is the
-    witness.  Every result is checked to be semistandard on its edited
-    box alone, against that box's neighbors, which is equivalent for a
-    one-box change of a semistandard filling; a result that fails is
-    decoded, which raises.
+    The operators are compared one by one, in the order f_1, e_1, ...,
+    f_{n-1}, e_{n-1}, fbar1, ebar1, and the first whose two boxes differ
+    is the witness.  The column word is scanned only when it differs from
+    the row word: the scan is a function of the word, so equal words
+    share their positions.  On a shape whose two orders agree, the column
+    word is not even read.  Every result is checked to be semistandard on
+    its edited box alone, against that box's neighbors, which is
+    equivalent for a one-box change of a semistandard filling; a result
+    that fails is decoded, which raises.
     """
     parts = check_strict_partition(parts, n)
     instance = f"n={n} lam={parts}"
@@ -220,15 +214,12 @@ def verify_reading_independence(parts, n: int) -> dict:
         suffix = "bar1" if lab == ODD else f"_{lab}"
         operators.append((f"f{suffix}", 0, k, down_letters[k]))
         operators.append((f"e{suffix}", 1, k, up_letters[k]))
-    checks = [op[1:] for op in operators]
     # the box at each reading position, and box -1 at position -1 (the
     # crystal zero) from the entry appended last
     row_order, col_order = row_ops.order, col_ops.order
     row_box = row_order + (-1,)
     col_box = col_order + (-1,)
-    # the reading positions where the two orders name different boxes
-    apart = {p for p, (x, y) in enumerate(zip(row_order, col_order))
-             if x != y}
+    one_order = row_order == col_order
     edits = kernel.edits
     put = kernel._put
     # the check reads boxes, so it serves both readings
@@ -238,27 +229,20 @@ def verify_reading_independence(parts, n: int) -> dict:
         row_word = bytes(map(entries.__getitem__, row_order))
         row_edits = edits(row_word, n)
         col_word, col_edits = row_word, row_edits
-        if apart:
+        if not one_order:
             col_word = bytes(map(entries.__getitem__, col_order))
             if col_word != row_word:
                 col_edits = edits(col_word, n)
-        if col_edits is row_edits and apart.isdisjoint(row_edits[0]) \
-                and apart.isdisjoint(row_edits[1]):
-            for side, k, letter in checks:
-                p = row_edits[side][k]
-                if p >= 0 and not fits(entries, row_box[p], letter):
-                    row_ops.decode(put(row_word, p, letter))
-            continue
         for name, side, k, letter in operators:
             p = row_edits[side][k]
-            q = col_edits[side][k]
             x = row_box[p]
-            y = col_box[q]
             if x >= 0 and not fits(entries, x, letter):
                 row_ops.decode(put(row_word, p, letter))
-            if y != x and y >= 0 and not fits(entries, y, letter):
-                col_ops.decode(put(col_word, q, letter))
-            if x != y:
+            q = col_edits[side][k]
+            y = col_box[q]
+            if y != x:
+                if y >= 0 and not fits(entries, y, letter):
+                    col_ops.decode(put(col_word, q, letter))
                 mismatch = {"tableau": list(entries), "op": name}
                 break
         if mismatch:
@@ -278,9 +262,7 @@ def explore_conjecture(parts, n: int, max_depth: int | None = None) -> dict:
     parts = check_strict_partition(parts, n)
     if max_depth is None:
         max_depth = sum(parts) + 1
-    max_depth = words._integer(max_depth, "max_depth")
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+    max_depth = words._integer(max_depth, "max_depth", least=0)
     graph = crystal_of_shape(parts, n)
     top = graph.node_index[b_lambda(parts, n)]
     # breadth-first closure under the odd lowering operators, on node indices

@@ -33,13 +33,19 @@ def letters(w: Word) -> tuple:
     return tuple(w)
 
 
-def _integer(x, what: str) -> int:
-    """``x`` as an int, through ``operator.index``: a float or a string
-    is refused, not truncated or parsed."""
+def _integer(x, what: str, least: int | None = None) -> int:
+    """``x`` as an int, through ``operator.index``: a float, a string or
+    a ``bool`` is refused, not truncated, parsed or read as 0 or 1, and
+    so is a value below ``least`` when that is given."""
     try:
-        return operator.index(x)
+        if isinstance(x, bool):
+            raise TypeError
+        x = operator.index(x)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {x!r}") from None
+    if least is not None and x < least:
+        raise ValueError(f"{what} must be >= {least}, got {x}")
+    return x
 
 
 def check_rank(n: int) -> None:

@@ -57,6 +57,7 @@ def test_strict_partition_validation():
     ((2.7, 1), 2, "2.7"),     # was truncated to (2, 1)
     (("3", 1), 2, "'3'"),     # was parsed to (3, 1)
     ((2, 1), 3.0, "3.0"),     # a rank must be an integer too
+    ((True,), 2, "True"),     # was read as (1,)
 ])
 def test_a_part_or_rank_that_is_not_an_integer_is_refused(parts, n, bad):
     with pytest.raises(ValueError, match=f"must be an integer, got {bad}"):
@@ -69,6 +70,8 @@ def test_strict_partitions_refuses_a_bad_size_or_rank():
     # 3.5 used to end in a bare TypeError from range
     with pytest.raises(ValueError, match="size must be an integer, got 3.5"):
         strict_partitions(3.5, 2)
+    with pytest.raises(ValueError, match="size must be an integer, got True"):
+        strict_partitions(True, 2)
     # rank 0 used to return [] in silence
     with pytest.raises(ValueError, match="rank must be in 1..255, got 0"):
         strict_partitions(4, 0)

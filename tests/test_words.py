@@ -144,6 +144,9 @@ def test_validation_errors():
     (2.0, 2, "rank must be an integer, got 2.0"),
     ("2", 2, "rank must be an integer, got '2'"),
     (2, 2.0, "tensor power must be an integer, got 2.0"),
+    # a bool used to pass as 1
+    (True, 2, "rank must be an integer, got True"),
+    (2, True, "tensor power must be an integer, got True"),
 ])
 def test_a_rank_or_power_that_is_not_an_integer_is_refused(n, N, bad):
     # a float rank used to end in a bare TypeError from range

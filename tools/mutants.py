@@ -1,12 +1,13 @@
-"""Mutation check for the word kernel and its one-pass scan, the Weyl
-action, the staircase tableaux, their enumerator, their equality, the
-one-box semistandard check and the memo of their crystals, the graph
-layer (search, components, tensor and its packed weight keys,
-validation, isomorphism, the adapters' highest-weight test), serialization, the CLI, the exact
-side (rational functions, basis tensors and vectors, the algebra action,
-string decompositions) and the verifiers (check records, reading
-independence and its one scan per distinct word, the exact checks, the
-commuting relations).
+"""Mutation check for the word kernel and its one-pass scan, the integer
+input checks, the Weyl action, the staircase tableaux, their enumerator,
+their equality, the one-box semistandard check and the memo of their
+crystals, the graph layer (search, components, tensor and its packed
+weight keys, validation, isomorphism, the adapters' highest-weight test),
+serialization, the CLI, the exact side (rational functions, basis tensors
+and vectors, the algebra action, string decompositions) and the verifiers
+(check records, reading independence and its one scan per distinct word,
+the exact checks, the commuting relations, the release of each checked
+relation).
 
 Each mutant replaces one snippet of one source file by a wrong variant
 and names the test files that must kill it.  It is applied to a fresh
@@ -131,16 +132,18 @@ MUTANTS = (
      "                col_edits = row_edits",
      "reading independence reuses the row word's scan for a column word "
      "that differs", THEOREMS),
-    (PKG + "theorems.py",
-     "    apart = {p for p, (x, y) in enumerate(zip(row_order, col_order))\n"
-     "             if x != y}", "    apart = set()",
+    (PKG + "theorems.py", "    one_order = row_order == col_order",
+     "    one_order = True",
      "reading independence takes every shape's two orders for one order",
      THEOREMS),
     (PKG + "theorems.py",
-     "                if p >= 0 and not fits(entries, row_box[p], letter):",
-     "                if False:",
-     "reading independence skips the semistandard check where the two "
-     "readings agree", THEOREMS),
+     "            if x >= 0 and not fits(entries, x, letter):",
+     "            if False:",
+     "reading independence skips the semistandard check of the row "
+     "reading's result", THEOREMS),
+    (PKG + "theorems.py", "            if y != x:", "            if False:",
+     "reading independence never compares the column reading's box",
+     THEOREMS),
     (PKG + "tableaux.py", "        for v in range(lo, n + 1):",
      "        for v in range(lo, n + (k < m - 1)):",
      "the filling enumerator never puts the letter n in the last box",
@@ -159,9 +162,15 @@ MUTANTS = (
     (PKG + "tableaux.py", "@lru_cache(maxsize=16)",
      "@lru_cache(maxsize=None)",
      "the crystal_of_shape memo grows without bound", MEMO),
-    (PKG + "words.py", "return operator.index(x)", "return int(x)",
+    (PKG + "words.py", "x = operator.index(x)", "x = int(x)",
      "a part of 2.9 or '3' is truncated or parsed, and shares the memo "
      "entry of an integer shape; a rank of 2.0 passes", WORDS),
+    (PKG + "words.py", "        if isinstance(x, bool):\n"
+     "            raise TypeError\n", "",
+     "a rank, power, part or size of True passes as 1", WORDS),
+    (PKG + "words.py", "x < least", "x <= least",
+     "a count equal to its least value is refused: tensor power 0 or "
+     "max_depth 0", GRAPHS + THEOREMS),
     (PKG + "tableaux.py", 'if direction not in ("e", "f"):',
      'if direction not in ("e", "f", "up"):',
      'tableau_operator takes "up" for "f"', WORDS),
@@ -174,6 +183,12 @@ MUTANTS = (
      "rels.append((name, compose(a, b), compose(b, a)))",
      "rels.append((name, compose(a, b), compose(a, b)))",
      "a commuting relation compares a b with itself", CHECKS),
+    (PKG + "qrep/checks.py",
+     "    catalogue.reverse()\n    while catalogue:\n"
+     "        name, lhs, rhs = catalogue.pop()",
+     "    for name, lhs, rhs in catalogue:",
+     "verify_relations keeps every checked relation alive in its catalogue",
+     CHECKS),
     (PKG + "qrep/checks.py", "lambda i: kbar_shift(i, -1)",
      "lambda i: kbar_shift(i, 1)",
      "[e_i, fbar_i] takes the shift of [ebar_i, f_i]", CHECKS),
