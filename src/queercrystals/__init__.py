@@ -15,8 +15,8 @@ from .kernel import IMPLEMENTATION as KERNEL_IMPLEMENTATION
 from .words import (Word, all_words, e_even, ebar, ebar1, eps, f_even, fbar,
                     fbar1, is_highest_weight, letters, phi, weight_of, word)
 from .weyl import weyl_S, weyl_s
-from .graphs import (ODD, CrystalGraph, WordOps, closure, components,
-                     graph_components, highest_weight_nodes, isomorphic, tensor)
+from .graphs import (ODD, CrystalGraph, WordOps, closure, graph_components,
+                     highest_weight_nodes, isomorphic, tensor)
 from .tableaux import (SkewShape, Tableau, TableauOps, b_lambda,
                        crystal_of_shape, enumerate_ssyt, full_ssyt_graph,
                        reading_word, shape_from_partition, strict_partitions,

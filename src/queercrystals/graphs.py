@@ -240,17 +240,16 @@ def _string_lengths(step) -> list:
 
 
 def weyl_s_ops(ops, i, b):
-    """Simple-reflection action through an ops adapter."""
+    """Simple-reflection action through an ops adapter; a step that
+    vanishes means a broken crystal and raises ``StructureError``."""
     wt = ops.weight(b)
     m = wt[i - 1] - wt[i]
-    if m >= 0:
-        for _ in range(m):
-            b = ops.f(i, b)
-    else:
-        for _ in range(-m):
-            b = ops.e(i, b)
-    if b is None:
-        raise RuntimeError("Weyl reflection fell off a string; broken crystal")
+    step = ops.f if m >= 0 else ops.e
+    for _ in range(abs(m)):
+        b = step(i, b)
+        if b is None:
+            raise StructureError(
+                "Weyl reflection fell off a string; broken crystal")
     return b
 
 
@@ -512,13 +511,14 @@ def validate(graph: CrystalGraph) -> None:
     """Check the structural invariants of a crystal graph.
 
     Every label is a partial matching and every arrow lowers the weight by
-    the simple root of its label (the odd label shares alpha_1).
+    the simple root of its label (the odd label shares alpha_1); a graph
+    that breaks either raises ``StructureError``.
     """
     for lab, succ in zip(all_labels(graph.n), graph.arrows):
         targets = [d for d in succ if d >= 0]
         if len(targets) != len(set(targets)) or any(
                 d >= len(graph) for d in targets):
-            raise ValueError(f"label {lab} is not a partial matching")
+            raise StructureError(f"label {lab} is not a partial matching")
         i = 1 if lab == ODD else lab
         expect = [0] * graph.n
         expect[i - 1] = 1
@@ -528,7 +528,7 @@ def validate(graph: CrystalGraph) -> None:
                 continue
             ws, wd = graph.weights[s], graph.weights[d]
             if [a - b for a, b in zip(ws, wd)] != expect:
-                raise ValueError(
+                raise StructureError(
                     f"edge {(s, lab, d)} breaks weights: {ws}->{wd}")
 
 

@@ -9,7 +9,7 @@ makes the conjugated odd operators well defined.
 """
 
 from . import kernel
-from ._kernel_py import _conjugating_word as conjugating_word
+from .kernel import _conjugating_word as conjugating_word
 from .words import _check_even_index
 
 
@@ -38,7 +38,7 @@ def is_reduced(indices, n: int) -> bool:
 
 
 def weyl_s(i: int, w: bytes, n: int) -> bytes:
-    """Simple-reflection action S_i on a word."""
+    """Simple-reflection action S_i on a word (letters unchecked)."""
     _check_even_index(i, n)
     return kernel.weyl_s(w, i)
 
@@ -47,7 +47,8 @@ def weyl_S(indices, w: bytes, n: int) -> bytes:
     """Action of S_w for the reduced word w = s_{i_1} ... s_{i_l}.
 
     The rightmost factor acts first.  Non-reduced input is rejected so a
-    silent change of group element cannot slip through.
+    silent change of group element cannot slip through.  Letters are not
+    checked.
     """
     indices = tuple(indices)
     if not is_reduced(indices, n):

@@ -13,6 +13,14 @@ is empty at i = 1; S_i itself comes from one signature scan.
 ``queercrystals.tensor_rules`` holds the recursive tensor-rule
 definitions these closed forms are equivalent to; the equivalence is
 checked exhaustively in the test suite.
+
+Letter contract: ``eps``, ``phi``, ``e_even``, ``f_even``, ``ebar1``,
+``fbar1``, ``ebar``, ``fbar``, ``weyl.weyl_s`` and ``weyl.weyl_S`` check
+the operator index but not the word's letters; a letter outside 1..n
+gives an unspecified result.  ``weight_of``, ``is_highest_weight`` and
+``tableaux.tableau_operator`` check every letter.  A letter check in
+each operator call cost the ``word-graphs`` benchmark +35 % in
+item_p50_s, since its loops call these once per word and operator.
 """
 
 import operator
@@ -74,51 +82,51 @@ def weight_of(w: Word, n: int) -> tuple:
 
 
 def eps(i: int, w: Word, n: int) -> int:
-    """Length of the e_i-string through w."""
+    """Length of the e_i-string through w (letters unchecked)."""
     _check_even_index(i, n)
     return kernel.eps_phi(w, i)[0]
 
 
 def phi(i: int, w: Word, n: int) -> int:
-    """Length of the f_i-string through w."""
+    """Length of the f_i-string through w (letters unchecked)."""
     _check_even_index(i, n)
     return kernel.eps_phi(w, i)[1]
 
 
 def e_even(i: int, w: Word, n: int):
-    """Even raising operator; None when the result is zero."""
+    """Even raising operator, None when zero (letters unchecked)."""
     _check_even_index(i, n)
     return kernel.apply_e(w, i)
 
 
 def f_even(i: int, w: Word, n: int):
-    """Even lowering operator; None when the result is zero."""
+    """Even lowering operator, None when zero (letters unchecked)."""
     _check_even_index(i, n)
     return kernel.apply_f(w, i)
 
 
 def ebar1(w: Word, n: int):
-    """Primitive odd raising operator (index 1bar); None when zero."""
+    """Odd raising operator 1bar, None when zero (letters unchecked)."""
     if n < 2:
         return None
     return kernel.apply_ebar1(w)
 
 
 def fbar1(w: Word, n: int):
-    """Primitive odd lowering operator (index 1bar); None when zero."""
+    """Odd lowering operator 1bar, None when zero (letters unchecked)."""
     if n < 2:
         return None
     return kernel.apply_fbar1(w)
 
 
 def ebar(i: int, w: Word, n: int):
-    """Odd raising operator for any index i in 1..n-1."""
+    """Odd raising operator for any index i in 1..n-1 (letters unchecked)."""
     _check_even_index(i, n)
     return kernel.apply_ebar(w, i)
 
 
 def fbar(i: int, w: Word, n: int):
-    """Odd lowering operator for any index i in 1..n-1."""
+    """Odd lowering operator for any index i in 1..n-1 (letters unchecked)."""
     _check_even_index(i, n)
     return kernel.apply_fbar(w, i)
 

@@ -195,6 +195,25 @@ def test_a_verifier_that_raises_exits_1(capsys, monkeypatch):
     assert captured.err == "verification failure: no highest weight\n"
 
 
+def test_a_broken_crystal_exits_1(capsys, monkeypatch):
+    # B((2, 1)) with its first 1-arrow repointed at its own source: the
+    # graph check raises StructureError, a verification failure, not a
+    # usage error
+    from queercrystals import theorems
+
+    good = theorems.crystal_of_shape((2, 1), 3)
+    first = (0,) + good.arrows[0][1:]
+    broken = CrystalGraph(good.n, good.kind, good.nodes, good.weights,
+                          (first,) + good.arrows[1:])
+    monkeypatch.setattr(theorems, "crystal_of_shape", lambda parts, n: broken)
+    code = main(["verify", "--theorem", "b", "--shape", "2,1", "-n", "3"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "verification failure: edge (0, 1, 0) breaks weights")
+
+
 def test_usage_error_leaves_an_existing_output_file_alone(capsys, tmp_path):
     target = tmp_path / "report.json"
     target.write_bytes(b"earlier report\n")

@@ -7,12 +7,13 @@ import weakref
 import pytest
 
 from queercrystals import (ODD, CrystalGraph, WordOps, all_words, closure,
-                           components, crystal_of_shape, full_ssyt_graph,
+                           crystal_of_shape, full_ssyt_graph,
                            highest_weight_nodes, isomorphic, kernel, tensor,
                            tensor_power_graph, vector_crystal, word)
-from queercrystals.graphs import (all_labels, build_graph, ebar_ops, fbar_ops,
-                                  graph_components, is_highest_weight_ops,
-                                  validate, weyl_s_ops)
+from queercrystals.errors import StructureError
+from queercrystals.graphs import (all_labels, build_graph, components,
+                                  ebar_ops, fbar_ops, graph_components,
+                                  is_highest_weight_ops, validate, weyl_s_ops)
 
 
 def W(*letters):
@@ -152,7 +153,7 @@ def test_validate_rejects_a_label_that_is_not_a_partial_matching():
     g = CrystalGraph(n=2, kind="word", nodes=(W(1), W(2), W(1, 2, 1)),
                      weights=((1, 0), (0, 1), (1, 0)),
                      arrows=((1, -1, 1), (-1, -1, -1)))
-    with pytest.raises(ValueError, match="partial matching"):
+    with pytest.raises(StructureError, match="partial matching"):
         validate(g)
 
 
@@ -161,7 +162,7 @@ def test_validate_rejects_an_arrow_that_breaks_weights():
     g = CrystalGraph(n=2, kind="word", nodes=(W(1), W(2)),
                      weights=((1, 0), (0, 1)),
                      arrows=((-1, 0), (-1, -1)))
-    with pytest.raises(ValueError, match="breaks weights"):
+    with pytest.raises(StructureError, match="breaks weights"):
         validate(g)
 
 
@@ -305,17 +306,18 @@ def test_a_stored_graph_rejects_a_label_it_does_not_have():
 
 
 def test_weyl_reflection_on_a_broken_stored_graph_raises():
-    # weight (2, 0) needs two f_1 steps.  With none, the second step gets
-    # None, not -1, which as an index would wrap to the last node.
+    # weight (2, 0) needs two f_1 steps.  With none, the walk stops at
+    # the first step: a None, not -1, which as an index would wrap to the
+    # last node.
     broken = CrystalGraph(n=2, kind="word", nodes=(W(1, 1),),
                           weights=((2, 0),), arrows=((-1,), (-1,)))
-    with pytest.raises(TypeError):
+    with pytest.raises(StructureError, match="fell off"):
         weyl_s_ops(broken, 1, 0)
     # with one, the walk ends on None
     short = CrystalGraph(n=2, kind="word", nodes=(W(1, 1), W(2, 1)),
                          weights=((2, 0), (1, 1)),
                          arrows=((1, -1), (-1, -1)))
-    with pytest.raises(RuntimeError, match="fell off"):
+    with pytest.raises(StructureError, match="fell off"):
         weyl_s_ops(short, 1, 0)
 
 

@@ -1,8 +1,9 @@
 """Mutation check for the word kernel and its one-pass scan, the integer
 input checks, the Weyl action, the staircase tableaux, their enumerator,
 their equality, the one-box semistandard check and the memo of their
-crystals, the graph layer (search, components, tensor and its packed
-weight keys, validation, isomorphism, the adapters' highest-weight test),
+crystals, the graph layer (search, components, tensor, its even rule
+and its packed weight keys, validation and the error it raises, the
+stepwise Weyl reflection, isomorphism, the adapters' highest-weight test),
 serialization, the CLI, the exact side (rational functions, basis tensors
 and vectors, the algebra action, string decompositions) and the verifiers
 (check records, reading independence and its one scan per distinct word,
@@ -37,6 +38,8 @@ WORDS = ("tests/test_kernel_oracles.py", "tests/test_weyl.py",
 CHECKS = ("tests/test_qrep_checks.py",)
 THEOREMS = ("tests/test_theorems.py",)
 GRAPHS = ("tests/test_graphs.py",)
+# the local crystal axioms, an oracle that shares no code with tensor
+AXIOMS = ("tests/test_crystal_axioms.py",)
 CLI = ("tests/test_cli.py",)
 LAURENT = ("tests/test_laurent.py",)
 EXACT = ("tests/test_qrep_action.py", "tests/test_qrep_kashiwara.py",
@@ -48,38 +51,42 @@ STAIRCASE = WORDS + ("tests/test_schur_p.py",)
 
 # (file, snippet, replacement, what the mutant breaks, tests that kill it)
 MUTANTS = (
-    (PKG + "_kernel_py.py", "k < len(plus)", "k <= len(plus)",
+    (PKG + "kernel.py", "k < len(plus)", "k <= len(plus)",
      "S_i writes one minus too many", WORDS),
-    (PKG + "_kernel_py.py", "minus + plus", "plus + minus",
+    (PKG + "kernel.py", "minus + plus", "plus + minus",
      "S_i rewrites the unmatched positions out of order", WORDS),
-    (PKG + "_kernel_py.py", "_put(w, pos, 3 - letter)",
+    (PKG + "kernel.py", "_put(w, pos, 3 - letter)",
      "_put(w, pos, letter)",
      "the odd flip leaves its letter as it was", WORDS),
-    (PKG + "_kernel_py.py", "w[pos + 1:]", "w[pos:]",
+    (PKG + "kernel.py", "w[pos + 1:]", "w[pos:]",
      "the one letter edit inserts its letter instead of replacing one",
      WORDS),
-    (PKG + "_kernel_py.py", "if w[pos] <= 2:", "if w[pos] < 2:",
+    (PKG + "kernel.py", "if w[pos] <= 2:", "if w[pos] < 2:",
      "the odd flip looks past a rightmost letter 2", WORDS),
-    (PKG + "_kernel_py.py", "apply_ebar(w, i) is None for i in range(1, n)",
+    (PKG + "kernel.py", "apply_ebar(w, i) is None for i in range(1, n)",
      "apply_ebar(w, i) is None for i in range(2, n)",
      "is_q_highest skips ebar1", WORDS),
-    (PKG + "_kernel_py.py", "for s in reversed(rw):", "for s in rw:",
+    (PKG + "kernel.py", "for s in reversed(rw):", "for s in rw:",
      "the conjugation by S_w, on words and on stored graphs, applies "
      "S_w where S_w^-1 belongs", WORDS + GRAPHS),
-    (PKG + "_kernel_py.py", "_signature(w, i)[1]", "_signature(w, i)[0]",
+    (PKG + "kernel.py", "_signature(w, i)[1]", "_signature(w, i)[0]",
      "is_gl_highest reads the surviving pluses for the minuses", WORDS),
-    (PKG + "_kernel_py.py",
+    (PKG + "kernel.py",
      "            else:\n                minus[a - 1] = pos",
      "            if True:\n                minus[a - 1] = pos",
      "the scan records a letter i+1 that a plus cancels as e_i's position",
      WORDS),
-    (PKG + "_kernel_py.py", "                if not count[a - 1]:\n"
+    (PKG + "kernel.py", "                if not count[a - 1]:\n"
      "                    bottom[a - 1] = -1\n", "",
      "the scan keeps f_i's position after every plus before it is "
      "cancelled", WORDS),
-    (PKG + "_kernel_py.py", "lowers = pos >= 0 and w[pos] == 1",
+    (PKG + "kernel.py", "lowers = pos >= 0 and w[pos] == 1",
      "lowers = pos >= 0 and w[pos] == 2",
      "the scan gives fbar1 the position of ebar1 and the reverse", WORDS),
+    (PKG + "kernel.py", "            count[a] += 1\n",
+     "            count[a] += 1\n            bottom[a] = pos\n",
+     "the scan gives f_i the latest surviving plus, not the leftmost",
+     WORDS + AXIOMS),
     (PKG + "words.py", "    return kernel.apply_fbar(w, i)",
      "    return kernel.apply_ebar(w, i)",
      "words.fbar raises instead of lowering", WORDS),
@@ -239,8 +246,25 @@ MUTANTS = (
     (PKG + "graphs.py", "[wb[0] == 0 and wb[1] == 0 for",
      "[wb[0] == 0 for", "tensor's odd rule reads only wt_1 of the right "
      "factor", GRAPHS),
+    (PKG + "graphs.py", "eps = _string_lengths(right.predecessors(lab))",
+     "eps = _string_lengths(right.successors(lab))",
+     "tensor weighs phi_i of the left factor against phi_i, not eps_i, of "
+     "the right", AXIOMS),
+    (PKG + "graphs.py", "phi = _string_lengths(succ_left)",
+     "phi = _string_lengths(left.predecessors(lab))",
+     "tensor weighs eps_i, not phi_i, of the left factor against eps_i of "
+     "the right", AXIOMS),
     (PKG + "graphs.py", "if len(targets) != len(set(targets)) or any(",
      "if any(", "validate skips its partial-matching check", GRAPHS),
+    (PKG + "graphs.py",
+     "raise StructureError(\n                    f\"edge {(s, lab, d)}",
+     "raise ValueError(\n                    f\"edge {(s, lab, d)}",
+     "validate reports a broken crystal as bad input, and verify exits 2",
+     GRAPHS + CLI),
+    (PKG + "graphs.py",
+     "        if b is None:\n            raise StructureError(",
+     "        if False:\n            raise StructureError(",
+     "weyl_s_ops walks on past a step that vanishes", GRAPHS),
     (PKG + "serialize.py", "style=dashed];", "style=dotted];",
      "DOT draws an odd arrow dotted, not dashed", CLI),
     (PKG + "cli.py", "N = 2 if args.power is None",
