@@ -1,5 +1,7 @@
 """Every benchmark record has the fields ``tools/trajectory.py`` reads,
-and the tool's rows show the medians the records hold.  No git needed."""
+and the tool's rows show the run_s medians the records hold.  Each record
+is checked against the workloads and metrics it holds, not against what
+``BENCHMARK.json`` declares today.  No git needed."""
 
 import importlib.util
 import json
@@ -14,9 +16,6 @@ trajectory = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(trajectory)
 
 PATHS = sorted(ROOT.glob("BENCH_*.json"))
-DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-METRICS = [m["name"] for m in DECLARED["end_to_end"]]
-WORKLOADS = [w["name"] for w in DECLARED["workloads"]]
 VERDICTS = {"better", "same", "worse", "unresolved"}
 
 
@@ -28,11 +27,11 @@ def test_every_record_has_one_layout_with_medians_and_verdicts():
     assert len(PATHS) >= 12
     for path in PATHS:
         record = _load(path)
-        assert sorted(record["end_to_end"]) == sorted(WORKLOADS), path.name
-        for workload in WORKLOADS:
+        assert record["end_to_end"], path.name
+        for workload in record["end_to_end"]:
             results = trajectory.metrics_of(record, workload)
-            for metric in METRICS:
-                result = results[metric]
+            assert "run_s" in results, (path.name, workload)
+            for metric, result in results.items():
                 for side in ("parent", "change"):
                     assert isinstance(result[side]["median"], float), (
                         path.name, workload, metric, side)
@@ -44,7 +43,7 @@ def test_both_layouts_are_read():
              "verdict": "better"}
     for key in trajectory.LAYOUTS:
         record = {"end_to_end": {"w": {key: {"run_s": entry}}}}
-        assert trajectory.row(record, "run_s") == [("w", 1.0, 0.5, "better")]
+        assert trajectory.row(record) == [("w", 1.0, 0.5, "better")]
     both = {"end_to_end": {"w": {key: {} for key in trajectory.LAYOUTS}}}
     for broken in ({"end_to_end": {"w": {}}}, both):
         with pytest.raises(KeyError):
@@ -53,15 +52,14 @@ def test_both_layouts_are_read():
 
 def test_the_rows_show_the_medians_in_the_files(capsys, monkeypatch):
     monkeypatch.setattr(trajectory, "records", lambda: PATHS)
-    assert trajectory.main(["--metric", "item_p50_s"]) == 0
+    assert trajectory.main() == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(PATHS)
     for path, line in zip(PATHS, lines):
+        record = _load(path)
         assert line.startswith(path.stem[len("BENCH_"):] + " ")
-        for workload in WORKLOADS:
-            entry = _load(path)["end_to_end"][workload]
-            results = entry.get("end_to_end") or entry["metrics"]
-            result = results["item_p50_s"]
+        for workload in record["end_to_end"]:
+            result = trajectory.metrics_of(record, workload)["run_s"]
             cell = (f"{workload} {result['parent']['median']:.4g} -> "
                     f"{result['change']['median']:.4g} {result['verdict']}")
             assert cell in line, (path.name, cell, line)

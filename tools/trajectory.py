@@ -1,17 +1,16 @@
 """The benchmark trajectory: one row per ``BENCH_*.json`` record.
 
-    python tools/trajectory.py [--metric run_s]
+    python tools/trajectory.py
 
 Rows come in the order git added the records; a record that git does not
 know yet comes last, and without git every record is ordered by name.
-Each row gives, per workload, the metric's parent and change medians and
+Each row gives, per workload, the run_s parent and change medians and
 the verdict the record holds.  A record keeps each workload's metrics
 under ``end_to_end.<workload>.end_to_end``, or under
 ``end_to_end.<workload>.metrics`` (``BENCH_one_loop_reading.json``);
 ``metrics_of`` reads both.  It uses only the standard library.
 """
 
-import argparse
 import json
 import pathlib
 import subprocess
@@ -31,11 +30,11 @@ def metrics_of(record: dict, workload: str) -> dict:
     return entry[found[0]]
 
 
-def row(record: dict, metric: str) -> list:
-    """(workload, parent median, change median, verdict) per workload."""
+def row(record: dict) -> list:
+    """(workload, parent median, change median, verdict) of run_s."""
     out = []
     for workload in record["end_to_end"]:
-        result = metrics_of(record, workload)[metric]
+        result = metrics_of(record, workload)["run_s"]
         out.append((workload, result["parent"]["median"],
                     result["change"]["median"], result["verdict"]))
     return out
@@ -55,15 +54,11 @@ def records() -> list:
                   key=lambda p: (rank.get(p.name, len(rank)), p.name))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--metric", default="run_s")
-    args = parser.parse_args(argv)
+def main() -> int:
     for path in records():
         record = json.loads(path.read_text(encoding="utf-8"))
         cells = [f"{workload} {parent:.4g} -> {change:.4g} {verdict}"
-                 for workload, parent, change, verdict
-                 in row(record, args.metric)]
+                 for workload, parent, change, verdict in row(record)]
         print(f"{path.stem[len('BENCH_'):]:<24} " + "  |  ".join(cells))
     return 0
 
