@@ -16,11 +16,12 @@ from every factor right of p, f_i takes q^{k_i-k_{i+1}} from every factor
 left of p, and kbar_1 takes q^{k_1} from the right, q^{-k_1} from the left
 and, moving past the factors left of p, the sign (-1)^(bars left of p).
 
-Everything else is generated: ebar_i, fbar_i and kbar_j for j >= 2 are
-operator polynomials in the primitives obtained by solving the defining
-relations, so their tensor action needs no comultiplication formula of its
-own.  On V itself the composite operators reproduce the defining action
-table, which the tests check symbol by symbol.
+Everything else is generated, once per rank in one table: ebar_i, fbar_i
+and kbar_j for j >= 2 are operator polynomials in the primitives obtained
+by solving the defining relations, so their tensor action needs no
+comultiplication formula of its own.  On V itself the composite
+operators reproduce the defining action table, which the tests check
+symbol by symbol.
 
 Every operator is a sparse matrix stored by column (``Operator``): column t
 is the image of the basis tensor t, of any length N.  Sums and scalings act
@@ -31,29 +32,26 @@ generators and the relations are written in.
 
 from functools import lru_cache
 
+from ..words import check_rank
 from .laurent import ONE, Q, RatFunc
 from .tensorspace import unit, vec_add, vec_scale, vec_sum
-
-# primitive symbols: ("qh", h-tuple), ("e", i), ("f", i), ("kbar1",)
 
 
 @lru_cache(maxsize=None)
 def _act_prim_tensor(sym, t) -> dict:
-    """Primitive symbol applied to one basis tensor: its column {tensor:
-    coeff}, in increasing order of the factor acted on.  Shared: read only."""
-    kind = sym[0]
-    if kind == "qh":
-        h = sym[1]
-        return {t: RatFunc.q_power(sum(h[j - 1] for j, _ in t))}
+    """Primitive symbol ("qh", h), ("e", i), ("f", i) or ("kbar", 1)
+    applied to one basis tensor: its column {tensor: coeff}, in increasing
+    order of the factor acted on.  Shared: read only."""
+    kind, i = sym
+    if kind == "qh":  # i is the tuple h
+        return {t: RatFunc.q_power(sum(i[j - 1] for j, _ in t))}
     # (letter acted on, letter produced, bar flip, exponent per letter of
     # each factor left of it, exponent per letter of each factor right)
     if kind == "e":
-        i = sym[1]
         src, dst, flip, left, right = i + 1, i, 0, {}, {i: -1, i + 1: 1}
     elif kind == "f":
-        i = sym[1]
         src, dst, flip, left, right = i, i + 1, 0, {i: 1, i + 1: -1}, {}
-    elif kind == "kbar1":
+    elif sym == ("kbar", 1):
         src, dst, flip, left, right = 1, 1, 1, {1: -1}, {1: 1}
     else:
         raise ValueError(f"unknown symbol {sym!r}")
@@ -132,54 +130,55 @@ def act_expr(expr, vec: dict) -> dict:
 
 
 @lru_cache(maxsize=None)
-def kbar_expr(j: int, n: int) -> Operator:
-    """kbar_j as an operator polynomial in the primitives.
-
-    kbar_1 is primitive; higher ones come from the mixed commutator
-    ebar_i f_i - f_i ebar_i = kbar_i q^{k_{i+1}} - kbar_{i+1} q^{k_i}.
-    """
-    if j == 1:
-        return op(("kbar1",))
-    i = j - 1
-    inner = expr_sum(compose(kbar_expr(i, n), qh_expr(n, (j, 1))),
-                     bracket(op(("f", i)), ebar_expr(i, n)))
-    return compose(inner, qh_expr(n, (i, -1)))
-
-
-@lru_cache(maxsize=None)
-def ebar_expr(i: int, n: int) -> Operator:
-    """ebar_i = (kbar_i e_i - q e_i kbar_i) q^{k_i}."""
-    return compose(bracket(kbar_expr(i, n), op(("e", i)), Q),
-                   qh_expr(n, (i, 1)))
-
-
-@lru_cache(maxsize=None)
-def fbar_expr(i: int, n: int) -> Operator:
-    """fbar_i = -(kbar_i f_i - q f_i kbar_i) q^{-k_i}."""
-    return scale(-ONE, compose(bracket(kbar_expr(i, n), op(("f", i)), Q),
-                               qh_expr(n, (i, -1))))
+def _generators(n: int) -> dict:
+    """Every generator of rank n but q^h, by symbol, each built once from
+    those before it; kbar_{i+1} solves the mixed commutator
+    ebar_i f_i - f_i ebar_i = kbar_i q^{k_{i+1}} - kbar_{i+1} q^{k_i}."""
+    table = {("kbar", 1): op(("kbar", 1))}
+    for i in range(1, n):
+        kbar, e, f = table["kbar", i], op(("e", i)), op(("f", i))
+        ebar = compose(bracket(kbar, e, Q), qh_expr(n, (i, 1)))
+        fbar = scale(-ONE, compose(bracket(kbar, f, Q), qh_expr(n, (i, -1))))
+        kbar = compose(expr_sum(compose(kbar, qh_expr(n, (i + 1, 1))),
+                                bracket(f, ebar)), qh_expr(n, (i, -1)))
+        table.update({("e", i): e, ("f", i): f, ("ebar", i): ebar,
+                      ("fbar", i): fbar, ("kbar", i + 1): kbar})
+    return table
 
 
 def generator_expr(g, n: int) -> Operator:
-    """The operator of any generator symbol.
+    """The operator of ("qh", h), h a tuple of n ints, or of a symbol of the
+    table above with an int index; any other symbol raises ValueError."""
+    check_rank(n)
+    kind, index = g if type(g) is tuple and len(g) == 2 else (None, None)
+    if kind == "qh" and type(index) is tuple and len(index) == n and all(
+            type(x) is int for x in index):
+        return op(g)
+    if type(kind) is str and type(index) is int and g in _generators(n):
+        return _generators(n)[g]
+    raise ValueError(f"unknown generator {g!r} at rank {n}")
 
-    g is ("qh", h-tuple), ("e", i), ("f", i), ("kbar", j), ("ebar", i) or
-    ("fbar", i).
-    """
-    kind = g[0]
-    if kind == "qh":
-        return op(("qh", tuple(g[1])))
-    if kind in ("e", "f"):
-        return op((kind, g[1]))
-    if kind == "kbar":
-        return kbar_expr(g[1], n)
-    if kind == "ebar":
-        return ebar_expr(g[1], n)
-    if kind == "fbar":
-        return fbar_expr(g[1], n)
-    raise ValueError(f"unknown generator {g!r}")
+
+def kbar_expr(j: int, n: int) -> Operator:
+    return generator_expr(("kbar", j), n)
+
+
+def ebar_expr(i: int, n: int) -> Operator:
+    return generator_expr(("ebar", i), n)
+
+
+def fbar_expr(i: int, n: int) -> Operator:
+    return generator_expr(("fbar", i), n)
 
 
 def act_on_tensor(g, vec: dict, n: int) -> dict:
-    """A generator acting on a vector in V^(x)N (any N >= 1)."""
-    return act_expr(generator_expr(g, n), vec)
+    """A generator acting on a vector in V^(x)N (any N >= 1).  A key that
+    is not a basis tensor of the first key's length raises ValueError."""
+    expr = generator_expr(g, n)
+    for t in vec:
+        if not (type(t) is tuple and 1 <= len(t) == len(next(iter(vec)))
+                and all(type(s) is tuple and tuple(map(type, s)) == (int, int)
+                        and 1 <= s[0] <= n and s[1] in (0, 1) for s in t)):
+            raise ValueError(f"{t!r} is not a basis tensor at rank {n} "
+                             "of the first key's length")
+    return act_expr(expr, vec)

@@ -42,7 +42,7 @@ def relations_catalogue(n: int) -> list:
     h_samples = list(dict.fromkeys(h_samples))
 
     def qh(h):
-        return op(("qh", tuple(h)))
+        return generator_expr(("qh", h), n)
 
     e, f, ebar, fbar = ({i: generator_expr((kind, i), n) for i in range(1, n)}
                         for kind in ("e", "f", "ebar", "fbar"))

@@ -245,20 +245,20 @@ def tilde_f(i: int, vec: dict, n: int) -> dict:
 @lru_cache(maxsize=None)
 def ktilde1_expr(n: int) -> Operator:
     """q^{k_1 - 1} kbar_1."""
-    return scale(ONE / Q, compose(qh_expr(n, (1, 1)), op(("kbar1",))))
+    return scale(ONE / Q, compose(qh_expr(n, (1, 1)), op(("kbar", 1))))
 
 
 @lru_cache(maxsize=None)
 def tilde_ebar1_expr(n: int) -> Operator:
     """-(e_1 kbar_1 - q kbar_1 e_1) q^{k_1 - 1}."""
-    return scale(-(ONE / Q), compose(bracket(op(("e", 1)), op(("kbar1",)), Q),
+    return scale(-(ONE / Q), compose(bracket(op(("e", 1)), op(("kbar", 1)), Q),
                                      qh_expr(n, (1, 1))))
 
 
 @lru_cache(maxsize=None)
 def tilde_fbar1_expr(n: int) -> Operator:
     """-(kbar_1 f_1 - q f_1 kbar_1) q^{k_2 - 1}."""
-    return scale(-(ONE / Q), compose(bracket(op(("kbar1",)), op(("f", 1)), Q),
+    return scale(-(ONE / Q), compose(bracket(op(("kbar", 1)), op(("f", 1)), Q),
                                      qh_expr(n, (2, 1))))
 
 

@@ -49,6 +49,8 @@ def pneg(a) -> tuple:
 
 
 def pmul(a, b) -> tuple:
+    """The product of two normalized polynomials: Z has no zero divisors,
+    so its leading coefficient is nonzero and it is normalized too."""
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
@@ -56,7 +58,7 @@ def pmul(a, b) -> tuple:
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-    return pnorm(out)
+    return tuple(out)
 
 
 def pcontent(a) -> int:

@@ -321,12 +321,15 @@ def _decoded(ops: TableauOps, words_ops: _ReadingWordOps,
 
 def tableau_operator(direction: str, label, t: Tableau, n: int):
     """Apply one operator (direction "e"/"f", label 1..n-1 or "1bar") to a
-    tableau with entries in 1..n."""
+    semistandard tableau with entries in 1..n."""
     if direction not in ("e", "f"):
         raise ValueError(f"unknown direction {direction!r}")
     if label not in all_labels(n):
         raise ValueError(f"label {label!r} is not one of {all_labels(n)}")
     check_word(t.entries, n)
+    if not is_semistandard(t.shape, t.entries):
+        raise ValueError(f"entries {t.entries} are not a semistandard "
+                         f"filling of {t.shape.partition}")
     ops = TableauOps(t.shape, n)
     if label == ODD:
         return ops.ebar1(t) if direction == "e" else ops.fbar1(t)

@@ -75,6 +75,16 @@ def _sympy_normal_form(num, den) -> tuple:
     return _from_sympy(n), _from_sympy(d)
 
 
+@given(coeffs, coeffs)
+def test_pmul_of_normalized_operands_is_normalized_and_equals_sympy(a, b):
+    """Z has no zero divisors, so the product's leading coefficient, the
+    product of the operands' leading ones, is never 0."""
+    a, b = pnorm(a), pnorm(b)
+    product = pmul(a, b)
+    assert not product or product[-1] != 0
+    assert product == _from_sympy(_to_sympy(a) * _to_sympy(b))
+
+
 def test_basic_values():
     assert RatFunc((2, 2), (2,)) == RatFunc((1, 1))
     assert RatFunc((0, 1), (0, 0, 1)) == ONE / Q

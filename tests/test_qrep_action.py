@@ -2,7 +2,8 @@
 
 import pytest
 
-from queercrystals.qrep.action import act_on_tensor, act_prim
+from queercrystals.qrep.action import (act_on_tensor, act_prim,
+                                       generator_expr)
 from queercrystals.qrep.laurent import ONE, Q, ZERO, RatFunc
 from queercrystals.qrep.tensorspace import (basis, tensor_weight, unit,
                                             vec_scale, vec_sub)
@@ -43,9 +44,41 @@ def test_action_table_on_v():
     for g, t, expected in cases:
         assert act_on_tensor(g, unit(t), n) == expected, (g, t)
     with pytest.raises(ValueError, match="unknown symbol"):
-        act_prim(("kbar2",), unit(v(2)))
+        act_prim(("kbar", 2), unit(v(2)))
     with pytest.raises(ValueError, match="unknown generator"):
         act_on_tensor(("k", 1), unit(v(1)), n)
+
+
+@pytest.mark.parametrize("g", [
+    ("e", 0), ("f", 3), ("ebar", 3), ("fbar", 0), ("kbar", 0), ("kbar", 4),
+    ("kbar", True), ("e", 1.0), ("qh", (1, 0)), ("qh", (1, 0, 0, 0)),
+    ("qh", (1.0, 0, 0)), ("k", 1), ("kbar",), "e"])
+def test_a_symbol_outside_the_table_is_refused(g):
+    """At rank 3 the table holds e_i, f_i, ebar_i, fbar_i for i = 1, 2 and
+    kbar_j for j = 1..3 with int indices; q^h takes three int entries."""
+    for call in (lambda: generator_expr(g, 3),
+                 lambda: act_on_tensor(g, unit(v(1)), 3)):
+        with pytest.raises(ValueError, match="unknown generator") as info:
+            call()
+        assert repr(g) in str(info.value)
+
+
+@pytest.mark.parametrize("g, key", [
+    (("e", 1), v(2, 7)),          # a letter above n
+    (("qh", (1, 0, 0)), v(7)),    # q^h reads the letter's exponent
+    (("kbar", 1), ((1, 2),)),     # a bar that is neither 0 nor 1
+    (("f", 1), ((1.0, 0),)),      # a letter that is not an int
+    (("f", 1), ()),               # a tensor of no factors
+    (("f", 1), 1),                # a key that is not a tuple
+])
+def test_act_on_tensor_refuses_a_key_that_is_not_a_basis_tensor(g, key):
+    with pytest.raises(ValueError, match="not a basis tensor"):
+        act_on_tensor(g, {key: ONE}, 3)
+
+
+def test_act_on_tensor_refuses_keys_of_two_lengths():
+    with pytest.raises(ValueError, match="not a basis tensor"):
+        act_on_tensor(("f", 1), {v(1): ONE, v(1, 1): ONE}, 3)
 
 
 def test_full_action_table_is_weight_homogeneous():

@@ -64,7 +64,7 @@ def t_act(expr, t):
 @lru_cache(maxsize=None)
 def t_kbar(j, n):
     if j == 1:
-        return t_op(("kbar1",))
+        return t_op(("kbar", 1))
     i = j - 1
     f = t_op(("f", i))
     inner = t_sum(t_compose(t_kbar(i, n), t_qh(n, j, 1)),
@@ -90,7 +90,7 @@ def t_fbar(i, n):
 
 
 def t_odd(n):
-    kbar1, e1, f1 = t_op(("kbar1",)), t_op(("e", 1)), t_op(("f", 1))
+    kbar1, e1, f1 = t_op(("kbar", 1)), t_op(("e", 1)), t_op(("f", 1))
     return {
         "ktilde1": t_scale(ONE / Q, t_compose(t_qh(n, 1, 1), kbar1)),
         "tilde-ebar1": t_scale(-(ONE / Q), t_compose(t_twist(e1, kbar1, Q),

@@ -143,6 +143,14 @@ def test_tableau_operator_rejects_broken_fillings():
         ops.decode(word([1, 2, 3]))  # row (2, 1), (2, 2) would decrease
 
 
+def test_tableau_operator_refuses_a_filling_that_is_not_semistandard():
+    """The column (1, 1) does not increase: the input is at fault, so the
+    error is a ValueError naming the entries, not a StructureError."""
+    t = Tableau(shape_from_partition((2, 1), 3), (1, 1, 1))
+    with pytest.raises(ValueError, match=r"entries \(1, 1, 1\)"):
+        tableau_operator("f", 1, t, 3)
+
+
 def test_b_lambda_examples():
     t = b_lambda((2,), 2)
     assert t.entries == (1, 1) and t.weight(2) == (2, 0)

@@ -7,8 +7,6 @@ import importlib.util
 import json
 import pathlib
 
-import pytest
-
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location(
     "trajectory", ROOT / "tools" / "trajectory.py")
@@ -36,18 +34,6 @@ def test_every_record_has_one_layout_with_medians_and_verdicts():
                     assert isinstance(result[side]["median"], float), (
                         path.name, workload, metric, side)
                 assert result["verdict"] in VERDICTS, (path.name, workload)
-
-
-def test_both_layouts_are_read():
-    entry = {"parent": {"median": 1.0}, "change": {"median": 0.5},
-             "verdict": "better"}
-    for key in trajectory.LAYOUTS:
-        record = {"end_to_end": {"w": {key: {"run_s": entry}}}}
-        assert trajectory.row(record) == [("w", 1.0, 0.5, "better")]
-    both = {"end_to_end": {"w": {key: {} for key in trajectory.LAYOUTS}}}
-    for broken in ({"end_to_end": {"w": {}}}, both):
-        with pytest.raises(KeyError):
-            trajectory.metrics_of(broken, "w")
 
 
 def test_the_rows_show_the_medians_in_the_files(capsys, monkeypatch):

@@ -5,7 +5,8 @@ crystals, the graph layer (search, components, tensor, its even rule
 and its packed weight keys, validation and the error it raises, the
 stepwise Weyl reflection, isomorphism, the adapters' highest-weight test),
 serialization, the CLI, the exact side (rational functions, basis tensors
-and vectors, the algebra action, string decompositions) and the verifiers
+and vectors, the algebra action, its generator table and the checks of
+its entry point, string decompositions) and the verifiers
 (check records, reading independence and its one scan per distinct word,
 the exact checks, the commuting relations, the release of each checked
 relation).
@@ -293,6 +294,21 @@ MUTANTS = (
      "kbar_1 takes its super sign from the factors to its right", EXACT),
     (PKG + "qrep/action.py", "{}, {i: -1, i + 1: 1}", "{}, {i: 1, i + 1: -1}",
      "e_i picks up the inverse power of q from its right", EXACT),
+    (PKG + "qrep/action.py", "bracket(f, ebar)), qh_expr(n, (i, -1)))",
+     "bracket(f, ebar)), qh_expr(n, (i, 1)))",
+     "the table builds kbar_{i+1} with q^{k_i} where q^{-k_i} belongs",
+     EXACT),
+    (PKG + "qrep/action.py", "type(index) is int and g in",
+     "isinstance(index, int) and g in",
+     "the generator table takes an index of True as 1", EXACT),
+    (PKG + "qrep/action.py", "type(index) is tuple and len(index) == n",
+     "type(index) is tuple",
+     "q^h takes an exponent tuple of the wrong length", EXACT),
+    (PKG + "qrep/action.py", "and 1 <= s[0] <= n and", "and 1 <= s[0] and",
+     "act_on_tensor takes a letter above n", EXACT),
+    (PKG + "tableaux.py", "    if not is_semistandard(t.shape, t.entries):\n"
+     "        raise ValueError(", "    if False:\n        raise ValueError(",
+     "tableau_operator takes a filling that is not semistandard", WORDS),
     (PKG + "qrep/kashiwara.py", "if wt[i - 1] - wt[i] < k:",
      "if wt[i - 1] - wt[i] <= k:",
      "string decomposition drops the strings that end at the weight", EXACT),

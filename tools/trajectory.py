@@ -6,9 +6,8 @@ Rows come in the order git added the records; a record that git does not
 know yet comes last, and without git every record is ordered by name.
 Each row gives, per workload, the run_s parent and change medians and
 the verdict the record holds.  A record keeps each workload's metrics
-under ``end_to_end.<workload>.end_to_end``, or under
-``end_to_end.<workload>.metrics`` (``BENCH_one_loop_reading.json``);
-``metrics_of`` reads both.  It uses only the standard library.
+under ``end_to_end.<workload>.end_to_end``.  It uses only the standard
+library.
 """
 
 import json
@@ -17,17 +16,11 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-LAYOUTS = ("end_to_end", "metrics")
 
 
 def metrics_of(record: dict, workload: str) -> dict:
-    """Metric name -> result of one workload, in either layout."""
-    entry = record["end_to_end"][workload]
-    found = [key for key in LAYOUTS if key in entry]
-    if len(found) != 1:
-        raise KeyError(f"{workload}: need exactly one of {LAYOUTS}, "
-                       f"found {found}")
-    return entry[found[0]]
+    """Metric name -> result of one workload."""
+    return record["end_to_end"][workload]["end_to_end"]
 
 
 def row(record: dict) -> list:
