@@ -1,5 +1,10 @@
 """Action of the quantum queer superalgebra on V and its tensor powers.
 
+V has basis v_1..v_n (even) and vbar_1..vbar_n (odd).  A basis tensor of
+V^(x)N is a tuple of symbols (letter, bar), bar in {0, 1}; its letter
+pattern, the word of its letters, spans l_b for the crystal node b.  A
+vector is a dict from basis tensors to nonzero RatFunc coefficients.
+
 Four primitive generators act through explicit formulas: q^h, e_i, f_i
 (even) and kbar_1 (odd).  On a tensor power the action comes from the
 comultiplication
@@ -31,17 +36,87 @@ generators and the relations are written in.
 """
 
 from functools import lru_cache
+from itertools import product
 
 from ..words import check_rank
 from .laurent import ONE, Q, RatFunc
-from .tensorspace import unit, vec_add, vec_scale, vec_sum
+
+# ---------------------------------------------------------------------------
+# basis tensors and vectors
+
+BasisTensor = tuple  # of symbols (letter, bar)
+
+
+def parity(t: BasisTensor) -> int:
+    return sum(s for _, s in t) & 1
+
+
+def pattern(t: BasisTensor) -> bytes:
+    """Letter word of a basis tensor (bars dropped)."""
+    return bytes(j for j, _ in t)
+
+
+def tensor_weight(t: BasisTensor, n: int) -> tuple:
+    wt = [0] * n
+    for j, _ in t:
+        wt[j - 1] += 1
+    return tuple(wt)
+
+
+def basis(n: int, N: int) -> list:
+    """All basis tensors of V^(x)N, letters-major then bar bits."""
+    singles = [(j, s) for j in range(1, n + 1) for s in (0, 1)]
+    return list(product(singles, repeat=N))
+
+
+def lattice_basis(word: bytes) -> list:
+    """Basis tensors with the given letter pattern, ordered by bar bits."""
+    return [tuple(zip(word, bits))
+            for bits in product((0, 1), repeat=len(word))]
+
+
+def vec_add(out: dict, t: BasisTensor, c: RatFunc) -> None:
+    """Accumulate c on t in place, stripping zeros."""
+    cur = out.get(t)
+    s = c if cur is None else cur + c
+    if s:
+        out[t] = s
+    elif cur is not None:
+        del out[t]
+
+
+def vec_scale(c: RatFunc, v: dict) -> dict:
+    return {t: c * x for t, x in v.items()} if c else {}
+
+
+def vec_sum(*vecs) -> dict:
+    out = {}
+    for v in vecs:
+        for t, c in v.items():
+            vec_add(out, t, c)
+    return out
+
+
+def vec_sub(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for t, c in b.items():
+        vec_add(out, t, -c)
+    return out
+
+
+def unit(t: BasisTensor) -> dict:
+    return {t: ONE}
+
+
+# ---------------------------------------------------------------------------
+# operators
 
 
 @lru_cache(maxsize=None)
 def _act_prim_tensor(sym, t) -> dict:
-    """Primitive symbol ("qh", h), ("e", i), ("f", i) or ("kbar", 1)
-    applied to one basis tensor: its column {tensor: coeff}, in increasing
-    order of the factor acted on.  Shared: read only."""
+    """A primitive symbol that ``op`` accepts applied to one basis tensor:
+    its column {tensor: coeff}, in increasing order of the factor acted
+    on.  Shared: read only."""
     kind, i = sym
     if kind == "qh":  # i is the tuple h
         return {t: RatFunc.q_power(sum(i[j - 1] for j, _ in t))}
@@ -51,10 +126,8 @@ def _act_prim_tensor(sym, t) -> dict:
         src, dst, flip, left, right = i + 1, i, 0, {}, {i: -1, i + 1: 1}
     elif kind == "f":
         src, dst, flip, left, right = i, i + 1, 0, {i: 1, i + 1: -1}, {}
-    elif sym == ("kbar", 1):
+    else:  # ("kbar", 1)
         src, dst, flip, left, right = 1, 1, 1, {1: -1}, {1: 1}
-    else:
-        raise ValueError(f"unknown symbol {sym!r}")
     out = {}
     for p, (j, s) in enumerate(t):
         if j != src:
@@ -81,11 +154,21 @@ class Operator(dict):
 
 
 def act_prim(sym, vec: dict) -> dict:
-    """Primitive symbol acting on a vector."""
+    """Primitive symbol acting on a vector; ``op`` checks the symbol."""
     return act_expr(op(sym), vec)
 
 
 def op(sym) -> Operator:
+    """The operator of ("qh", h) with h a tuple of ints, ("e", i) or
+    ("f", i) with i a positive int, or ("kbar", 1); any other symbol raises
+    ValueError.  A letter above the rank n, as ("f", n) writes, is not
+    seen here: ``act_on_tensor`` is the entry point that checks the rank."""
+    kind, i = sym if type(sym) is tuple and len(sym) == 2 else (None, None)
+    if not (kind == "qh" and type(i) is tuple
+            and all(type(x) is int for x in i)
+            or type(i) is int and (kind in ("e", "f") and i >= 1
+                                   or sym == ("kbar", 1))):
+        raise ValueError(f"unknown symbol {sym!r}")
     return Operator(lambda t: _act_prim_tensor(sym, t))
 
 

@@ -10,17 +10,14 @@ pattern space, exactly the arrows of the word crystal B^(x)N, the graph
 ``tensor_power_graph(n, N)``.
 """
 
-from fractions import Fraction
-
 from ..graphs import ODD, all_labels
 from ..reports import check, record, report
 from ..theorems import tensor_power_graph
 from ..words import _integer, all_words, check_rank
-from .action import (Operator, bracket, compose, expr_sum, generator_expr,
-                     identity_expr, op, qh_expr, scale)
+from .action import (Operator, basis, bracket, compose, expr_sum,
+                     generator_expr, identity_expr, lattice_basis, op,
+                     parity, pattern, qh_expr, scale, unit, vec_add, vec_sub)
 from .laurent import ONE, Q, RatFunc
-from .tensorspace import (basis, lattice_basis, parity, pattern, unit,
-                          vec_add, vec_sub)
 from .kashiwara import (_rows, _rref, tilde_e, tilde_ebar1, tilde_ebar1_expr,
                         tilde_f, tilde_fbar1, tilde_fbar1_expr, tilde_k1,
                         ktilde1_expr)
@@ -182,7 +179,7 @@ def verify_relations(n: int, N: int, which: str | None = None) -> dict:
 # comultiplication of the odd Kashiwara operators
 
 
-def _assemble_two_factor(terms, n: int, x, y) -> dict:
+def _assemble_two_factor(terms, x, y) -> dict:
     """Evaluate sum of coeff * (A (x) B) on the basis tensor x (x) y."""
     px = parity(x)
     out = {}
@@ -231,7 +228,7 @@ def verify_comult_odd(n: int) -> dict:
     for name, whole_expr, terms in comult_formulas(n):
         # the right side as an operator: its column t = x + y is at x (x) y
         split = Operator(lambda t, terms=terms:
-                         _assemble_two_factor(terms, n, t[:1], t[1:]))
+                         _assemble_two_factor(terms, t[:1], t[1:]))
         records.append(_identity_record("comultiplication", f"n={n} {name}",
                                         whole_expr, split, basis(n, 2)))
     return report(records, n=n)
@@ -319,7 +316,7 @@ def residue_check(n: int, N: int) -> dict:
             if ok:
                 residue_edges.add((b, op_key, expected))
                 dst = {t: k for k, t in enumerate(lattice_basis(expected))}
-                rank = len(_rref(_rows(cols, dst, Fraction(0)))[1])
+                rank = len(_rref(_rows(cols, dst))[1])
                 records.append(check("residue-isomorphism", at,
                                      rank == 2 ** N,
                                      {"rank": rank, "expected": 2 ** N}))

@@ -27,19 +27,19 @@ The odd operators are operator polynomials, stored by column (``Operator``):
 from functools import lru_cache
 from typing import NamedTuple
 
-from .action import (Operator, act_expr, act_prim, bracket, compose, op,
-                     qh_expr, scale)
+from .action import (Operator, act_expr, act_prim, basis, bracket, compose,
+                     op, qh_expr, scale, tensor_weight, unit, vec_scale,
+                     vec_sum)
 from .laurent import ONE, Q, ZERO, gauss_int
-from .tensorspace import basis, tensor_weight, unit, vec_scale, vec_sum
 
 # ---------------------------------------------------------------------------
 # linear algebra over the fraction field
 
 
-def _rows(columns: list, index: dict, zero=ZERO) -> list:
+def _rows(columns: list, index: dict) -> list:
     """The matrix of the given column dicts as a list of rows for _rref:
-    index maps each key of a column to its row, zero fills the rest."""
-    rows = [[zero] * len(columns) for _ in index]
+    index maps each key of a column to its row, ZERO fills the rest."""
+    rows = [[ZERO] * len(columns) for _ in index]
     for k, col in enumerate(columns):
         for t, c in col.items():
             rows[index[t]][k] = c
@@ -49,9 +49,9 @@ def _rows(columns: list, index: dict, zero=ZERO) -> list:
 def _rref(rows: list) -> tuple:
     """Reduced row echelon form in place; returns pivot column list.
 
-    Entries are ``RatFunc`` or ``Fraction``: only field arithmetic is used.
-    Scaling and elimination touch only the columns where the pivot row is
-    nonzero; every other cell keeps its value.
+    Entries are ``RatFunc``.  Scaling and elimination touch only the
+    columns where the pivot row is nonzero; every other cell keeps its
+    value.
     """
     pivots = []
     r = 0
@@ -99,7 +99,8 @@ def solve_in_span(vectors: list, targets: list, index: dict) -> list:
 
 def kernel_on_weight_space(i: int, tensors: list, n: int) -> list:
     """Basis of ker e_i restricted to the span of the given basis tensors."""
-    images = [act_prim(("e", i), {t: ONE}) for t in tensors]
+    e = op(("e", i))
+    images = [e[t] for t in tensors]
     index = {t: k for k, t in
              enumerate(sorted({t for img in images for t in img}))}
     rows, pivots = _rref(_rows(images, index))

@@ -2,11 +2,11 @@
 
 Scalars live in the field Q(q) of rational functions, which contains every
 coefficient arising from the algebra action on finite tensor powers; no
-power-series truncation is ever needed.  A fraction is kept in reduced
-normal form: numerator and denominator are coprime integer polynomials and
-the denominator has a positive leading coefficient, so equality is plain
-tuple comparison.  Normalizing stays on integers and takes one of three
-paths:
+power-series truncation is ever needed, and a value at q = 0 is a constant
+of the same type.  A fraction is kept in reduced normal form: numerator
+and denominator are coprime integer polynomials and the denominator has a
+positive leading coefficient, so equality is plain tuple comparison.
+Normalizing stays on integers and takes one of three paths:
 
 - zero: the numerator is empty and the denominator becomes (1,);
 - monomial denominator c*q^k, which is almost every scalar of the action
@@ -23,7 +23,6 @@ Polynomials are tuples of integer coefficients, lowest degree first, with
 no trailing zeros; the zero polynomial is the empty tuple.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -286,11 +285,11 @@ class RatFunc:
         """No pole at q = 0 (reduced denominator has a constant term)."""
         return self.den[0] != 0
 
-    def at_zero(self) -> Fraction:
-        """Value at q = 0; raises on a pole."""
+    def at_zero(self) -> "RatFunc":
+        """Value at q = 0, as a constant; raises on a pole."""
         if not self.is_regular_at_zero():
             raise ZeroDivisionError(f"{self} has a pole at q=0")
-        return Fraction(self.num[0] if self.num else 0, self.den[0])
+        return RatFunc(self.num[:1], self.den[:1])
 
     def __repr__(self):
         if self.den == (1,):
@@ -309,7 +308,6 @@ def gauss_int(k: int) -> RatFunc:
     return (RatFunc.q_power(k) - RatFunc.q_power(-k)) / (Q - RatFunc.q_power(-1))
 
 
-@lru_cache(maxsize=None)
 def gauss_factorial(k: int) -> RatFunc:
     """[k]! = [k][k-1]...[1]."""
     out = ONE

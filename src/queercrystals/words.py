@@ -71,8 +71,9 @@ def check_word(w: Word, n: int) -> None:
 
 
 def _check_even_index(i: int, n: int) -> None:
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"even index {i} out of range 1..{n - 1}")
+    """An even index is an int in 1..n-1: a float or a bool is refused."""
+    if type(i) is not int or not 1 <= i <= n - 1:
+        raise ValueError(f"even index {i!r} is not an int in 1..{n - 1}")
 
 
 def weight_of(w: Word, n: int) -> tuple:

@@ -1,7 +1,5 @@
 """Exact rational-function arithmetic in q."""
 
-from fractions import Fraction
-
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -124,7 +122,9 @@ def test_regularity_and_residue():
     assert (ONE / (Q + ONE)).is_regular_at_zero()
     assert not (ONE / Q).is_regular_at_zero()
     x = (Q + 2) / (Q * Q - Q + 1)
-    assert x.at_zero() == Fraction(2, 1)
+    assert x.at_zero() == 2 and isinstance(x.at_zero(), RatFunc)
+    assert ((2 + Q) / (1 + Q)).at_zero() == 2
+    assert (ONE / (Q - 2)).at_zero() == RatFunc((-1,), (2,))
     with pytest.raises(ZeroDivisionError):
         (ONE / Q).at_zero()
     with pytest.raises(ZeroDivisionError):
@@ -184,6 +184,21 @@ def test_integer_operands_and_powers_equal_sympy(a, k, m):
     scaled = RatFunc(pmul(a.num, (k or 1, 1)), pmul(a.den, (k or 1, 1)))
     assert scaled == a and hash(scaled) == hash(a)
     assert hash(a ** -m * a ** m) == hash(ONE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratfuncs())
+def test_value_at_zero_is_a_constant_equal_to_sympy(x):
+    """Wherever x is regular at q = 0, its value there is a RatFunc
+    constant, a denominator of length 1, equal to sympy's value."""
+    if not x.is_regular_at_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.at_zero()
+        return
+    value = x.at_zero()
+    assert isinstance(value, RatFunc)
+    assert len(value.num) <= 1 and len(value.den) == 1
+    assert _sympy_expr(value) == _sympy_expr(x).subs(_q, 0)
 
 
 def test_a_constant_hashes_as_its_integer():

@@ -14,9 +14,9 @@ from queercrystals import (crystal_of_shape, explore_conjecture,
                            verify_decomposition, verify_highest_weight_formula,
                            verify_reading_independence,
                            verify_unique_highest_weight)
+from queercrystals.qrep.action import basis
 from queercrystals.qrep.checks import (relations_catalogue, residue_check,
                                        verify_comult_odd, verify_relations)
-from queercrystals.qrep.tensorspace import basis
 from queercrystals.serialize import graph_to_dot, graph_to_json, report_to_json
 
 # (sha256 of the DOT text, sha256 of the JSON text as the CLI prints it)

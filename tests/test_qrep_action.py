@@ -2,11 +2,10 @@
 
 import pytest
 
-from queercrystals.qrep.action import (act_on_tensor, act_prim,
-                                       generator_expr)
+from queercrystals.qrep.action import (act_on_tensor, act_prim, basis,
+                                       generator_expr, op, tensor_weight,
+                                       unit, vec_scale, vec_sub)
 from queercrystals.qrep.laurent import ONE, Q, ZERO, RatFunc
-from queercrystals.qrep.tensorspace import (basis, tensor_weight, unit,
-                                            vec_scale, vec_sub)
 
 
 def v(*symbols):
@@ -61,6 +60,19 @@ def test_a_symbol_outside_the_table_is_refused(g):
         with pytest.raises(ValueError, match="unknown generator") as info:
             call()
         assert repr(g) in str(info.value)
+
+
+@pytest.mark.parametrize("sym", [
+    ("e", 0), ("f", -1), ("e", 1.0), ("kbar", True), ("kbar", 2),
+    ("qh", (1.0, 0)), ("qh", [1, 0]), ("ebar", 1), ("e",), "e"])
+def test_op_refuses_a_primitive_symbol_it_has_no_formula_for(sym):
+    """A primitive index is a positive int and kbar_1 is the one odd
+    primitive: ("e", 0) used to write a letter 0, ("f", -1) to return {}
+    and ("kbar", True) to act as kbar_1."""
+    for call in (lambda: op(sym), lambda: act_prim(sym, unit(v(1)))):
+        with pytest.raises(ValueError, match="unknown symbol") as info:
+            call()
+        assert repr(sym) in str(info.value)
 
 
 @pytest.mark.parametrize("g, key", [

@@ -9,12 +9,11 @@ from queercrystals import CrystalGraph, tensor_power_graph
 from queercrystals.graphs import ODD, all_labels
 from queercrystals.qrep import checks
 from queercrystals.qrep.action import (Operator, compose, expr_sum,
-                                       identity_expr, op)
+                                       identity_expr, op, vec_add)
 from queercrystals.qrep.checks import (comult_formulas, relations_catalogue,
                                        residue_check, verify_comult_odd,
                                        verify_relations)
 from queercrystals.qrep.laurent import ONE, Q
-from queercrystals.qrep.tensorspace import vec_add
 from queercrystals.reports import check, passed, record
 
 

@@ -1,17 +1,15 @@
 """q-level Kashiwara operators: strings, divided powers, odd operators."""
 
-from fractions import Fraction
-
 import pytest
 
 from queercrystals.qrep import kashiwara
-from queercrystals.qrep.action import act_prim
+from queercrystals.qrep.action import (act_prim, basis, unit, vec_scale,
+                                       vec_sum)
 from queercrystals.qrep.kashiwara import (apply_f_power, solve_in_span,
                                           string_decomposition, tilde_e,
                                           tilde_ebar1, tilde_f, tilde_fbar1,
                                           tilde_k1)
 from queercrystals.qrep.laurent import ONE, Q, ZERO, RatFunc
-from queercrystals.qrep.tensorspace import basis, unit, vec_scale, vec_sum
 
 
 def v(*symbols):
@@ -85,7 +83,7 @@ def test_solve_in_span_rejects_singular_systems():
 
 def test_rref_pivots_build_no_new_one(monkeypatch):
     """1 / pivot is the reciprocal of the pivot's normal form: no RatFunc
-    1 is constructed for it, and Fraction rows still reduce."""
+    1 is constructed for it, and constant rows reduce to integer ones."""
     ones = []
     init = RatFunc.__init__
 
@@ -101,8 +99,8 @@ def test_rref_pivots_build_no_new_one(monkeypatch):
     assert ones == []
     assert pivots == [0, 1]
     assert rows == [[ONE, ZERO, Q / det], [ZERO, ONE, -ONE / det]]
-    assert kashiwara._rref([[Fraction(2), Fraction(1)],
-                            [Fraction(0), Fraction(3)]]) == (
+    two, three = RatFunc.from_int(2), RatFunc.from_int(3)
+    assert kashiwara._rref([[two, ONE], [ZERO, three]]) == (
         [[1, 0], [0, 1]], [0, 1])
 
 

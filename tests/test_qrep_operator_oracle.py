@@ -12,12 +12,11 @@ from functools import lru_cache
 
 import pytest
 
-from queercrystals.qrep.action import (_act_prim_tensor, ebar_expr,
-                                       fbar_expr, kbar_expr)
+from queercrystals.qrep.action import (_act_prim_tensor, basis, ebar_expr,
+                                       fbar_expr, kbar_expr, vec_add)
 from queercrystals.qrep.kashiwara import (ktilde1_expr, tilde_ebar1_expr,
                                           tilde_fbar1_expr)
 from queercrystals.qrep.laurent import ONE, Q
-from queercrystals.qrep.tensorspace import basis, vec_add
 
 # -- the term algebra: rightmost symbols act first
 

@@ -1,11 +1,14 @@
 """Word-level operators: examples, inverse pairing, string lengths."""
 
+import re
+
 import pytest
 
 from queercrystals import (all_words, e_even, ebar, ebar1, eps, f_even, fbar,
                            fbar1, is_highest_weight, phi, tensor_power_graph,
-                           vector_crystal, weight_of, word)
+                           vector_crystal, weight_of, weyl_S, weyl_s, word)
 from queercrystals.qrep.checks import residue_check, verify_comult_odd
+from queercrystals.weyl import permutation_of
 from queercrystals.words import check_rank, check_word, letters
 
 
@@ -138,6 +141,21 @@ def test_validation_errors():
             weight_of(bad, 3)
     with pytest.raises(ValueError, match="out of range"):
         is_highest_weight(W(5), 3)
+
+
+@pytest.mark.parametrize("index", [1.0, True, "1", None])
+@pytest.mark.parametrize("call", [
+    *(lambda i, entry=entry: entry(i, W(1, 2), 2)
+      for entry in (eps, phi, e_even, f_even, ebar, fbar, weyl_s)),
+    lambda i: weyl_S((i,), W(1), 2),
+    lambda i: permutation_of((i,), 2),
+], ids=["eps", "phi", "e_even", "f_even", "ebar", "fbar", "weyl_s",
+        "weyl_S", "permutation_of"])
+def test_an_even_index_that_is_not_an_int_is_refused(call, index):
+    """f_even(1.0, ...) and weyl_S((1.0,), ...) used to end in a bare
+    TypeError, and e_even(True, ...) to act as e_1."""
+    with pytest.raises(ValueError, match=re.escape(f"even index {index!r}")):
+        call(index)
 
 
 @pytest.mark.parametrize("n, N, bad", [

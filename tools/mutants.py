@@ -4,8 +4,9 @@ their equality, the one-box semistandard check and the memo of their
 crystals, the graph layer (search, components, tensor, its even rule
 and its packed weight keys, validation and the error it raises, the
 stepwise Weyl reflection, isomorphism, the adapters' highest-weight test),
-serialization, the CLI, the exact side (rational functions, basis tensors
-and vectors, the algebra action, its generator table and the checks of
+serialization, the CLI, the exact side (rational functions and their
+values at q = 0, basis tensors and vectors, the algebra action, the
+checks of its primitive symbols, its generator table and the checks of
 its entry point, string decompositions) and the verifiers
 (check records, reading independence and its one scan per distinct word,
 the exact checks, the commuting relations, the release of each checked
@@ -271,12 +272,21 @@ MUTANTS = (
     (PKG + "cli.py", "N = 2 if args.power is None",
      "N = 1 if args.power is None",
      "verify --qrep takes N = 1 when -N is not given", CLI),
-    (PKG + "qrep/tensorspace.py", "sum(s for _, s in t) & 1",
+    (PKG + "qrep/action.py", "sum(s for _, s in t) & 1",
      "sum(s for _, s in t[1:]) & 1",
      "parity skips the first factor's bar", EXACT),
-    (PKG + "qrep/tensorspace.py", "    if s:\n        out[t] = s",
+    (PKG + "qrep/action.py", "    if s:\n        out[t] = s",
      "    if True:\n        out[t] = s",
      "vec_add keeps a coefficient that sums to zero", EXACT),
+    (PKG + "qrep/action.py", 'kind in ("e", "f") and i >= 1',
+     'kind in ("e", "f") and i >= 0',
+     "op takes the index 0, and e_1 writes a letter 0", EXACT),
+    (PKG + "words.py", "if type(i) is not int or not 1 <= i <= n - 1:",
+     "if not 1 <= i <= n - 1:",
+     "an even index of True acts as 1", WORDS),
+    (PKG + "qrep/laurent.py", "RatFunc(self.num[:1], self.den[:1])",
+     "RatFunc(self.num[:1], (1,))",
+     "the value at q = 0 drops the denominator's constant term", LAURENT),
     (PKG + "qrep/laurent.py", "            if c < 0:\n                g = -g",
      "            if c > 0:\n                g = -g",
      "a monomial denominator is made negative, not positive", LAURENT),
