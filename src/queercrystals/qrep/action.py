@@ -254,14 +254,23 @@ def fbar_expr(i: int, n: int) -> Operator:
     return generator_expr(("fbar", i), n)
 
 
+def check_basis_tensor(t, n: int) -> None:
+    """Raise ValueError unless t is a basis tensor of V^(x)N at rank n for
+    some N >= 1: a tuple of (letter, bar) int pairs, letters in 1..n, bars
+    0 or 1."""
+    if not (type(t) is tuple and len(t) >= 1
+            and all(type(s) is tuple and tuple(map(type, s)) == (int, int)
+                    and 1 <= s[0] <= n and s[1] in (0, 1) for s in t)):
+        raise ValueError(f"{t!r} is not a basis tensor at rank {n}")
+
+
 def act_on_tensor(g, vec: dict, n: int) -> dict:
     """A generator acting on a vector in V^(x)N (any N >= 1).  A key that
     is not a basis tensor of the first key's length raises ValueError."""
     expr = generator_expr(g, n)
     for t in vec:
-        if not (type(t) is tuple and 1 <= len(t) == len(next(iter(vec)))
-                and all(type(s) is tuple and tuple(map(type, s)) == (int, int)
-                        and 1 <= s[0] <= n and s[1] in (0, 1) for s in t)):
+        check_basis_tensor(t, n)
+        if len(t) != len(next(iter(vec))):
             raise ValueError(f"{t!r} is not a basis tensor at rank {n} "
                              "of the first key's length")
     return act_expr(expr, vec)

@@ -5,31 +5,60 @@ weight vector u,
 
     u = sum_k f_i^(k) u_k   with  e_i u_k = 0,  f_i^(k) = f_i^k / [k]!,
 
-via tilde_e u = sum f_i^(k-1) u_k and tilde_f u = sum f_i^(k+1) u_k.  The
-decomposition is linear in u and depends only on i and the weight space, so
-each (i, weight space) is solved once and cached: the string tops w_j of
-ker e_i whose strings pass through the space, the matrix C whose columns
-are their images f_i^(k_j) w_j, and C^-1 from one dense RREF over the
-rational functions.  The solve raises unless C is square and invertible,
-and the result is verified as the exact identity C . C^-1 = I on every
-basis tensor of the space.  C^-1 is stored by column, like an operator, so
-``act_expr`` applies it: the coefficients of u are C^-1 u, and tilde_e,
-tilde_f apply to them the matrices whose columns j are the cached images
-f_i^(k_j - 1) w_j and f_i^(k_j + 1) w_j.
+via tilde_e u = sum f_i^(k-1) u_k and tilde_f u = sum f_i^(k+1) u_k.
+
+e_i and f_i move only the factors whose letter is i or i+1, the active
+factors; they never flip a bar, and their q-exponents count only the
+letters i and i+1.  So the basis tensors that differ from a tensor t only
+in the letters of its active factors span a U_q(sl_2)_i-module of their
+own, and its block of one weight depends only on the class (m, a): m
+active factors, a of them with letter i.  The class space of (m, a) is
+spanned by the unbarred words of length m over the letters 1, 2 with a
+ones, real basis tensors of V^(x)m at rank 2.  t's class tensor keeps its
+active factors, drops their bars and shifts the letters i, i+1 to 1, 2;
+the lift reverses that, shifting the letters back, restoring each
+factor's own bar and putting the spectator factors back in place.
+
+Each class is solved once and cached: the string tops w_j of ker e_1
+whose strings pass through it, the matrix C whose columns are their
+images f_1^(k_j) w_j, and C^-1 from one dense RREF over the rational
+functions.  The solve raises unless C is square and invertible, and the
+result is verified as the exact identity C . C^-1 = I on every tensor of
+the class.  What is kept is, per class tensor, its string decomposition
+and its images under tilde_e and tilde_f: the class columns.  tilde_e,
+tilde_f and string_decomposition read the class column of each key of
+their vector and lift it back, a sum linear in the vector.
+
+The lift is exact because of a check made once per module, when the
+operators first read one of its tensors at (i, n): on every tensor of the
+module the real columns of e_i and f_i must equal the lifts of the columns
+of e_1 and f_1 on its class tensor, else ArithmeticError.  Lifting is then
+an isomorphism of U_q(sl_2)_i-modules from the class spaces onto the
+blocks, so C_block = lift(C_class) and C_block . lift(C_class^-1) = I:
+every basis tensor is covered by the factorization check and every class
+tensor by the class identity.
 
 The odd operators are operator polynomials, stored by column (``Operator``):
 
     ktilde_1    = q^{k_1 - 1} kbar_1,
     tilde_ebar1 = -(e_1 kbar_1 - q kbar_1 e_1) q^{k_1 - 1},
     tilde_fbar1 = -(kbar_1 f_1 - q f_1 kbar_1) q^{k_2 - 1}.
+
+The six operators check their arguments with a ValueError that names the
+bad value: the rank n by ``check_rank`` and the index i, an int in
+1..n-1 (ebar1 and fbar1 have index 1), once per call and before any cache
+reads them; each key of the vector, as a basis tensor of rank n, once,
+when its block or column is first computed.
 """
 
 from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
-from .action import (Operator, act_expr, act_prim, basis, bracket, compose,
-                     op, qh_expr, scale, tensor_weight, unit, vec_scale,
-                     vec_sum)
+from ..words import check_rank
+from .action import (Operator, act_expr, act_prim, bracket,
+                     check_basis_tensor, compose, op, qh_expr, scale,
+                     tensor_weight, unit, vec_add, vec_scale, vec_sum)
 from .laurent import ONE, Q, ZERO, gauss_int
 
 # ---------------------------------------------------------------------------
@@ -120,19 +149,13 @@ def kernel_on_weight_space(i: int, tensors: list, n: int) -> list:
 # string decomposition and the even operators
 
 
-@lru_cache(maxsize=None)
-def _weight_spaces(n: int, N: int) -> dict:
-    spaces = {}
-    for t in basis(n, N):
-        spaces.setdefault(tensor_weight(t, n), []).append(t)
-    return spaces
-
-
-def _homogeneous_weight(vec: dict, n: int) -> tuple:
-    wts = {tensor_weight(t, n) for t in vec}
-    if len(wts) != 1:
-        raise ValueError("not a weight vector")
-    return wts.pop()
+def _check_index(i, n: int) -> None:
+    """n a rank and i an int in 1..n-1, checked before any cache reads
+    them: an lru_cache takes True for 1."""
+    check_rank(n)
+    if not (type(i) is int and 1 <= i < n):
+        raise ValueError(f"index {i!r} is not an int in 1..{n - 1} "
+                         f"at rank {n}")
 
 
 def apply_f_power(vec: dict, i: int, k: int) -> dict:
@@ -148,128 +171,197 @@ def _divided_step(vec: dict, i: int, m: int) -> dict:
     return vec_scale(ONE / gauss_int(m), vec) if m >= 2 else vec
 
 
+def _class_tensors(m: int, a: int) -> list:
+    """The class space (m, a): unbarred words over 1, 2 with a ones."""
+    return [tuple((j, 0) for j in w) for w in product((1, 2), repeat=m)
+            if w.count(1) == a]
+
+
 class StringBasis(NamedTuple):
-    """The i-strings through one weight space mu, indexed by candidate j.
+    """The class columns of one block class (m, a), by class tensor c:
+    decomposition[c] lists the pairs (k, u_k) with c = sum_k f_1^(k) u_k
+    and e_1 u_k = 0; raised[c] and lowered[c] are tilde_e c and tilde_f c.
+    Every vector is over class tensors.  Shared: read only."""
 
-    levels[j] = (k_j, w_j): a string top w_j in ker e_i whose image
-    f_i^(k_j) w_j lies in mu.  With C the matrix whose columns are those
-    images, C^-1 is stored by column like an ``Operator``: inverse[t] is
-    {j: (C^-1)[j, t]} over its nonzero entries, so act_expr(inverse, u) is
-    C^-1 u and act_expr(images, inverse[t]) is column t of C C^-1.
-    raised[j] = f_i^(k_j - 1) w_j (empty at k_j = 0) and lowered[j] =
-    f_i^(k_j + 1) w_j are the images of f_i^(k_j) w_j under tilde_e and
-    tilde_f.
-    """
-
-    levels: tuple
-    inverse: dict
-    raised: tuple
-    lowered: tuple
+    decomposition: dict
+    raised: dict
+    lowered: dict
 
 
 @lru_cache(maxsize=None)
-def _string_basis(i: int, mu: tuple, n: int, N: int) -> StringBasis:
-    """The i-string basis of the weight space mu of V^(x)N, solved once."""
-    spaces = _weight_spaces(n, N)
-    tensors = spaces[mu]
+def _string_basis(m: int, a: int) -> StringBasis:
+    """The 1-string basis of the class space (m, a) at rank 2, solved once."""
+    tensors = _class_tensors(m, a)
     index = {t: k for k, t in enumerate(tensors)}
     levels = []  # (k, string top)
-    for k in range(mu[i] + 1):
-        wt = list(mu)
-        wt[i - 1] += k
-        wt[i] -= k
-        # a string top at this weight spans exactly <h_i, wt> steps down,
-        # so shorter strings cannot reach back to mu
-        if wt[i - 1] - wt[i] < k:
+    for k in range(m - a + 1):
+        # a string top with a + k ones spans exactly a + k - (m - a - k)
+        # steps down, so shorter strings cannot reach back to the class
+        if 2 * (a + k) - m < k:
             continue
-        tops = spaces.get(tuple(wt))
-        if tops:
-            levels.extend((k, w) for w in kernel_on_weight_space(i, tops, n))
+        levels.extend((k, w) for w in
+                      kernel_on_weight_space(1, _class_tensors(m, a + k), 2))
     raised, images, lowered = [], [], []
     for k, w in levels:
-        # one f_i chain per string top: f^(k-1) w, then f^(k) w, f^(k+1) w
-        # by one step each, using f_i^(m) = f_i f_i^(m-1) / [m]
-        above = apply_f_power(w, i, k - 1) if k else {}
-        image = _divided_step(above, i, k) if k else w
+        # one f_1 chain per string top: f^(k-1) w, then f^(k) w, f^(k+1) w
+        # by one step each, using f_1^(m) = f_1 f_1^(m-1) / [m]
+        above = apply_f_power(w, 1, k - 1) if k else {}
+        image = _divided_step(above, 1, k) if k else w
         raised.append(above)
         images.append(image)
-        lowered.append(_divided_step(image, i, k + 1))
+        lowered.append(_divided_step(image, 1, k + 1))
     columns = solve_in_span(images, [unit(t) for t in tensors], index)
+    # C^-1 by column, like an Operator: inverse[t] is {j: (C^-1)[j, t]}
     inverse = {t: {j: c for j, c in enumerate(col) if c}
                for t, col in zip(tensors, columns)}
-    # resubstitution check: C . C^-1 = I, one basis tensor per column
+    # resubstitution check: C . C^-1 = I, one class tensor per column
     for t in tensors:
         if act_expr(images, inverse[t]) != unit(t):
             raise ArithmeticError("string decomposition failed to reconstruct")
-    return StringBasis(tuple(levels), inverse, tuple(raised), tuple(lowered))
+    decomposition = {}
+    for t in tensors:
+        by_level = {}
+        for j, c in inverse[t].items():
+            k, w = levels[j]
+            by_level[k] = vec_sum(by_level.get(k, {}), vec_scale(c, w))
+        decomposition[t] = sorted(by_level.items())
+    return StringBasis(decomposition,
+                       {t: act_expr(raised, inverse[t]) for t in tensors},
+                       {t: act_expr(lowered, inverse[t]) for t in tensors})
 
 
-def _string_coefficients(vec: dict, i: int, n: int) -> tuple:
-    """(string basis of vec's weight space, C^-1 vec as {j: coefficient})."""
-    mu = _homogeneous_weight(vec, n)
-    string_basis = _string_basis(i, mu, n, len(next(iter(vec))))
-    return string_basis, act_expr(string_basis.inverse, vec)
+class Block(NamedTuple):
+    """A basis tensor in its module under e_i and f_i: its weight, its
+    block class (m, a), its class tensor, and lift, the basis tensor of
+    the module for every unbarred word of length m over 1, 2.  The lift
+    is shared by the whole module: read only."""
+
+    weight: tuple
+    block_class: tuple
+    word: tuple
+    lift: dict
+
+
+@lru_cache(maxsize=None)
+def _blocks(i: int, n: int) -> dict:
+    """Basis tensor -> Block at (i, n), filled a module at a time by
+    ``_block``; it holds no solve, only the checked structure."""
+    return {}
+
+
+def _block(blocks: dict, i: int, t, n: int) -> Block:
+    """t's Block from the table of (i, n); on the first read of t's module,
+    check t and the factorization of e_i and f_i over the whole module."""
+    block = blocks.get(t)
+    if block is not None:
+        return block
+    check_basis_tensor(t, n)
+    active = [p for p, (j, _) in enumerate(t) if i <= j <= i + 1]
+    lift = {}
+    for w in product(((1, 0), (2, 0)), repeat=len(active)):
+        s = list(t)
+        for p, (j, _) in zip(active, w):
+            s[p] = (j + i - 1, t[p][1])
+        lift[w] = tuple(s)
+    for kind in ("e", "f"):
+        real, model = op((kind, i)), op((kind, 1))
+        for w, s in lift.items():
+            if real[s] != {lift[x]: c for x, c in model[w].items()}:
+                raise ArithmeticError(
+                    f"{kind}_{i} on {s!r} is not the lift of {kind}_1 on "
+                    f"its class tensor {w!r}")
+    for w, s in lift.items():
+        blocks[s] = Block(tensor_weight(s, n), (len(w), w.count((1, 0))),
+                          w, lift)
+    return blocks[t]
+
+
+def _even_blocks(i, vec: dict, n: int) -> list:
+    """(coefficient, Block) per key of vec; ValueError unless the keys
+    share one weight."""
+    _check_index(i, n)
+    blocks = _blocks(i, n)
+    pairs = [(c, _block(blocks, i, t, n)) for t, c in vec.items()]
+    if len({b.weight for _, b in pairs}) > 1:
+        raise ValueError("not a weight vector")
+    return pairs
+
+
+def _lifted_sum(i, vec: dict, n: int, part: str) -> dict:
+    """sum over the keys t of vec of c_t times t's lifted class column."""
+    out = {}
+    for c, b in _even_blocks(i, vec, n):
+        column = getattr(_string_basis(*b.block_class), part)[b.word]
+        for x, y in column.items():
+            vec_add(out, b.lift[x], c * y)
+    return out
 
 
 def string_decomposition(vec: dict, i: int, n: int) -> list:
     """Pairs (k, u_k) with vec = sum_k f_i^(k) u_k and e_i u_k = 0."""
-    if not vec:
-        return []
-    string_basis, coeffs = _string_coefficients(vec, i, n)
     by_level = {}
-    for j, c in coeffs.items():
-        k, w = string_basis.levels[j]
-        by_level[k] = vec_sum(by_level.get(k, {}), vec_scale(c, w))
-    return sorted(by_level.items())
+    for c, b in _even_blocks(i, vec, n):
+        for k, u in _string_basis(*b.block_class).decomposition[b.word]:
+            level = by_level.setdefault(k, {})
+            for x, y in u.items():
+                vec_add(level, b.lift[x], c * y)
+    return sorted((k, u) for k, u in by_level.items() if u)
 
 
 def tilde_e(i: int, vec: dict, n: int) -> dict:
     """Even Kashiwara raising operator at q-level: sum f_i^(k-1) u_k."""
-    if not vec:
-        return {}
-    string_basis, coeffs = _string_coefficients(vec, i, n)
-    return act_expr(string_basis.raised, coeffs)
+    return _lifted_sum(i, vec, n, "raised")
 
 
 def tilde_f(i: int, vec: dict, n: int) -> dict:
     """Even Kashiwara lowering operator at q-level: sum f_i^(k+1) u_k."""
-    if not vec:
-        return {}
-    string_basis, coeffs = _string_coefficients(vec, i, n)
-    return act_expr(string_basis.lowered, coeffs)
+    return _lifted_sum(i, vec, n, "lowered")
 
 
 # ---------------------------------------------------------------------------
 # odd operators
 
 
+def _entry(expr: Operator, n: int) -> Operator:
+    """expr, with each key checked as a basis tensor of rank n when its
+    column is first computed."""
+    def column(t):
+        check_basis_tensor(t, n)
+        return expr[t]
+    return Operator(column)
+
+
 @lru_cache(maxsize=None)
 def ktilde1_expr(n: int) -> Operator:
     """q^{k_1 - 1} kbar_1."""
-    return scale(ONE / Q, compose(qh_expr(n, (1, 1)), op(("kbar", 1))))
+    return _entry(scale(ONE / Q, compose(qh_expr(n, (1, 1)),
+                                         op(("kbar", 1)))), n)
 
 
 @lru_cache(maxsize=None)
 def tilde_ebar1_expr(n: int) -> Operator:
     """-(e_1 kbar_1 - q kbar_1 e_1) q^{k_1 - 1}."""
-    return scale(-(ONE / Q), compose(bracket(op(("e", 1)), op(("kbar", 1)), Q),
-                                     qh_expr(n, (1, 1))))
+    return _entry(scale(-(ONE / Q), compose(
+        bracket(op(("e", 1)), op(("kbar", 1)), Q), qh_expr(n, (1, 1)))), n)
 
 
 @lru_cache(maxsize=None)
 def tilde_fbar1_expr(n: int) -> Operator:
     """-(kbar_1 f_1 - q f_1 kbar_1) q^{k_2 - 1}."""
-    return scale(-(ONE / Q), compose(bracket(op(("kbar", 1)), op(("f", 1)), Q),
-                                     qh_expr(n, (2, 1))))
+    return _entry(scale(-(ONE / Q), compose(
+        bracket(op(("kbar", 1)), op(("f", 1)), Q), qh_expr(n, (2, 1)))), n)
 
 
 def tilde_k1(vec: dict, n: int) -> dict:
+    check_rank(n)
     return act_expr(ktilde1_expr(n), vec)
 
 
 def tilde_ebar1(vec: dict, n: int) -> dict:
+    _check_index(1, n)
     return act_expr(tilde_ebar1_expr(n), vec)
 
 
 def tilde_fbar1(vec: dict, n: int) -> dict:
+    _check_index(1, n)
     return act_expr(tilde_fbar1_expr(n), vec)

@@ -3,9 +3,12 @@
 import pytest
 
 from queercrystals.qrep import kashiwara
-from queercrystals.qrep.action import (act_prim, basis, unit, vec_scale,
+from queercrystals.qrep.action import (Operator, act_prim, basis,
+                                       tensor_weight, unit, vec_scale,
                                        vec_sum)
-from queercrystals.qrep.kashiwara import (apply_f_power, solve_in_span,
+from queercrystals.qrep.kashiwara import (apply_f_power,
+                                          kernel_on_weight_space,
+                                          solve_in_span,
                                           string_decomposition, tilde_e,
                                           tilde_ebar1, tilde_f, tilde_fbar1,
                                           tilde_k1)
@@ -55,6 +58,48 @@ def test_string_decomposition_reconstructs_every_basis_tensor():
         for t in basis(n, N):
             for i in range(1, n):
                 _check_string_decomposition(unit(t), i, n)
+
+
+def weight_space_oracle(n, N):
+    """By (i, basis tensor t) of V^(x)N: t's string decomposition and its
+    images under tilde_e and tilde_f, from one full solve per (i, weight
+    space): the string tops of ker e_i in every weight space whose strings
+    pass through t's, and their images f_i^(k) w solved for t."""
+    spaces = {}
+    for t in basis(n, N):
+        spaces.setdefault(tensor_weight(t, n), []).append(t)
+    out = {}
+    for i in range(1, n):
+        for mu, tensors in spaces.items():
+            levels = []
+            for k in range(mu[i] + 1):
+                wt = list(mu)
+                wt[i - 1] += k
+                wt[i] -= k
+                if wt[i - 1] - wt[i] >= k and tuple(wt) in spaces:
+                    levels += [(k, w) for w in kernel_on_weight_space(
+                        i, spaces[tuple(wt)], n)]
+            columns = solve_in_span(
+                [apply_f_power(w, i, k) for k, w in levels],
+                [unit(t) for t in tensors],
+                {t: r for r, t in enumerate(tensors)})
+            for t, column in zip(tensors, columns):
+                by_level = {}
+                for (k, w), c in zip(levels, column):
+                    by_level[k] = vec_sum(by_level.get(k, {}),
+                                          vec_scale(c, w))
+                pairs = sorted((k, u) for k, u in by_level.items() if u)
+                out[i, t] = (pairs, _recompose(pairs, i, -1),
+                             _recompose(pairs, i, 1))
+    return out
+
+
+def test_the_block_classes_equal_the_full_weight_space_solve():
+    for n, N in ((2, 1), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3)):
+        for (i, t), expected in weight_space_oracle(n, N).items():
+            got = (string_decomposition(unit(t), i, n),
+                   tilde_e(i, unit(t), n), tilde_f(i, unit(t), n))
+            assert got == expected, (n, N, i, t)
 
 
 def test_operators_are_linear_on_a_weight_space():
@@ -130,6 +175,64 @@ def test_a_wrong_inverse_fails_resubstitution(monkeypatch, fresh_string_bases):
     monkeypatch.setattr(kashiwara, "solve_in_span", off_by_one)
     with pytest.raises(ArithmeticError, match="reconstruct"):
         tilde_e(1, unit(v(2, 1)), 2)
+
+
+@pytest.fixture
+def fresh_blocks():
+    kashiwara._blocks.cache_clear()
+    yield
+    kashiwara._blocks.cache_clear()
+
+
+@pytest.mark.parametrize("kind, operator, key", [
+    ("e", tilde_e, v(2, -3)), ("f", tilde_f, v(1, -3))])
+def test_a_column_that_reads_a_spectator_bar_is_refused(
+        monkeypatch, fresh_blocks, kind, operator, key):
+    """e_1 or f_1 changing sign on a barred spectator letter 3 is no lift
+    of its class column, so the block lift must refuse it."""
+    real = kashiwara.op
+
+    def patched(sym):
+        column = real(sym)
+        if sym != (kind, 1):
+            return column
+        return Operator(lambda t: vec_scale(-ONE, column[t])
+                        if any(j > 2 and s for j, s in t) else column[t])
+
+    monkeypatch.setattr(kashiwara, "op", patched)
+    with pytest.raises(ArithmeticError, match="not the lift"):
+        operator(1, unit(key), 3)
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: tilde_f(2, unit(v(1, 2)), 2), "index 2"),
+    (lambda: tilde_f(1, unit(v(1)), 1), "index 1"),
+    (lambda: tilde_f(0, unit(v(1)), 2), "index 0"),
+    (lambda: tilde_e(True, unit(v(2)), 2), "index True"),
+    (lambda: tilde_e(1.0, unit(v(2)), 2), "index 1.0"),
+    (lambda: string_decomposition(unit(v(1)), 5, 2), "index 5"),
+    (lambda: tilde_e(1, {}, 1), "index 1"),
+    (lambda: tilde_ebar1(unit(v(1)), 1), "index 1"),
+    (lambda: tilde_fbar1(unit(v(1)), 1), "index 1"),
+    (lambda: tilde_e(1, unit(v(2)), 256), "rank"),
+    (lambda: tilde_k1(unit(v(1)), 0), "rank"),
+    (lambda: tilde_k1(unit(v(1)), True), "rank"),
+    (lambda: tilde_fbar1(unit(v(1)), 2.0), "rank"),
+    (lambda: tilde_f(1, unit(v(3)), 2), repr(v(3))),
+    (lambda: string_decomposition(unit(v(1, 3)), 1, 2), repr(v(1, 3))),
+    (lambda: tilde_fbar1(unit(v(3)), 2), repr(v(3))),
+    (lambda: tilde_ebar1(unit(((2, 2),)), 2), repr(((2, 2),))),
+    (lambda: tilde_k1(unit(((1, 0, 0),)), 2), repr(((1, 0, 0),))),
+    (lambda: tilde_e(1, {1: ONE}, 2), "1 is not a basis tensor"),
+    (lambda: tilde_k1({(): ONE}, 2), "() is not a basis tensor"),
+])
+def test_the_kashiwara_operators_refuse_a_bad_argument(call, bad):
+    """A bad rank, index or key is refused by name, with a ValueError; an
+    index of True is refused even after 1 filled the caches."""
+    tilde_e(1, unit(v(2)), 2)
+    with pytest.raises(ValueError) as info:
+        call()
+    assert bad in str(info.value)
 
 
 def test_divided_powers():

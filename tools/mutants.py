@@ -7,7 +7,9 @@ stepwise Weyl reflection, isomorphism, the adapters' highest-weight test),
 serialization, the CLI, the exact side (rational functions and their
 values at q = 0, basis tensors and vectors, the algebra action, the
 checks of its primitive symbols, its generator table and the checks of
-its entry point, string decompositions) and the verifiers
+its entry point, string decompositions by block class, their lift and
+its factorization check, the entry checks of the Kashiwara operators)
+and the verifiers
 (check records, reading independence and its one scan per distinct word,
 the exact checks, the commuting relations, the release of each checked
 relation).
@@ -319,9 +321,43 @@ MUTANTS = (
     (PKG + "tableaux.py", "    if not is_semistandard(t.shape, t.entries):\n"
      "        raise ValueError(", "    if False:\n        raise ValueError(",
      "tableau_operator takes a filling that is not semistandard", WORDS),
-    (PKG + "qrep/kashiwara.py", "if wt[i - 1] - wt[i] < k:",
-     "if wt[i - 1] - wt[i] <= k:",
-     "string decomposition drops the strings that end at the weight", EXACT),
+    (PKG + "qrep/kashiwara.py", "if 2 * (a + k) - m < k:",
+     "if 2 * (a + k) - m <= k:",
+     "string decomposition drops the strings that end at the class", EXACT),
+    (PKG + "qrep/kashiwara.py", "s[p] = (j + i - 1, t[p][1])",
+     "s[p] = (j + i - 1, 0)",
+     "the lift writes bar 0 in place of the factor's own bar", EXACT),
+    (PKG + "qrep/kashiwara.py", 'for kind in ("e", "f"):',
+     'for kind in ("e",):',
+     "the factorization check compares only the e_i column", EXACT),
+    (PKG + "qrep/kashiwara.py", "    check_rank(n)\n    if not (type(i)",
+     "    if not (type(i)",
+     "the even operators take a rank outside 1..255", EXACT),
+    (PKG + "qrep/kashiwara.py", "(type(i) is int and 1 <= i < n)",
+     "(isinstance(i, int) and 1 <= i < n)",
+     "the even operators take an index of True as 1", EXACT),
+    (PKG + "qrep/kashiwara.py", "(type(i) is int and 1 <= i < n)",
+     "(type(i) is int and 1 <= i <= n)",
+     "the even operators take the index n", EXACT),
+    (PKG + "qrep/kashiwara.py",
+     "    check_basis_tensor(t, n)\n    active", "    active",
+     "the even operators take a key that is not a basis tensor", EXACT),
+    (PKG + "qrep/kashiwara.py",
+     "        check_basis_tensor(t, n)\n        return expr[t]",
+     "        return expr[t]",
+     "the odd operators take a key that is not a basis tensor", EXACT),
+    (PKG + "qrep/kashiwara.py",
+     "    check_rank(n)\n    return act_expr(ktilde1_expr(n), vec)",
+     "    return act_expr(ktilde1_expr(n), vec)",
+     "ktilde_1 takes a rank that is not an int in 1..255", EXACT),
+    (PKG + "qrep/kashiwara.py",
+     "    _check_index(1, n)\n    return act_expr(tilde_ebar1_expr(n), vec)",
+     "    return act_expr(tilde_ebar1_expr(n), vec)",
+     "tilde_ebar1 takes rank 1", EXACT),
+    (PKG + "qrep/kashiwara.py",
+     "    _check_index(1, n)\n    return act_expr(tilde_fbar1_expr(n), vec)",
+     "    return act_expr(tilde_fbar1_expr(n), vec)",
+     "tilde_fbar1 takes rank 1 or a rank that is not an int", EXACT),
     (PKG + "qrep/kashiwara.py", "ONE / gauss_int(m)",
      "ONE / gauss_int(m - 1)",
      "the divided power divides by [m-1] instead of [m]", EXACT),
