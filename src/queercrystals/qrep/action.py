@@ -20,6 +20,10 @@ e_i, f_i or kbar_1 on one factor p at a time: e_i takes q^{-k_i+k_{i+1}}
 from every factor right of p, f_i takes q^{k_i-k_{i+1}} from every factor
 left of p, and kbar_1 takes q^{k_1} from the right, q^{-k_1} from the left
 and, moving past the factors left of p, the sign (-1)^(bars left of p).
+So every image of a primitive on a basis tensor is a sum of basis tensors
+times +-q^k, and one rule gives it in integers, as (tensor, sign,
+exponent) triples (``_prim_terms``); the RatFunc columns of ``op`` are
+its view.
 
 Everything else is generated, once per rank in one table: ebar_i, fbar_i
 and kbar_j for j >= 2 are operator polynomials in the primitives obtained
@@ -112,14 +116,14 @@ def unit(t: BasisTensor) -> dict:
 # operators
 
 
-@lru_cache(maxsize=None)
-def _act_prim_tensor(sym, t) -> dict:
-    """A primitive symbol that ``op`` accepts applied to one basis tensor:
-    its column {tensor: coeff}, in increasing order of the factor acted
-    on.  Shared: read only."""
+def _prim_terms(sym, t) -> tuple:
+    """The one rule for a primitive symbol that ``op`` accepts on one basis
+    tensor: its image as (tensor, sign, exponent) triples, each meaning
+    sign * q^exponent on that tensor, in increasing order of the factor
+    acted on.  The tensors are distinct."""
     kind, i = sym
     if kind == "qh":  # i is the tuple h
-        return {t: RatFunc.q_power(sum(i[j - 1] for j, _ in t))}
+        return ((t, 1, sum(i[j - 1] for j, _ in t)),)
     # (letter acted on, letter produced, bar flip, exponent per letter of
     # each factor left of it, exponent per letter of each factor right)
     if kind == "e":
@@ -128,17 +132,23 @@ def _act_prim_tensor(sym, t) -> dict:
         src, dst, flip, left, right = i, i + 1, 0, {i: 1, i + 1: -1}, {}
     else:  # ("kbar", 1)
         src, dst, flip, left, right = 1, 1, 1, {1: -1}, {1: 1}
-    out = {}
+    out = []
     for p, (j, s) in enumerate(t):
         if j != src:
             continue
         k = (sum(left.get(a, 0) for a, _ in t[:p])
              + sum(right.get(a, 0) for a, _ in t[p + 1:]))
-        c = RatFunc.q_power(k)
-        if flip and sum(b for _, b in t[:p]) & 1:
-            c = -c
-        out[t[:p] + ((dst, s ^ flip),) + t[p + 1:]] = c
-    return out
+        sign = -1 if flip and sum(b for _, b in t[:p]) & 1 else 1
+        out.append((t[:p] + ((dst, s ^ flip),) + t[p + 1:], sign, k))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _act_prim_tensor(sym, t) -> dict:
+    """The RatFunc view of ``_prim_terms``: the column {tensor: +-q^k} of
+    a primitive symbol on one basis tensor.  Shared: read only."""
+    return {t2: RatFunc.laurent(k, (sign,))
+            for t2, sign, k in _prim_terms(sym, t)}
 
 
 class Operator(dict):
@@ -176,12 +186,20 @@ def identity_expr() -> Operator:
     return Operator(unit)
 
 
-def qh_expr(n: int, *pairs) -> Operator:
-    """The operator q^h with h = sum of c * k_j over (j, c) pairs."""
+def h_vector(n: int, *pairs) -> tuple:
+    """h = sum of c * k_j over (j, c) pairs at rank n, as a tuple of n
+    ints; a j outside 1..n raises ValueError."""
     h = [0] * n
     for j, c in pairs:
+        if not 1 <= j <= n:
+            raise ValueError(f"k_{j} is not a weight at rank {n}")
         h[j - 1] += c
-    return op(("qh", tuple(h)))
+    return tuple(h)
+
+
+def qh_expr(n: int, *pairs) -> Operator:
+    """The operator q^h with h = sum of c * k_j over (j, c) pairs."""
+    return op(("qh", h_vector(n, *pairs)))
 
 
 def compose(a, b) -> Operator:

@@ -38,17 +38,26 @@ blocks, so C_block = lift(C_class) and C_block . lift(C_class^-1) = I:
 every basis tensor is covered by the factorization check and every class
 tensor by the class identity.
 
-The odd operators are operator polynomials, stored by column (``Operator``):
+The odd operators are the operator polynomials of the paper,
 
     ktilde_1    = q^{k_1 - 1} kbar_1,
     tilde_ebar1 = -(e_1 kbar_1 - q kbar_1 e_1) q^{k_1 - 1},
-    tilde_fbar1 = -(kbar_1 f_1 - q f_1 kbar_1) q^{k_2 - 1}.
+    tilde_fbar1 = -(kbar_1 f_1 - q f_1 kbar_1) q^{k_2 - 1},
+
+each written once as its weight q^h and its terms (sign, power of q, word
+of primitive symbols).  Every scalar in them is +-q^k, so a column is
+evaluated in Z[q, q^-1]: each word is applied to the basis tensor by the
+integer rule of the primitive symbols (``action._prim_terms``), the
+image tensors gather integer coefficients by exponent, and each nonzero
+sum becomes one RatFunc, put in normal form without a gcd
+(``RatFunc.laurent``).  The columns are cached per operator, like every
+other ``Operator``'s.
 
 The six operators check their arguments with a ValueError that names the
-bad value: the rank n by ``check_rank`` and the index i, an int in
-1..n-1 (ebar1 and fbar1 have index 1), once per call and before any cache
-reads them; each key of the vector, as a basis tensor of rank n, once,
-when its block or column is first computed.
+bad value, on every call and before any cache reads them: the rank n by
+``check_rank``, the index i, an int in 1..n-1 (ebar1 and fbar1 have
+index 1), and every key of the vector as a basis tensor of rank n
+(``action.check_basis_tensor``).
 """
 
 from functools import lru_cache
@@ -56,10 +65,10 @@ from itertools import product
 from typing import NamedTuple
 
 from ..words import check_rank
-from .action import (Operator, act_expr, act_prim, bracket,
-                     check_basis_tensor, compose, op, qh_expr, scale,
-                     tensor_weight, unit, vec_add, vec_scale, vec_sum)
-from .laurent import ONE, Q, ZERO, gauss_int
+from .action import (Operator, _prim_terms, act_expr, act_prim,
+                     check_basis_tensor, h_vector, op, tensor_weight, unit,
+                     vec_add, vec_scale, vec_sum)
+from .laurent import ONE, ZERO, RatFunc, gauss_int
 
 # ---------------------------------------------------------------------------
 # linear algebra over the fraction field
@@ -158,6 +167,15 @@ def _check_index(i, n: int) -> None:
                          f"at rank {n}")
 
 
+def _checked(vec: dict, n: int) -> dict:
+    """vec, once every key is checked as a basis tensor of rank n: on each
+    call, since the caches compare keys by equality and take (1.0, 0)
+    for (1, 0)."""
+    for t in vec:
+        check_basis_tensor(t, n)
+    return vec
+
+
 def apply_f_power(vec: dict, i: int, k: int) -> dict:
     """Divided power f_i^(k) = f_i^k / [k]!, one divided step at a time."""
     for m in range(1, k + 1):
@@ -251,11 +269,10 @@ def _blocks(i: int, n: int) -> dict:
 
 def _block(blocks: dict, i: int, t, n: int) -> Block:
     """t's Block from the table of (i, n); on the first read of t's module,
-    check t and the factorization of e_i and f_i over the whole module."""
+    check the factorization of e_i and f_i over the whole module."""
     block = blocks.get(t)
     if block is not None:
         return block
-    check_basis_tensor(t, n)
     active = [p for p, (j, _) in enumerate(t) if i <= j <= i + 1]
     lift = {}
     for w in product(((1, 0), (2, 0)), repeat=len(active)):
@@ -277,9 +294,8 @@ def _block(blocks: dict, i: int, t, n: int) -> Block:
 
 
 def _even_blocks(i, vec: dict, n: int) -> list:
-    """(coefficient, Block) per key of vec; ValueError unless the keys
-    share one weight."""
-    _check_index(i, n)
+    """(coefficient, Block) per key of vec, a basis tensor of rank n;
+    ValueError unless the keys share one weight."""
     blocks = _blocks(i, n)
     pairs = [(c, _block(blocks, i, t, n)) for t, c in vec.items()]
     if len({b.weight for _, b in pairs}) > 1:
@@ -288,7 +304,8 @@ def _even_blocks(i, vec: dict, n: int) -> list:
 
 
 def _lifted_sum(i, vec: dict, n: int, part: str) -> dict:
-    """sum over the keys t of vec of c_t times t's lifted class column."""
+    """sum over the keys t of vec of c_t times t's lifted class column; i
+    and every key are taken as checked."""
     out = {}
     for c, b in _even_blocks(i, vec, n):
         column = getattr(_string_basis(*b.block_class), part)[b.word]
@@ -299,8 +316,9 @@ def _lifted_sum(i, vec: dict, n: int, part: str) -> dict:
 
 def string_decomposition(vec: dict, i: int, n: int) -> list:
     """Pairs (k, u_k) with vec = sum_k f_i^(k) u_k and e_i u_k = 0."""
+    _check_index(i, n)
     by_level = {}
-    for c, b in _even_blocks(i, vec, n):
+    for c, b in _even_blocks(i, _checked(vec, n), n):
         for k, u in _string_basis(*b.block_class).decomposition[b.word]:
             level = by_level.setdefault(k, {})
             for x, y in u.items():
@@ -310,58 +328,84 @@ def string_decomposition(vec: dict, i: int, n: int) -> list:
 
 def tilde_e(i: int, vec: dict, n: int) -> dict:
     """Even Kashiwara raising operator at q-level: sum f_i^(k-1) u_k."""
-    return _lifted_sum(i, vec, n, "raised")
+    _check_index(i, n)
+    return _lifted_sum(i, _checked(vec, n), n, "raised")
 
 
 def tilde_f(i: int, vec: dict, n: int) -> dict:
     """Even Kashiwara lowering operator at q-level: sum f_i^(k+1) u_k."""
-    return _lifted_sum(i, vec, n, "lowered")
+    _check_index(i, n)
+    return _lifted_sum(i, _checked(vec, n), n, "lowered")
 
 
 # ---------------------------------------------------------------------------
 # odd operators
 
 
-def _entry(expr: Operator, n: int) -> Operator:
-    """expr, with each key checked as a basis tensor of rank n when its
-    column is first computed."""
+def _odd(h: tuple, *terms) -> Operator:
+    """The operator sum of sign * q^shift * word * q^h over the terms
+    (sign, shift, word), a word of primitive symbols whose rightmost acts
+    first.  Column t is one pass over the terms in Z[q, q^-1]: each word
+    is applied by ``_prim_terms``, every image tensor gathers its
+    coefficients by exponent, and each nonzero sum becomes one RatFunc."""
     def column(t):
-        check_basis_tensor(t, n)
-        return expr[t]
+        (_, _, base), = _prim_terms(("qh", h), t)
+        sums = {}
+        for sign, shift, word in terms:
+            images = [(t, sign, base + shift)]
+            for sym in reversed(word):
+                images = [(t2, s * s2, k + k2) for t1, s, k in images
+                          for t2, s2, k2 in _prim_terms(sym, t1)]
+            for t2, s, k in images:
+                by_exponent = sums.setdefault(t2, {})
+                by_exponent[k] = by_exponent.get(k, 0) + s
+        out = {}
+        for t2, by_exponent in sums.items():
+            lo, hi = min(by_exponent), max(by_exponent)
+            c = RatFunc.laurent(lo, [by_exponent.get(k, 0)
+                                     for k in range(lo, hi + 1)])
+            if c:
+                out[t2] = c
+        return out
     return Operator(column)
+
+
+E1, F1, KBAR1 = ("e", 1), ("f", 1), ("kbar", 1)
 
 
 @lru_cache(maxsize=None)
 def ktilde1_expr(n: int) -> Operator:
-    """q^{k_1 - 1} kbar_1."""
-    return _entry(scale(ONE / Q, compose(qh_expr(n, (1, 1)),
-                                         op(("kbar", 1)))), n)
+    """q^{k_1 - 1} kbar_1 = q^-1 kbar_1 q^{k_1}, as kbar_1 keeps the
+    weight."""
+    return _odd(h_vector(n, (1, 1)), (1, -1, (KBAR1,)))
 
 
 @lru_cache(maxsize=None)
 def tilde_ebar1_expr(n: int) -> Operator:
-    """-(e_1 kbar_1 - q kbar_1 e_1) q^{k_1 - 1}."""
-    return _entry(scale(-(ONE / Q), compose(
-        bracket(op(("e", 1)), op(("kbar", 1)), Q), qh_expr(n, (1, 1)))), n)
+    """-(e_1 kbar_1 - q kbar_1 e_1) q^{k_1 - 1}
+    = -q^-1 e_1 kbar_1 q^{k_1} + kbar_1 e_1 q^{k_1}."""
+    return _odd(h_vector(n, (1, 1)),
+                (-1, -1, (E1, KBAR1)), (1, 0, (KBAR1, E1)))
 
 
 @lru_cache(maxsize=None)
 def tilde_fbar1_expr(n: int) -> Operator:
-    """-(kbar_1 f_1 - q f_1 kbar_1) q^{k_2 - 1}."""
-    return _entry(scale(-(ONE / Q), compose(
-        bracket(op(("kbar", 1)), op(("f", 1)), Q), qh_expr(n, (2, 1)))), n)
+    """-(kbar_1 f_1 - q f_1 kbar_1) q^{k_2 - 1}
+    = -q^-1 kbar_1 f_1 q^{k_2} + f_1 kbar_1 q^{k_2}."""
+    return _odd(h_vector(n, (2, 1)),
+                (-1, -1, (KBAR1, F1)), (1, 0, (F1, KBAR1)))
 
 
 def tilde_k1(vec: dict, n: int) -> dict:
     check_rank(n)
-    return act_expr(ktilde1_expr(n), vec)
+    return act_expr(ktilde1_expr(n), _checked(vec, n))
 
 
 def tilde_ebar1(vec: dict, n: int) -> dict:
     _check_index(1, n)
-    return act_expr(tilde_ebar1_expr(n), vec)
+    return act_expr(tilde_ebar1_expr(n), _checked(vec, n))
 
 
 def tilde_fbar1(vec: dict, n: int) -> dict:
     _check_index(1, n)
-    return act_expr(tilde_fbar1_expr(n), vec)
+    return act_expr(tilde_fbar1_expr(n), _checked(vec, n))

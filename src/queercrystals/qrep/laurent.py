@@ -17,7 +17,10 @@ Normalizing stays on integers and takes one of three paths:
   it is integer long division, then content and sign are fixed.
 
 Products with a factor +-1, negation and the reciprocal 1/x reuse the
-operand's normal form instead of normalizing again.
+operand's normal form instead of normalizing again, and a Laurent
+polynomial in q, the value of every scalar the primitive generators and
+the odd Kashiwara operators produce, is put in normal form directly
+(``RatFunc.laurent``).
 
 Polynomials are tuples of integer coefficients, lowest degree first, with
 no trailing zeros; the zero polynomial is the empty tuple.
@@ -180,14 +183,30 @@ class RatFunc:
         return x
 
     @staticmethod
+    def laurent(lo: int, coeffs) -> "RatFunc":
+        """The Laurent polynomial sum_k coeffs[k] q^(lo + k), in normal form
+        without a gcd.  Once the zero coefficients at both ends are
+        dropped (none left: the zero function), the first coefficient is
+        the nonzero constant term of the numerator, so no power of q
+        divides it and it is coprime to the denominator q^-lo, whose
+        leading coefficient is 1 and whose content is 1.  When lo >= 0
+        the result is the polynomial q^lo * coeffs over (1,)."""
+        coeffs = pnorm(coeffs)
+        if not coeffs:
+            return RatFunc._reduced((), (1,))
+        v = next(v for v, c in enumerate(coeffs) if c)
+        lo += v
+        if lo >= 0:
+            return RatFunc._reduced((0,) * lo + coeffs[v:], (1,))
+        return RatFunc._reduced(coeffs[v:], (0,) * -lo + (1,))
+
+    @staticmethod
     def from_int(k: int) -> "RatFunc":
         return RatFunc((k,))
 
     @staticmethod
     def q_power(k: int) -> "RatFunc":
-        if k >= 0:
-            return RatFunc((0,) * k + (1,))
-        return RatFunc((1,), (0,) * (-k) + (1,))
+        return RatFunc.laurent(k, (1,))
 
     @staticmethod
     def _coerce(x):

@@ -170,7 +170,7 @@ def test_criterion_10_odd_comultiplication():
 def test_criterion_11_lattice_residues():
     t0 = time.perf_counter()
     for n, N in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3),
-                 (2, 4), (3, 4)]:
+                 (4, 3), (2, 4), (3, 4)]:
         rep = residue_check(n, N)
         bad = [r for r in rep["records"] if r["status"] == "fail"]
         assert rep["passed"], (n, N, bad[:3])

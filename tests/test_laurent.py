@@ -2,7 +2,7 @@
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from queercrystals.qrep.laurent import (ONE, Q, ZERO, RatFunc, gauss_factorial,
@@ -271,3 +271,28 @@ def test_pdiv_exact_rejects_inexact_division():
         pdiv_exact((1, 1), (2,))  # quotient (1 + q)/2 is not integral
     with pytest.raises(ArithmeticError):
         pdiv_exact((1, 0, 1), (1, 1))  # remainder 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-6, max_value=6), coeffs,
+       st.integers(min_value=0, max_value=2))
+@example(-2, (1, 0, 3), 0)
+@example(2, (0, -1), 1)
+@example(-3, (0, 0, 5), 1)
+@example(-1, (0, 0), 0)
+@example(4, (), 0)
+def test_the_laurent_constructor_equals_the_general_normal_form(lo, cs, pad):
+    """sum_k cs[k] q^(lo + k), zeros at either end and the zero polynomial
+    included, equals RatFunc over q^-lo and sympy's normal form."""
+    cs = (0,) * pad + tuple(cs)
+    x = RatFunc.laurent(lo, cs)
+    if lo >= 0:
+        num, den = (0,) * lo + cs, (1,)
+    else:
+        num, den = cs, (0,) * -lo + (1,)
+    general = RatFunc(num, den)
+    assert (x.num, x.den) == (general.num, general.den)
+    if pnorm(num):
+        assert (x.num, x.den) == _sympy_normal_form(pnorm(num), den)
+    else:
+        assert (x.num, x.den) == ((), (1,))

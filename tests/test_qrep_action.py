@@ -2,7 +2,8 @@
 
 import pytest
 
-from queercrystals.qrep.action import (act_on_tensor, act_prim, basis,
+from queercrystals.qrep.action import (_act_prim_tensor, _prim_terms,
+                                       act_on_tensor, act_prim, basis,
                                        generator_expr, op, tensor_weight,
                                        unit, vec_scale, vec_sub)
 from queercrystals.qrep.laurent import ONE, Q, ZERO, RatFunc
@@ -185,3 +186,28 @@ def test_vec_sub_strips_zeros():
     a = {v(1): ONE}
     assert vec_sub(a, a) == {}
     assert vec_scale(ZERO, a) == {}
+
+
+def _signed_q_power(sign, k):
+    """sign * q^k through the general constructor."""
+    if k >= 0:
+        return RatFunc((0,) * k + (sign,))
+    return RatFunc((sign,), (0,) * -k + (1,))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_ratfunc_view_equals_the_integer_rule(n):
+    """Every primitive symbol on every basis tensor of V^(x)N, N <= 3: the
+    RatFunc column holds exactly the rule's triples, each a distinct tensor
+    times sign * q^exponent."""
+    symbols = [("kbar", 1), ("qh", tuple(range(1, n + 1))),
+               ("qh", tuple(-j for j in range(n)))]
+    symbols += [(kind, i) for i in range(1, n) for kind in ("e", "f")]
+    for N in (1, 2, 3):
+        for t in basis(n, N):
+            for sym in symbols:
+                terms = _prim_terms(sym, t)
+                assert len({t2 for t2, _, _ in terms}) == len(terms)
+                assert all(sign in (1, -1) for _, sign, _ in terms)
+                assert _act_prim_tensor(sym, t) == {
+                    t2: _signed_q_power(sign, k) for t2, sign, k in terms}

@@ -235,6 +235,26 @@ def test_the_kashiwara_operators_refuse_a_bad_argument(call, bad):
     assert bad in str(info.value)
 
 
+@pytest.mark.parametrize("first, call", [
+    (lambda: tilde_k1(unit(((1, 0),)), 2),
+     lambda: tilde_k1(unit(((1.0, 0),)), 2)),
+    (lambda: tilde_e(1, unit(((2, 0),)), 2),
+     lambda: tilde_e(1, unit(((2.0, 0),)), 2)),
+], ids=["tilde_k1", "tilde_e"])
+def test_a_key_equal_to_a_cached_one_is_still_refused(first, call):
+    """The caches compare keys by equality, so (1.0, 0) would find the
+    column of (1, 0); every key is checked on every call, before them."""
+    first()
+    with pytest.raises(ValueError, match="not a basis tensor"):
+        call()
+
+
+def test_the_odd_weight_is_refused_above_the_rank():
+    """tilde_fbar1 carries q^{k_2}, which rank 1 does not have."""
+    with pytest.raises(ValueError, match="k_2 is not a weight at rank 1"):
+        kashiwara.tilde_fbar1_expr(1)
+
+
 def test_divided_powers():
     n = 2
     u = unit(v(1, 1))

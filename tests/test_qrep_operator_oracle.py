@@ -99,6 +99,14 @@ def t_odd(n):
     }
 
 
+def odd_pairs(n):
+    """(name, matrix, term expansion) of the three odd Kashiwara operators."""
+    odd = t_odd(n)
+    return [("ktilde1", ktilde1_expr(n), odd["ktilde1"]),
+            ("tilde-ebar1", tilde_ebar1_expr(n), odd["tilde-ebar1"]),
+            ("tilde-fbar1", tilde_fbar1_expr(n), odd["tilde-fbar1"])]
+
+
 def operator_pairs(n):
     """(name, matrix, term expansion) for every operator checked at rank n."""
     pairs = [(f"kbar_{j}", kbar_expr(j, n), t_kbar(j, n))
@@ -107,10 +115,7 @@ def operator_pairs(n):
         pairs.append((f"ebar_{i}", ebar_expr(i, n), t_ebar(i, n)))
         pairs.append((f"fbar_{i}", fbar_expr(i, n), t_fbar(i, n)))
     if n >= 2:
-        odd = t_odd(n)
-        pairs.append(("ktilde1", ktilde1_expr(n), odd["ktilde1"]))
-        pairs.append(("tilde-ebar1", tilde_ebar1_expr(n), odd["tilde-ebar1"]))
-        pairs.append(("tilde-fbar1", tilde_fbar1_expr(n), odd["tilde-fbar1"]))
+        pairs += odd_pairs(n)
     return pairs
 
 
@@ -127,4 +132,16 @@ def test_every_column_equals_the_term_expansion(n):
             for t in basis(n, N):
                 assert matrix[t] == t_act(terms, t), (name, t)
                 nonzero += bool(matrix[t])
+        assert nonzero, name
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_odd_operators_equal_the_expansion_on_three_factors(n):
+    """Three factors bring cross terms of e_1 or f_1 and kbar_1 on
+    different factors, and barred spectator letters between them."""
+    for name, matrix, terms in odd_pairs(n):
+        nonzero = 0
+        for t in basis(n, 3):
+            assert matrix[t] == t_act(terms, t), (name, t)
+            nonzero += bool(matrix[t])
         assert nonzero, name

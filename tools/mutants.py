@@ -8,7 +8,9 @@ serialization, the CLI, the exact side (rational functions and their
 values at q = 0, basis tensors and vectors, the algebra action, the
 checks of its primitive symbols, its generator table and the checks of
 its entry point, string decompositions by block class, their lift and
-its factorization check, the entry checks of the Kashiwara operators)
+its factorization check, the odd Kashiwara operators in Z[q, q^-1]
+and the constructor of their coefficients, the entry checks of the
+Kashiwara operators)
 and the verifiers
 (check records, reading independence and its one scan per distinct word,
 the exact checks, the commuting relations, the release of each checked
@@ -301,8 +303,8 @@ MUTANTS = (
     (PKG + "qrep/laurent.py", "if other.num[-1] < 0:",
      "if other.num[-1] > 0:",
      "the reciprocal shortcut leaves a negative denominator", LAURENT),
-    (PKG + "qrep/action.py", "if flip and sum(b for _, b in t[:p]) & 1:",
-     "if flip and sum(b for _, b in t[p + 1:]) & 1:",
+    (PKG + "qrep/action.py", "if flip and sum(b for _, b in t[:p]) & 1",
+     "if flip and sum(b for _, b in t[p + 1:]) & 1",
      "kbar_1 takes its super sign from the factors to its right", EXACT),
     (PKG + "qrep/action.py", "{}, {i: -1, i + 1: 1}", "{}, {i: 1, i + 1: -1}",
      "e_i picks up the inverse power of q from its right", EXACT),
@@ -340,24 +342,45 @@ MUTANTS = (
      "(type(i) is int and 1 <= i <= n)",
      "the even operators take the index n", EXACT),
     (PKG + "qrep/kashiwara.py",
-     "    check_basis_tensor(t, n)\n    active", "    active",
-     "the even operators take a key that is not a basis tensor", EXACT),
+     'return _lifted_sum(i, _checked(vec, n), n, "raised")',
+     'return _lifted_sum(i, vec, n, "raised")',
+     "tilde_e takes a key that is not a basis tensor", EXACT),
     (PKG + "qrep/kashiwara.py",
-     "        check_basis_tensor(t, n)\n        return expr[t]",
-     "        return expr[t]",
-     "the odd operators take a key that is not a basis tensor", EXACT),
+     "return act_expr(tilde_fbar1_expr(n), _checked(vec, n))",
+     "return act_expr(tilde_fbar1_expr(n), vec)",
+     "tilde_fbar1 takes a key that is not a basis tensor", EXACT),
     (PKG + "qrep/kashiwara.py",
-     "    check_rank(n)\n    return act_expr(ktilde1_expr(n), vec)",
-     "    return act_expr(ktilde1_expr(n), vec)",
+     "    for t in vec:\n        check_basis_tensor(t, n)\n",
+     "    seen = _checked.__dict__.setdefault(\"seen\", set())\n"
+     "    for t in vec.keys() - seen:\n        check_basis_tensor(t, n)\n"
+     "        seen.add(t)\n",
+     "the Kashiwara operators check a key only the first time an equal "
+     "key is seen, as a cache would", EXACT),
+    (PKG + "qrep/kashiwara.py",
+     "    check_rank(n)\n    return act_expr(ktilde1_expr(n),",
+     "    return act_expr(ktilde1_expr(n),",
      "ktilde_1 takes a rank that is not an int in 1..255", EXACT),
     (PKG + "qrep/kashiwara.py",
-     "    _check_index(1, n)\n    return act_expr(tilde_ebar1_expr(n), vec)",
-     "    return act_expr(tilde_ebar1_expr(n), vec)",
+     "    _check_index(1, n)\n    return act_expr(tilde_ebar1_expr(n),",
+     "    return act_expr(tilde_ebar1_expr(n),",
      "tilde_ebar1 takes rank 1", EXACT),
     (PKG + "qrep/kashiwara.py",
-     "    _check_index(1, n)\n    return act_expr(tilde_fbar1_expr(n), vec)",
-     "    return act_expr(tilde_fbar1_expr(n), vec)",
+     "    _check_index(1, n)\n    return act_expr(tilde_fbar1_expr(n),",
+     "    return act_expr(tilde_fbar1_expr(n),",
      "tilde_fbar1 takes rank 1 or a rank that is not an int", EXACT),
+    (PKG + "qrep/kashiwara.py", "(t2, s * s2, k + k2)", "(t2, s, k + k2)",
+     "the odd evaluator keeps the sign of the symbols to the right of the "
+     "one it applies and drops that symbol's own sign", EXACT),
+    (PKG + "qrep/kashiwara.py", "(1, 0, (F1, KBAR1))", "(1, 1, (F1, KBAR1))",
+     "the q-shift of tilde_fbar1's term q f_1 kbar_1 is off by one", EXACT),
+    (PKG + "qrep/kashiwara.py",
+     "return _odd(h_vector(n, (1, 1)),\n                (-1, -1, (E1, KBAR1))",
+     "return _odd(h_vector(n, (2, 1)),\n                (-1, -1, (E1, KBAR1))",
+     "tilde_ebar1 takes q^{k_2} where q^{k_1} belongs", EXACT),
+    (PKG + "qrep/action.py", "if not 1 <= j <= n:", "if not 1 <= j:",
+     "q^h takes a k_j above the rank", EXACT),
+    (PKG + "qrep/laurent.py", "        lo += v\n", "        lo = v\n",
+     "the Laurent constructor ignores its lowest exponent", LAURENT),
     (PKG + "qrep/kashiwara.py", "ONE / gauss_int(m)",
      "ONE / gauss_int(m - 1)",
      "the divided power divides by [m-1] instead of [m]", EXACT),
