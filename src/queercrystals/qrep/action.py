@@ -21,9 +21,7 @@ from every factor right of p, f_i takes q^{k_i-k_{i+1}} from every factor
 left of p, and kbar_1 takes q^{k_1} from the right, q^{-k_1} from the left
 and, moving past the factors left of p, the sign (-1)^(bars left of p).
 So every image of a primitive on a basis tensor is a sum of basis tensors
-times +-q^k, and one rule gives it in integers, as (tensor, sign,
-exponent) triples (``_prim_terms``); the RatFunc columns of ``op`` are
-its view.
+times +-q^k, and one rule gives it in integers (``_act_prim_tensor``).
 
 Everything else is generated, once per rank in one table: ebar_i, fbar_i
 and kbar_j for j >= 2 are operator polynomials in the primitives obtained
@@ -33,10 +31,13 @@ operators reproduce the defining action table, which the tests check
 symbol by symbol.
 
 Every operator is a sparse matrix stored by column (``Operator``): column t
-is the image of the basis tensor t, of any length N.  Sums and scalings act
-column by column, and column t of a . b is a applied to column t of b.  The
-q-commutator a b - c b a (``bracket``) is the one composite the generated
-generators and the relations are written in.
+is the image of the basis tensor t, of any length N, in Z[q, q^-1]: every
+scalar an operator is built with is a Laurent polynomial, so sums,
+scalings and products (column t of a . b is a applied to column t of b)
+are integer arithmetic.  The q-commutator a b - c b a (``bracket``) is
+the one composite the generated generators and the relations are written
+in.  RatFunc enters where an operator meets a vector, through the view of
+a column (``act_expr``).
 """
 
 from functools import lru_cache
@@ -116,14 +117,15 @@ def unit(t: BasisTensor) -> dict:
 # operators
 
 
-def _prim_terms(sym, t) -> tuple:
+@lru_cache(maxsize=None)
+def _act_prim_tensor(sym, t) -> dict:
     """The one rule for a primitive symbol that ``op`` accepts on one basis
-    tensor: its image as (tensor, sign, exponent) triples, each meaning
+    tensor: its column {(tensor, exponent): sign}, each entry meaning
     sign * q^exponent on that tensor, in increasing order of the factor
-    acted on.  The tensors are distinct."""
+    acted on.  The tensors are distinct.  Shared: read only."""
     kind, i = sym
     if kind == "qh":  # i is the tuple h
-        return ((t, 1, sum(i[j - 1] for j, _ in t)),)
+        return {(t, sum(i[j - 1] for j, _ in t)): 1}
     # (letter acted on, letter produced, bar flip, exponent per letter of
     # each factor left of it, exponent per letter of each factor right)
     if kind == "e":
@@ -132,28 +134,34 @@ def _prim_terms(sym, t) -> tuple:
         src, dst, flip, left, right = i, i + 1, 0, {i: 1, i + 1: -1}, {}
     else:  # ("kbar", 1)
         src, dst, flip, left, right = 1, 1, 1, {1: -1}, {1: 1}
-    out = []
+    out = {}
     for p, (j, s) in enumerate(t):
         if j != src:
             continue
         k = (sum(left.get(a, 0) for a, _ in t[:p])
              + sum(right.get(a, 0) for a, _ in t[p + 1:]))
         sign = -1 if flip and sum(b for _, b in t[:p]) & 1 else 1
-        out.append((t[:p] + ((dst, s ^ flip),) + t[p + 1:], sign, k))
-    return tuple(out)
+        out[t[:p] + ((dst, s ^ flip),) + t[p + 1:], k] = sign
+    return out
 
 
-@lru_cache(maxsize=None)
-def _act_prim_tensor(sym, t) -> dict:
-    """The RatFunc view of ``_prim_terms``: the column {tensor: +-q^k} of
-    a primitive symbol on one basis tensor.  Shared: read only."""
-    return {t2: RatFunc.laurent(k, (sign,))
-            for t2, sign, k in _prim_terms(sym, t)}
+def ratfunc_vector(column: dict) -> dict:
+    """The vector {tensor: RatFunc} of an integer Laurent vector
+    {(tensor, exponent): int} with nonzero entries."""
+    by_tensor = {}
+    for (t, k), c in column.items():
+        by_tensor.setdefault(t, {})[k] = c
+    return {t: RatFunc.laurent(min(cs), [cs.get(k, 0) for k in
+                                         range(min(cs), max(cs) + 1)])
+            for t, cs in by_tensor.items()}
 
 
 class Operator(dict):
-    """Basis tensor -> image vector; a column is computed on first read by
-    ``column(t)`` and kept.  Columns are shared: read only."""
+    """Basis tensor -> column, its image as an integer Laurent vector
+    {(tensor, exponent): int}, computed by ``column(t)`` and kept on first
+    read.  ``once(t)`` keeps nothing: a composite reads its operands at t
+    only for its own column t.  ``view(t)``, column t over RatFunc, is
+    kept.  Columns and views are shared: read only."""
 
     def __init__(self, column):
         self.column = column
@@ -161,6 +169,15 @@ class Operator(dict):
     def __missing__(self, t):
         image = self[t] = self.column(t)
         return image
+
+    def once(self, t) -> dict:
+        return self[t] if t in self else self.column(t)
+
+    def view(self, t) -> dict:
+        views = self.__dict__.setdefault("views", {})
+        if t not in views:
+            views[t] = ratfunc_vector(self[t])
+        return views[t]
 
 
 def act_prim(sym, vec: dict) -> dict:
@@ -183,49 +200,76 @@ def op(sym) -> Operator:
 
 
 def identity_expr() -> Operator:
-    return Operator(unit)
+    return Operator(lambda t: {(t, 0): 1})
 
 
-def h_vector(n: int, *pairs) -> tuple:
-    """h = sum of c * k_j over (j, c) pairs at rank n, as a tuple of n
-    ints; a j outside 1..n raises ValueError."""
+def qh_expr(n: int, *pairs) -> Operator:
+    """The operator q^h with h = sum of c * k_j over (j, c) pairs at rank
+    n; a j outside 1..n raises ValueError."""
     h = [0] * n
     for j, c in pairs:
         if not 1 <= j <= n:
             raise ValueError(f"k_{j} is not a weight at rank {n}")
         h[j - 1] += c
-    return tuple(h)
+    return op(("qh", tuple(h)))
 
 
-def qh_expr(n: int, *pairs) -> Operator:
-    """The operator q^h with h = sum of c * k_j over (j, c) pairs."""
-    return op(("qh", h_vector(n, *pairs)))
+def _laurent_terms(c: RatFunc) -> tuple:
+    """c as (exponent, int) pairs.  c is in Z[q, q^-1] exactly when its
+    normal form has the denominator q^m; else ValueError."""
+    if c.den[-1] != 1 or any(c.den[:-1]):
+        raise ValueError(f"{c!r} is not a Laurent polynomial in q")
+    return tuple((k + 1 - len(c.den), x) for k, x in enumerate(c.num) if x)
+
+
+def _times(terms, column: dict) -> dict:
+    """The Laurent polynomial of the (exponent, int) pairs terms times the
+    Laurent vector column."""
+    out = {}
+    for j, s in terms:
+        for (t, k), x in column.items():
+            vec_add(out, (t, k + j), x * s)
+    return out
+
+
+def _apply(a, column: dict, out: dict) -> dict:
+    """out plus a applied to the Laurent vector column."""
+    for (t1, k1), c1 in column.items():
+        for (t2, k2), c2 in a[t1].items():
+            vec_add(out, (t2, k1 + k2), c1 * c2)
+    return out
 
 
 def compose(a, b) -> Operator:
     """a after b: column t is a applied to column t of b."""
-    return Operator(lambda t: act_expr(a, b[t]))
+    return Operator(lambda t: _apply(a, b.once(t), {}))
 
 
 def expr_sum(*exprs) -> Operator:
     """The sum of the operators; with no arguments, the zero operator."""
-    return Operator(lambda t: vec_sum(*(e[t] for e in exprs)))
+    return Operator(lambda t: vec_sum(*(e.once(t) for e in exprs)))
 
 
 def scale(c: RatFunc, a) -> Operator:
-    return Operator(lambda t: vec_scale(c, a[t]))
+    """c a for c in Z[q, q^-1]; any other c raises ValueError."""
+    terms = _laurent_terms(c)
+    return Operator(lambda t: _times(terms, a.once(t)))
 
 
 def bracket(a, b, c: RatFunc = ONE) -> Operator:
-    """The q-commutator a b - c b a."""
-    return expr_sum(compose(a, b), scale(-c, compose(b, a)))
+    """The q-commutator a b - c b a, both products in one column, for c in
+    Z[q, q^-1]."""
+    terms = _laurent_terms(-c)
+    return Operator(lambda t: _apply(b, _times(terms, a.once(t)),
+                                     _apply(a, b.once(t), {})))
 
 
 def act_expr(expr, vec: dict) -> dict:
-    """The operator applied to a vector: sum of c * expr[t] over vec."""
+    """The operator applied to a vector over RatFunc: sum of c times the
+    view of column t over the items (t, c) of vec."""
     out = {}
     for t, c in vec.items():
-        for t2, x in expr[t].items():
+        for t2, x in expr.view(t).items():
             vec_add(out, t2, c * x)
     return out
 

@@ -1,8 +1,9 @@
 """Exact verifiers: defining relations, odd comultiplication, q->0 residues.
 
-Every check instantiates an operator identity and evaluates both sides on
-each basis tensor of V^(x)N with exact rational-function arithmetic, so a
-"pass" is an equality of rational functions, not a numeric approximation.
+Every relation and comultiplication check instantiates an operator
+identity and compares both sides' columns on each basis tensor of V^(x)N
+in Z[q, q^-1] (the two relations with a scalar outside it are multiplied
+through), so a "pass" is an exact equality, not a numeric approximation.
 The residue check is the bridge to the combinatorial side: it confirms
 that the q-level Kashiwara operators preserve the integral lattice spanned
 by the basis tensors, and that setting q = 0 reproduces, pattern space by
@@ -16,7 +17,8 @@ from ..theorems import tensor_power_graph
 from ..words import _integer, all_words, check_rank
 from .action import (Operator, basis, bracket, compose, expr_sum,
                      generator_expr, identity_expr, lattice_basis, op,
-                     parity, pattern, qh_expr, scale, unit, vec_add, vec_sub)
+                     parity, pattern, qh_expr, ratfunc_vector, scale, unit,
+                     vec_add, vec_sub)
 from .laurent import ONE, Q, RatFunc
 from .kashiwara import (_rows, _rref, tilde_e, tilde_ebar1, tilde_ebar1_expr,
                         tilde_f, tilde_fbar1, tilde_fbar1_expr, tilde_k1,
@@ -86,10 +88,11 @@ def relations_catalogue(n: int) -> list:
                           gens[i])))
     for j in range(1, n + 1):
         commute(f"qh-kbar-commute j={j}", qh(h_samples[-1]), kbar[j])
-    coeff = ONE / (Q - qinv)
-    commutators(("e-f-commutator", e, f, lambda i: expr_sum(
-        scale(coeff, qh_expr(n, (i, 1), (i + 1, -1))),
-        scale(-coeff, qh_expr(n, (i, -1), (i + 1, 1))))))
+    # (q - q^-1)[e_i, f_j] = delta_ij (q^{k_i - k_{i+1}} - q^{-k_i + k_{i+1}})
+    ef = {i: scale(Q - qinv, x) for i, x in e.items()}
+    commutators(("e-f-commutator", ef, f, lambda i: expr_sum(
+        qh_expr(n, (i, 1), (i + 1, -1)),
+        scale(-ONE, qh_expr(n, (i, -1), (i + 1, 1))))))
     for i in range(1, n):
         for j in range(1, n):
             if abs(i - j) > 1:
@@ -99,14 +102,14 @@ def relations_catalogue(n: int) -> list:
                 for kind, gens in (("e", e), ("f", f)):
                     rels.append((f"{kind}-serre i={i} j={j}",
                                  serre(gens[i], gens[j]), zero))
-    q2 = Q * Q
+    # (q^2 - q^-2) kbar_i^2 = q^{2k_i} - q^{-2k_i}
+    q2 = RatFunc.q_power(2) - RatFunc.q_power(-2)
     for i in range(1, n + 1):
-        coeff = ONE / (q2 - ONE / q2)
         rels.append((
             f"kbar-squared i={i}",
-            compose(kbar[i], kbar[i]),
-            expr_sum(scale(coeff, qh_expr(n, (i, 2))),
-                     scale(-coeff, qh_expr(n, (i, -2))))))
+            scale(q2, compose(kbar[i], kbar[i])),
+            expr_sum(qh_expr(n, (i, 2)),
+                     scale(-ONE, qh_expr(n, (i, -2))))))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:
@@ -139,12 +142,13 @@ def relations_catalogue(n: int) -> list:
 
 
 def _identity_record(kind: str, instance: str, lhs, rhs, tensors) -> dict:
-    """Record of lhs = rhs on every basis tensor, in order.  A failure's
-    witness is the first differing tensor and the least differing basis
-    tensor of its column difference."""
+    """Record of lhs = rhs on every basis tensor, in order, by integer
+    columns.  A failure's witness is the first differing tensor and the
+    least differing basis tensor of its column difference, over RatFunc."""
     for t in tensors:
-        diff = vec_sub(lhs[t], rhs[t])
-        if diff:
+        left, right = lhs.once(t), rhs.once(t)
+        if left != right:
+            diff = ratfunc_vector(vec_sub(left, right))
             component = min(diff)
             return record(kind, instance, "fail", witness={
                 "tensor": repr(t), "component": repr(component),
@@ -180,41 +184,40 @@ def verify_relations(n: int, N: int, which: str | None = None) -> dict:
 
 
 def _assemble_two_factor(terms, x, y) -> dict:
-    """Evaluate sum of coeff * (A (x) B) on the basis tensor x (x) y."""
+    """Evaluate sum of A (x) B on the basis tensor x (x) y."""
     px = parity(x)
     out = {}
-    for coeff, a_expr, b_expr, b_parity in terms:
-        sign = -ONE if (b_parity and px) else ONE
-        for tx, cx in a_expr[x].items():
-            for ty, cy in b_expr[y].items():
-                vec_add(out, tx + ty, sign * coeff * cx * cy)
+    for a_expr, b_expr, b_parity in terms:
+        sign = -1 if (b_parity and px) else 1
+        for (tx, kx), cx in a_expr[x].items():
+            for (ty, ky), cy in b_expr[y].items():
+                vec_add(out, (tx + ty, kx + ky), sign * cx * cy)
     return out
 
 
 def comult_formulas(n: int) -> list:
-    """The three odd comultiplication identities as (name, lhs, rhs-terms)."""
+    """The three odd comultiplication identities as (name, lhs, rhs-terms),
+    each term (A, B, parity of B) standing for A (x) B."""
     ident = identity_expr()
     ktilde = ktilde1_expr(n)
     etilde = tilde_ebar1_expr(n)
     ftilde = tilde_fbar1_expr(n)
-    one_minus_q2 = ONE - Q * Q
     q12 = qh_expr(n, (1, 1), (2, 1))
     return [
         ("ktilde1", ktilde, [
-            (ONE, ktilde, qh_expr(n, (1, 2)), 0),
-            (ONE, ident, ktilde, 1),
+            (ktilde, qh_expr(n, (1, 2)), 0),
+            (ident, ktilde, 1),
         ]),
         ("tilde-ebar1", etilde, [
-            (ONE, etilde, q12, 0),
-            (ONE, ident, etilde, 1),
-            (-one_minus_q2, ktilde,
+            (etilde, q12, 0),
+            (ident, etilde, 1),
+            (scale(Q * Q - ONE, ktilde),
              compose(op(("e", 1)), qh_expr(n, (1, 2))), 0),
         ]),
         ("tilde-fbar1", ftilde, [
-            (ONE, ftilde, q12, 0),
-            (ONE, ident, ftilde, 1),
-            (-one_minus_q2 * (ONE / Q), ktilde,
-             compose(op(("f", 1)), q12), 0),
+            (ftilde, q12, 0),
+            (ident, ftilde, 1),
+            (scale(Q - ONE / Q, ktilde), compose(op(("f", 1)), q12), 0),
         ]),
     ]
 

@@ -38,20 +38,12 @@ blocks, so C_block = lift(C_class) and C_block . lift(C_class^-1) = I:
 every basis tensor is covered by the factorization check and every class
 tensor by the class identity.
 
-The odd operators are the operator polynomials of the paper,
+The odd operators are the operator polynomials of the paper, written
+with ``scale``, ``compose`` and ``bracket`` over Z[q, q^-1]:
 
     ktilde_1    = q^{k_1 - 1} kbar_1,
     tilde_ebar1 = -(e_1 kbar_1 - q kbar_1 e_1) q^{k_1 - 1},
-    tilde_fbar1 = -(kbar_1 f_1 - q f_1 kbar_1) q^{k_2 - 1},
-
-each written once as its weight q^h and its terms (sign, power of q, word
-of primitive symbols).  Every scalar in them is +-q^k, so a column is
-evaluated in Z[q, q^-1]: each word is applied to the basis tensor by the
-integer rule of the primitive symbols (``action._prim_terms``), the
-image tensors gather integer coefficients by exponent, and each nonzero
-sum becomes one RatFunc, put in normal form without a gcd
-(``RatFunc.laurent``).  The columns are cached per operator, like every
-other ``Operator``'s.
+    tilde_fbar1 = -(kbar_1 f_1 - q f_1 kbar_1) q^{k_2 - 1}.
 
 The six operators check their arguments with a ValueError that names the
 bad value, on every call and before any cache reads them: the rank n by
@@ -65,10 +57,10 @@ from itertools import product
 from typing import NamedTuple
 
 from ..words import check_rank
-from .action import (Operator, _prim_terms, act_expr, act_prim,
-                     check_basis_tensor, h_vector, op, tensor_weight, unit,
-                     vec_add, vec_scale, vec_sum)
-from .laurent import ONE, ZERO, RatFunc, gauss_int
+from .action import (Operator, act_expr, act_prim, bracket,
+                     check_basis_tensor, compose, op, qh_expr, scale,
+                     tensor_weight, unit, vec_add, vec_scale, vec_sum)
+from .laurent import ONE, Q, ZERO, gauss_int
 
 # ---------------------------------------------------------------------------
 # linear algebra over the fraction field
@@ -138,7 +130,7 @@ def solve_in_span(vectors: list, targets: list, index: dict) -> list:
 def kernel_on_weight_space(i: int, tensors: list, n: int) -> list:
     """Basis of ker e_i restricted to the span of the given basis tensors."""
     e = op(("e", i))
-    images = [e[t] for t in tensors]
+    images = [e.view(t) for t in tensors]
     index = {t: k for k, t in
              enumerate(sorted({t for img in images for t in img}))}
     rows, pivots = _rref(_rows(images, index))
@@ -229,12 +221,17 @@ def _string_basis(m: int, a: int) -> StringBasis:
         images.append(image)
         lowered.append(_divided_step(image, 1, k + 1))
     columns = solve_in_span(images, [unit(t) for t in tensors], index)
-    # C^-1 by column, like an Operator: inverse[t] is {j: (C^-1)[j, t]}
+    # C^-1 by column: inverse[t] is {j: (C^-1)[j, t]}
     inverse = {t: {j: c for j, c in enumerate(col) if c}
                for t, col in zip(tensors, columns)}
+
+    def times_inverse(vectors, t):
+        """The vectors as matrix columns, times column t of C^-1."""
+        return vec_sum(*(vec_scale(c, vectors[j])
+                         for j, c in inverse[t].items()))
     # resubstitution check: C . C^-1 = I, one class tensor per column
     for t in tensors:
-        if act_expr(images, inverse[t]) != unit(t):
+        if times_inverse(images, t) != unit(t):
             raise ArithmeticError("string decomposition failed to reconstruct")
     decomposition = {}
     for t in tensors:
@@ -244,8 +241,8 @@ def _string_basis(m: int, a: int) -> StringBasis:
             by_level[k] = vec_sum(by_level.get(k, {}), vec_scale(c, w))
         decomposition[t] = sorted(by_level.items())
     return StringBasis(decomposition,
-                       {t: act_expr(raised, inverse[t]) for t in tensors},
-                       {t: act_expr(lowered, inverse[t]) for t in tensors})
+                       {t: times_inverse(raised, t) for t in tensors},
+                       {t: times_inverse(lowered, t) for t in tensors})
 
 
 class Block(NamedTuple):
@@ -283,7 +280,8 @@ def _block(blocks: dict, i: int, t, n: int) -> Block:
     for kind in ("e", "f"):
         real, model = op((kind, i)), op((kind, 1))
         for w, s in lift.items():
-            if real[s] != {lift[x]: c for x, c in model[w].items()}:
+            if real[s] != {(lift[x], k): c
+                           for (x, k), c in model[w].items()}:
                 raise ArithmeticError(
                     f"{kind}_{i} on {s!r} is not the lift of {kind}_1 on "
                     f"its class tensor {w!r}")
@@ -342,58 +340,26 @@ def tilde_f(i: int, vec: dict, n: int) -> dict:
 # odd operators
 
 
-def _odd(h: tuple, *terms) -> Operator:
-    """The operator sum of sign * q^shift * word * q^h over the terms
-    (sign, shift, word), a word of primitive symbols whose rightmost acts
-    first.  Column t is one pass over the terms in Z[q, q^-1]: each word
-    is applied by ``_prim_terms``, every image tensor gathers its
-    coefficients by exponent, and each nonzero sum becomes one RatFunc."""
-    def column(t):
-        (_, _, base), = _prim_terms(("qh", h), t)
-        sums = {}
-        for sign, shift, word in terms:
-            images = [(t, sign, base + shift)]
-            for sym in reversed(word):
-                images = [(t2, s * s2, k + k2) for t1, s, k in images
-                          for t2, s2, k2 in _prim_terms(sym, t1)]
-            for t2, s, k in images:
-                by_exponent = sums.setdefault(t2, {})
-                by_exponent[k] = by_exponent.get(k, 0) + s
-        out = {}
-        for t2, by_exponent in sums.items():
-            lo, hi = min(by_exponent), max(by_exponent)
-            c = RatFunc.laurent(lo, [by_exponent.get(k, 0)
-                                     for k in range(lo, hi + 1)])
-            if c:
-                out[t2] = c
-        return out
-    return Operator(column)
-
-
-E1, F1, KBAR1 = ("e", 1), ("f", 1), ("kbar", 1)
-
-
 @lru_cache(maxsize=None)
 def ktilde1_expr(n: int) -> Operator:
-    """q^{k_1 - 1} kbar_1 = q^-1 kbar_1 q^{k_1}, as kbar_1 keeps the
-    weight."""
-    return _odd(h_vector(n, (1, 1)), (1, -1, (KBAR1,)))
+    """ktilde_1 = q^{k_1 - 1} kbar_1."""
+    return scale(ONE / Q, compose(qh_expr(n, (1, 1)), op(("kbar", 1))))
 
 
 @lru_cache(maxsize=None)
 def tilde_ebar1_expr(n: int) -> Operator:
-    """-(e_1 kbar_1 - q kbar_1 e_1) q^{k_1 - 1}
-    = -q^-1 e_1 kbar_1 q^{k_1} + kbar_1 e_1 q^{k_1}."""
-    return _odd(h_vector(n, (1, 1)),
-                (-1, -1, (E1, KBAR1)), (1, 0, (KBAR1, E1)))
+    """tilde_ebar1 = -(e_1 kbar_1 - q kbar_1 e_1) q^{k_1 - 1}."""
+    return scale(-(ONE / Q),
+                 compose(bracket(op(("e", 1)), op(("kbar", 1)), Q),
+                         qh_expr(n, (1, 1))))
 
 
 @lru_cache(maxsize=None)
 def tilde_fbar1_expr(n: int) -> Operator:
-    """-(kbar_1 f_1 - q f_1 kbar_1) q^{k_2 - 1}
-    = -q^-1 kbar_1 f_1 q^{k_2} + f_1 kbar_1 q^{k_2}."""
-    return _odd(h_vector(n, (2, 1)),
-                (-1, -1, (KBAR1, F1)), (1, 0, (F1, KBAR1)))
+    """tilde_fbar1 = -(kbar_1 f_1 - q f_1 kbar_1) q^{k_2 - 1}."""
+    return scale(-(ONE / Q),
+                 compose(bracket(op(("kbar", 1)), op(("f", 1)), Q),
+                         qh_expr(n, (2, 1))))
 
 
 def tilde_k1(vec: dict, n: int) -> dict:

@@ -6,21 +6,15 @@ power-series truncation is ever needed, and a value at q = 0 is a constant
 of the same type.  A fraction is kept in reduced normal form: numerator
 and denominator are coprime integer polynomials and the denominator has a
 positive leading coefficient, so equality is plain tuple comparison.
-Normalizing stays on integers and takes one of three paths:
-
-- zero: the numerator is empty and the denominator becomes (1,);
-- monomial denominator c*q^k, which is almost every scalar of the action
-  (a denominator (1,) needs no work at all): the primitive gcd of num and
-  den is q^min(val(num), k), so both are shifted down by that power and
-  divided by the signed content gcd of num and c;
-- general: the primitive gcd is a pseudo-remainder sequence, dividing by
-  it is integer long division, then content and sign are fixed.
+Normalizing stays on integers: a zero numerator takes the denominator
+(1,), a denominator (1,) needs no work, and otherwise the primitive gcd is
+a pseudo-remainder sequence, dividing by it is integer long division,
+then content and sign are fixed; it is the string solves that divide.
 
 Products with a factor +-1, negation and the reciprocal 1/x reuse the
 operand's normal form instead of normalizing again, and a Laurent
-polynomial in q, the value of every scalar the primitive generators and
-the odd Kashiwara operators produce, is put in normal form directly
-(``RatFunc.laurent``).
+polynomial in q, the value of every coefficient of an operator column
+(``action``), is put in normal form directly (``RatFunc.laurent``).
 
 Polynomials are tuples of integer coefficients, lowest degree first, with
 no trailing zeros; the zero polynomial is the empty tuple.
@@ -147,15 +141,6 @@ class RatFunc:
             den = (1,)
         elif den == (1,):
             pass  # already reduced
-        elif not any(den[:-1]):
-            # den = c*q^k: the primitive gcd is q^min(val(num), k)
-            shift = min(len(den) - 1, next(v for v, x in enumerate(num) if x))
-            c = den[-1]
-            g = gcd(pcontent(num), c)
-            if c < 0:
-                g = -g
-            num = tuple(x // g for x in num[shift:])
-            den = den[shift:-1] + (c // g,)
         else:
             g = pgcd(num, den)
             if g != (1,):

@@ -170,7 +170,7 @@ def test_theorem_reports_equal_the_pinned_digests():
 PINNED_RELATION_COLUMNS = {
     (2, 2): {
         "e-ebar-commute i=1": "be01bc2023820994",
-        "e-f-commutator i=1 j=1": "ef66760cf6e23552",
+        "e-f-commutator i=1 j=1": "e42d2f6b449cf18d",
         "e-fbar-commutator i=1 j=1": "7731e034d68b0130",
         "ebar-f-commutator i=1 j=1": "cad9d08c28b8be02",
         "f-fbar-commute i=1": "17c77ade6f55cbc2",
@@ -178,8 +178,8 @@ PINNED_RELATION_COLUMNS = {
         "kbar-anticommute i=2 j=1": "32900af9c907f0f6",
         "kbar-e-twist i=1": "0e3624a2f3a3ba98",
         "kbar-f-twist i=1": "e4cf6786aa58e98b",
-        "kbar-squared i=1": "08b031132fb88854",
-        "kbar-squared i=2": "23d62c7fa83718e6",
+        "kbar-squared i=1": "9cfc16693da9e9d2",
+        "kbar-squared i=2": "bdfdf09097f006f1",
         "qh-additivity h1=(0, 1) h2=(1, 2)": "e5da4790612d80d3",
         "qh-additivity h1=(1, 0) h2=(0, 1)": "cc1bad98dbe199da",
         "qh-additivity h1=(1, 2) h2=(1, 0)": "b712bb2085f922a2",
@@ -194,10 +194,10 @@ PINNED_RELATION_COLUMNS = {
         "e-braid-odd i=1": "7470cf573011e6c1",
         "e-ebar-commute i=1": "92e30f5ae87035f4",
         "e-ebar-commute i=2": "36af69d5acb28de8",
-        "e-f-commutator i=1 j=1": "38125ae41fcf5cad",
+        "e-f-commutator i=1 j=1": "58520d2018df77da",
         "e-f-commutator i=1 j=2": "f8d581d80b0edf2d",
         "e-f-commutator i=2 j=1": "f8d581d80b0edf2d",
-        "e-f-commutator i=2 j=2": "aacf743062cd8e76",
+        "e-f-commutator i=2 j=2": "511921d3d1371529",
         "e-fbar-commutator i=1 j=1": "ad50f47332ae48ed",
         "e-fbar-commutator i=1 j=2": "f8d581d80b0edf2d",
         "e-fbar-commutator i=2 j=1": "f8d581d80b0edf2d",
@@ -227,9 +227,9 @@ PINNED_RELATION_COLUMNS = {
         "kbar-e-twist i=2": "9ff66a292eb98f07",
         "kbar-f-twist i=1": "f4becdbba2086fd6",
         "kbar-f-twist i=2": "10e61bf8de4c9577",
-        "kbar-squared i=1": "9d72ec69519d5514",
-        "kbar-squared i=2": "45bbac7f21b3880e",
-        "kbar-squared i=3": "28a20847ec0bccd1",
+        "kbar-squared i=1": "ff595c64f9698f1c",
+        "kbar-squared i=2": "d2977181f956e67e",
+        "kbar-squared i=3": "56a836cdc295bd58",
         "qh-additivity h1=(0, 0, 1) h2=(1, 2, 3)": "544d118df2418b4f",
         "qh-additivity h1=(0, 1, 0) h2=(0, 0, 1)": "f0156ecaf06f223a",
         "qh-additivity h1=(1, 0, 0) h2=(0, 1, 0)": "bf760bb28f3b64ed",
@@ -254,15 +254,15 @@ PINNED_RELATION_COLUMNS = {
         "e-ebar-commute i=1": "5001781d70b9bd3f",
         "e-ebar-commute i=2": "5001781d70b9bd3f",
         "e-ebar-commute i=3": "5001781d70b9bd3f",
-        "e-f-commutator i=1 j=1": "01940fd3480f753e",
+        "e-f-commutator i=1 j=1": "8fe0ee8e06083909",
         "e-f-commutator i=1 j=2": "5001781d70b9bd3f",
         "e-f-commutator i=1 j=3": "5001781d70b9bd3f",
         "e-f-commutator i=2 j=1": "5001781d70b9bd3f",
-        "e-f-commutator i=2 j=2": "439195020553105f",
+        "e-f-commutator i=2 j=2": "646d5a64781b8d52",
         "e-f-commutator i=2 j=3": "5001781d70b9bd3f",
         "e-f-commutator i=3 j=1": "5001781d70b9bd3f",
         "e-f-commutator i=3 j=2": "5001781d70b9bd3f",
-        "e-f-commutator i=3 j=3": "cf6a4e4001cb07f6",
+        "e-f-commutator i=3 j=3": "9c7278767a48f969",
         "e-fbar-commutator i=1 j=1": "76b844048641ff28",
         "e-fbar-commutator i=1 j=2": "5001781d70b9bd3f",
         "e-fbar-commutator i=1 j=3": "5001781d70b9bd3f",
@@ -322,10 +322,10 @@ PINNED_RELATION_COLUMNS = {
         "kbar-f-twist i=1": "c39b20e82dec01d4",
         "kbar-f-twist i=2": "f950a24a34a60764",
         "kbar-f-twist i=3": "a76ef404923c6532",
-        "kbar-squared i=1": "2449281cfdacd561",
-        "kbar-squared i=2": "28efb7a32b6a1971",
-        "kbar-squared i=3": "fbc3592ad1b3d6d8",
-        "kbar-squared i=4": "9572c6c63e846e25",
+        "kbar-squared i=1": "f2a8e198ac941bcf",
+        "kbar-squared i=2": "be63e84618dc23d5",
+        "kbar-squared i=3": "0f19dc5e1a4fb14b",
+        "kbar-squared i=4": "37572ad0602d6766",
         "qh-additivity h1=(0, 0, 0, 1) h2=(1, 2, 3, 4)": "c4f6b2208f86263f",
         "qh-additivity h1=(0, 0, 1, 0) h2=(0, 0, 0, 1)": "5cb1c9ca1cfdadc0",
         "qh-additivity h1=(0, 1, 0, 0) h2=(0, 0, 1, 0)": "4ddd6c8b6c015927",
@@ -355,8 +355,8 @@ def relation_column_digests(n: int, N: int) -> dict:
     tensors = sorted(basis(n, N))
     out = {}
     for name, lhs, rhs in relations_catalogue(n):
-        text = "\n".join(f"{t!r} {sorted(lhs[t].items())!r} "
-                         f"{sorted(rhs[t].items())!r}" for t in tensors)
+        text = "\n".join(f"{t!r} {sorted(lhs.view(t).items())!r} "
+                         f"{sorted(rhs.view(t).items())!r}" for t in tensors)
         out[name] = sha(text)[:16]
     return out
 

@@ -1,11 +1,14 @@
 """Generator action on V and tensor powers: tables, signs, weights."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from queercrystals.qrep.action import (_act_prim_tensor, _prim_terms,
+from queercrystals.qrep.action import (Operator, _act_prim_tensor,
                                        act_on_tensor, act_prim, basis,
-                                       generator_expr, op, tensor_weight,
-                                       unit, vec_scale, vec_sub)
+                                       bracket, compose, generator_expr, op,
+                                       scale, tensor_weight, unit, vec_add,
+                                       vec_scale, vec_sub, vec_sum)
 from queercrystals.qrep.laurent import ONE, Q, ZERO, RatFunc
 
 
@@ -198,16 +201,64 @@ def _signed_q_power(sign, k):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_the_ratfunc_view_equals_the_integer_rule(n):
     """Every primitive symbol on every basis tensor of V^(x)N, N <= 3: the
-    RatFunc column holds exactly the rule's triples, each a distinct tensor
-    times sign * q^exponent."""
+    rule's integer column holds distinct tensors, each with a sign, and
+    the RatFunc view of ``op(sym)`` holds each tensor times
+    sign * q^exponent."""
     symbols = [("kbar", 1), ("qh", tuple(range(1, n + 1))),
                ("qh", tuple(-j for j in range(n)))]
     symbols += [(kind, i) for i in range(1, n) for kind in ("e", "f")]
     for N in (1, 2, 3):
         for t in basis(n, N):
             for sym in symbols:
-                terms = _prim_terms(sym, t)
-                assert len({t2 for t2, _, _ in terms}) == len(terms)
-                assert all(sign in (1, -1) for _, sign, _ in terms)
-                assert _act_prim_tensor(sym, t) == {
-                    t2: _signed_q_power(sign, k) for t2, sign, k in terms}
+                column = _act_prim_tensor(sym, t)
+                assert len({t2 for t2, _ in column}) == len(column)
+                assert all(sign in (1, -1) for sign in column.values())
+                assert op(sym).view(t) == {
+                    t2: _signed_q_power(sign, k)
+                    for (t2, k), sign in column.items()}
+
+
+@pytest.mark.parametrize("c", [ONE / (Q - ONE / Q), ONE / (Q * Q + ONE),
+                               RatFunc((1,), (2,)), RatFunc((0, 1), (0, 3))])
+def test_scale_refuses_a_scalar_that_is_not_a_laurent_polynomial(c):
+    """Operators are evaluated over Z[q, q^-1]: 1/(q - q^-1), 1/(q^2 + 1),
+    1/2 and q/(3q) have no integer Laurent column."""
+    with pytest.raises(ValueError, match="not a Laurent polynomial"):
+        scale(c, op(("e", 1)))
+
+
+TENSORS = basis(2, 1)
+columns = st.dictionaries(
+    st.tuples(st.sampled_from(TENSORS), st.integers(-3, 3)),
+    st.integers(-4, 4).filter(bool), max_size=4)
+operators = st.fixed_dictionaries({t: columns for t in TENSORS})
+laurents = st.builds(RatFunc.laurent, st.integers(-2, 2),
+                     st.lists(st.integers(-2, 2), max_size=3))
+
+
+def ratfunc_compose(a, vec: dict) -> dict:
+    """The operator a on a RatFunc vector, column views times coefficients,
+    as operators were composed on the fraction field."""
+    out = {}
+    for t, c in vec.items():
+        for t2, x in a.view(t).items():
+            vec_add(out, t2, c * x)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(operators, operators, laurents)
+def test_integer_composition_equals_the_ratfunc_composition(a, b, c):
+    """compose, bracket and scale on random sparse integer columns equal,
+    in their RatFunc views, the composition over RatFunc: a b and
+    a b - c b a applied column by column to the views."""
+    a, b = Operator(a.__getitem__), Operator(b.__getitem__)
+    ab, ba = compose(a, b), compose(b, a)
+    for t in TENSORS:
+        assert ab.view(t) == ratfunc_compose(a, b.view(t))
+        assert bracket(a, b, c).view(t) == vec_sum(
+            ratfunc_compose(a, b.view(t)),
+            vec_scale(-c, ratfunc_compose(b, a.view(t))))
+        assert scale(c, a).view(t) == vec_scale(c, a.view(t))
+        assert compose(ab, a).view(t) == ratfunc_compose(ab, a.view(t))
+        assert ba.view(t) == ratfunc_compose(b, a.view(t))

@@ -1,6 +1,7 @@
 """Relation catalogue, odd comultiplication, residue checks (small sizes)."""
 
 import gc
+import re
 import weakref
 
 import pytest
@@ -8,12 +9,12 @@ import pytest
 from queercrystals import CrystalGraph, tensor_power_graph
 from queercrystals.graphs import ODD, all_labels
 from queercrystals.qrep import checks
-from queercrystals.qrep.action import (Operator, compose, expr_sum,
-                                       identity_expr, op, vec_add)
+from queercrystals.qrep.action import (Operator, basis, compose, expr_sum,
+                                       identity_expr, op, vec_add, vec_scale)
 from queercrystals.qrep.checks import (comult_formulas, relations_catalogue,
                                        residue_check, verify_comult_odd,
                                        verify_relations)
-from queercrystals.qrep.laurent import ONE, Q
+from queercrystals.qrep.laurent import ONE, Q, RatFunc
 from queercrystals.reports import check, passed, record
 
 
@@ -51,6 +52,41 @@ def test_relations_hold_on_v():
 def test_relations_hold_on_v_squared():
     rep = verify_relations(2, 2)
     assert rep["passed"], _failures(rep)
+
+
+def _paper_right_side(name: str, t) -> dict:
+    """The paper's right side of [e_i, f_j] or kbar_i^2 on the basis tensor
+    t, with its scalars 1/(q - q^-1) and 1/(q^2 - q^-2) as RatFunc."""
+    index = {k: int(v) for k, v in re.findall(r"(i|j)=(\d+)", name)}
+    letters = [j for j, _ in t]
+    i = index["i"]
+    if name.startswith("e-f-commutator"):
+        if i != index["j"]:
+            return {}
+        k, denominator = letters.count(i) - letters.count(i + 1), Q - ONE / Q
+    else:
+        k, denominator = 2 * letters.count(i), Q * Q - ONE / (Q * Q)
+    c = (RatFunc.q_power(k) - RatFunc.q_power(-k)) / denominator
+    return {t: c} if c else {}
+
+
+@pytest.mark.parametrize("n, N", [(2, 2), (3, 2)])
+def test_the_rescaled_relations_equal_the_papers_form(n, N):
+    """[e_i, f_j] and kbar_i^2 are checked multiplied through by
+    q - q^-1 and q^2 - q^-2; divided back, the view of each left side is
+    the paper's right side on every basis tensor."""
+    factors = {"e-f-commutator": ONE / (Q - ONE / Q),
+               "kbar-squared": ONE / (Q * Q - ONE / (Q * Q))}
+    checked = 0
+    for name, lhs, _ in relations_catalogue(n):
+        factor = factors.get(name.split(" ")[0])
+        if factor is None:
+            continue
+        for t in basis(n, N):
+            assert vec_scale(factor, lhs.view(t)) == _paper_right_side(
+                name, t), (name, t)
+        checked += 1
+    assert checked == (n - 1) ** 2 + n
 
 
 def test_relation_filter():
@@ -169,7 +205,7 @@ def test_a_comultiplication_without_the_super_sign_fails(monkeypatch):
     def unsigned(n):
         formulas = comult_formulas(n)
         name, whole, terms = formulas[0]
-        terms = [(c, a, b, 0) for c, a, b, _ in terms]
+        terms = [(a, b, 0) for a, b, _ in terms]
         return [(name, whole, terms)] + formulas[1:]
 
     monkeypatch.setattr(checks, "comult_formulas", unsigned)

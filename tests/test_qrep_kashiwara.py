@@ -196,7 +196,7 @@ def test_a_column_that_reads_a_spectator_bar_is_refused(
         column = real(sym)
         if sym != (kind, 1):
             return column
-        return Operator(lambda t: vec_scale(-ONE, column[t])
+        return Operator(lambda t: {x: -c for x, c in column[t].items()}
                         if any(j > 2 and s for j, s in t) else column[t])
 
     monkeypatch.setattr(kashiwara, "op", patched)

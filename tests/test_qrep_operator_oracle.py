@@ -2,10 +2,12 @@
 
 Here an operator is a tuple of (coefficient, symbol word) terms whose
 products are multiplied out, so kbar_j has 5^(j-1) terms, and it is
-evaluated term by term, symbol by symbol.  It shares only the primitive
-images with the library.  For the composite generators and the odd
-Kashiwara operators, every column of the library's matrix must equal this
-expansion on that basis tensor.
+evaluated term by term, symbol by symbol, over RatFunc.  It shares only
+the primitive images with the library: each is built here with
+``RatFunc.laurent`` from the library's integer rule.  For the composite
+generators and the odd Kashiwara operators, the RatFunc view of every
+column of the library's matrix must equal this expansion on that basis
+tensor.
 """
 
 from functools import lru_cache
@@ -16,7 +18,7 @@ from queercrystals.qrep.action import (_act_prim_tensor, basis, ebar_expr,
                                        fbar_expr, kbar_expr, vec_add)
 from queercrystals.qrep.kashiwara import (ktilde1_expr, tilde_ebar1_expr,
                                           tilde_fbar1_expr)
-from queercrystals.qrep.laurent import ONE, Q
+from queercrystals.qrep.laurent import ONE, Q, RatFunc
 
 # -- the term algebra: rightmost symbols act first
 
@@ -49,8 +51,8 @@ def t_act(expr, t):
         for sym in reversed(syms):
             w = {}
             for t1, x in v.items():
-                for t2, y in _act_prim_tensor(sym, t1).items():
-                    vec_add(w, t2, x * y)
+                for (t2, k), sign in _act_prim_tensor(sym, t1).items():
+                    vec_add(w, t2, x * RatFunc.laurent(k, (sign,)))
             v = w
         for t2, x in v.items():
             vec_add(out, t2, x)
@@ -130,7 +132,7 @@ def test_every_column_equals_the_term_expansion(n):
         nonzero = 0
         for N in (1, 2):
             for t in basis(n, N):
-                assert matrix[t] == t_act(terms, t), (name, t)
+                assert matrix.view(t) == t_act(terms, t), (name, t)
                 nonzero += bool(matrix[t])
         assert nonzero, name
 
@@ -142,6 +144,6 @@ def test_the_odd_operators_equal_the_expansion_on_three_factors(n):
     for name, matrix, terms in odd_pairs(n):
         nonzero = 0
         for t in basis(n, 3):
-            assert matrix[t] == t_act(terms, t), (name, t)
+            assert matrix.view(t) == t_act(terms, t), (name, t)
             nonzero += bool(matrix[t])
         assert nonzero, name

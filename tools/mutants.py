@@ -7,10 +7,10 @@ stepwise Weyl reflection, isomorphism, the adapters' highest-weight test),
 serialization, the CLI, the exact side (rational functions and their
 values at q = 0, basis tensors and vectors, the algebra action, the
 checks of its primitive symbols, its generator table and the checks of
-its entry point, string decompositions by block class, their lift and
-its factorization check, the odd Kashiwara operators in Z[q, q^-1]
-and the constructor of their coefficients, the entry checks of the
-Kashiwara operators)
+its entry point, operators over Z[q, q^-1], their products, their
+scalars and their RatFunc view, string decompositions by block class,
+their lift and its factorization check, the odd Kashiwara operators,
+the entry checks of the Kashiwara operators)
 and the verifiers
 (check records, reading independence and its one scan per distinct word,
 the exact checks, the commuting relations, the release of each checked
@@ -291,9 +291,6 @@ MUTANTS = (
     (PKG + "qrep/laurent.py", "RatFunc(self.num[:1], self.den[:1])",
      "RatFunc(self.num[:1], (1,))",
      "the value at q = 0 drops the denominator's constant term", LAURENT),
-    (PKG + "qrep/laurent.py", "            if c < 0:\n                g = -g",
-     "            if c > 0:\n                g = -g",
-     "a monomial denominator is made negative, not positive", LAURENT),
     (PKG + "qrep/laurent.py",
      "g = pcontent(a) if a[-1] > 0 else -pcontent(a)", "g = pcontent(a)",
      "pgcd keeps a negative leading coefficient", LAURENT),
@@ -368,15 +365,27 @@ MUTANTS = (
      "    _check_index(1, n)\n    return act_expr(tilde_fbar1_expr(n),",
      "    return act_expr(tilde_fbar1_expr(n),",
      "tilde_fbar1 takes rank 1 or a rank that is not an int", EXACT),
-    (PKG + "qrep/kashiwara.py", "(t2, s * s2, k + k2)", "(t2, s, k + k2)",
-     "the odd evaluator keeps the sign of the symbols to the right of the "
-     "one it applies and drops that symbol's own sign", EXACT),
-    (PKG + "qrep/kashiwara.py", "(1, 0, (F1, KBAR1))", "(1, 1, (F1, KBAR1))",
+    (PKG + "qrep/action.py", "c1 * c2)", "c1)",
+     "a product keeps the coefficient of its right factor and drops the "
+     "sign of the operator it applies", EXACT),
+    (PKG + "qrep/kashiwara.py", 'op(("f", 1)), Q),', 'op(("f", 1)), Q * Q),',
      "the q-shift of tilde_fbar1's term q f_1 kbar_1 is off by one", EXACT),
     (PKG + "qrep/kashiwara.py",
-     "return _odd(h_vector(n, (1, 1)),\n                (-1, -1, (E1, KBAR1))",
-     "return _odd(h_vector(n, (2, 1)),\n                (-1, -1, (E1, KBAR1))",
+     'op(("kbar", 1)), Q),\n                         qh_expr(n, (1, 1))',
+     'op(("kbar", 1)), Q),\n                         qh_expr(n, (2, 1))',
      "tilde_ebar1 takes q^{k_2} where q^{k_1} belongs", EXACT),
+    (PKG + "qrep/action.py", "(t2, k1 + k2)", "(t2, k2)",
+     "a product adds only one of the two exponents", EXACT),
+    (PKG + "qrep/action.py",
+     "    if c.den[-1] != 1 or any(c.den[:-1]):\n        raise",
+     "    if False:\n        raise",
+     "scale takes a scalar that is not a Laurent polynomial", EXACT),
+    (PKG + "qrep/checks.py",
+     "ef = {i: scale(Q - qinv, x) for i, x in e.items()}", "ef = e",
+     "the e-f commutator loses its factor q - q^-1", CHECKS),
+    (PKG + "qrep/action.py", "RatFunc.laurent(min(cs), ",
+     "RatFunc.laurent(min(cs) + 1, ",
+     "the RatFunc view shifts the lowest exponent", EXACT),
     (PKG + "qrep/action.py", "if not 1 <= j <= n:", "if not 1 <= j:",
      "q^h takes a k_j above the rank", EXACT),
     (PKG + "qrep/laurent.py", "        lo += v\n", "        lo = v\n",
