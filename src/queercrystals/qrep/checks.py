@@ -20,9 +20,9 @@ from .action import (Operator, basis, bracket, compose, expr_sum,
                      parity, pattern, qh_expr, ratfunc_vector, scale, unit,
                      vec_add, vec_sub)
 from .laurent import ONE, Q, RatFunc
-from .kashiwara import (_rows, _rref, tilde_e, tilde_ebar1, tilde_ebar1_expr,
-                        tilde_f, tilde_fbar1, tilde_fbar1_expr, tilde_k1,
-                        ktilde1_expr)
+from .kashiwara import (_rows, _rref, ktilde1_expr, lifted_residue,
+                        residue_at_zero, tilde_ebar1, tilde_ebar1_expr,
+                        tilde_fbar1, tilde_fbar1_expr, tilde_k1)
 
 
 def _check_rank_and_power(n: int, N: int) -> None:
@@ -252,37 +252,49 @@ def residue_check(n: int, N: int) -> dict:
     reproduce the arrows of the word crystal ``tensor_power_graph(n, N)``
     exactly.  Patterns come in ``all_words`` order, and each one's
     operators in the order e_1, f_1, ..., e_{n-1}, f_{n-1}, ebar1, fbar1.
+
+    The residues of e_i and f_i are read once per block class and lifted
+    (``kashiwara.lifted_residue``), without the per-key check of
+    ``tilde_e`` and ``tilde_f``: the keys are lattice_basis(b), which
+    lattice-dimension compares with the basis tensors of pattern b, so no
+    check is dropped.  The odd operators and ktilde_1 are the public,
+    checked ones, each image taken at q = 0 by ``residue_at_zero``.
     """
     _check_rank_and_power(n, N)
     records = []
     graph = tensor_power_graph(n, N)
+    odd = {}  # the odd operators by name, where the rank has the odd label
+
+    def at_zero(q_op):
+        """The residue of the q-level operator q_op, tensor by tensor."""
+        return lambda t: residue_at_zero(q_op(unit(t)))
+
     # per label its raising, then its lowering operator: the record key,
-    # the q-level operator, and the graph's arrows (an index, or -1)
+    # the residue per tensor, and the graph's arrows (an index, or -1)
     table = []
     for lab in all_labels(n):
         if lab == ODD:
+            odd = {"ebar1": lambda v: tilde_ebar1(v, n),
+                   "fbar1": lambda v: tilde_fbar1(v, n)}
             keys = ("ebar1",), ("fbar1",)
-            q_pair = (lambda v: tilde_ebar1(v, n), lambda v: tilde_fbar1(v, n))
+            residues = [at_zero(odd[name]) for (name,) in keys]
         else:
             keys = ("e", lab), ("f", lab)
-            q_pair = (lambda v, i=lab: tilde_e(i, v, n),
-                      lambda v, i=lab: tilde_f(i, v, n))
-        table += zip(keys, q_pair,
+            residues = [lambda t, i=lab, part=part:
+                        lifted_residue(i, t, n, part)
+                        for part in ("raised", "lowered")]
+        table += zip(keys, residues,
                      (graph.predecessors(lab), graph.successors(lab)))
 
-    def residue_map(op_fn, src):
-        """(columns over the target basis, pole witness or None)."""
+    def residue_map(residue, src):
+        """(columns over the target basis, pole witness or None), from
+        residue(t), a (column, pole or None) pair per source tensor t."""
         cols = []
         for t in src:
-            img = op_fn(unit(t))
-            col = {}
-            for t2, c in img.items():
-                if not c.is_regular_at_zero():
-                    return None, {"tensor": repr(t), "component": repr(t2),
-                                  "coefficient": repr(c)}
-                v = c.at_zero()
-                if v:
-                    col[t2] = v
+            col, pole = residue(t)
+            if pole is not None:
+                return None, {"tensor": repr(t), "component": repr(pole[0]),
+                              "coefficient": repr(pole[1])}
             cols.append(col)
         return cols, None
 
@@ -300,9 +312,9 @@ def residue_check(n: int, N: int) -> dict:
         if not ok:
             continue  # maps on a wrong pattern space mean nothing
         k = graph.node_index[b]
-        for op_key, q_op, arrows in table:
+        for op_key, residue, arrows in table:
             at = f"{instance} op={'-'.join(str(x) for x in op_key)}"
-            cols, pole = residue_map(q_op, src)
+            cols, pole = residue_map(residue, src)
             records.append(check("lattice-stability", at, pole is None, pole))
             if pole is not None:
                 continue
@@ -324,7 +336,7 @@ def residue_check(n: int, N: int) -> dict:
                                      rank == 2 ** N,
                                      {"rank": rank, "expected": 2 ** N}))
         # ktilde_1 preserves each pattern space
-        cols, pole = residue_map(lambda v: tilde_k1(v, n), src)
+        cols, pole = residue_map(at_zero(lambda v: tilde_k1(v, n)), src)
         if pole is not None:
             records.append(record("ktilde1-lattice", instance, "fail",
                                   witness=pole))
@@ -340,10 +352,10 @@ def residue_check(n: int, N: int) -> dict:
         "residue-graph-equality", f"n={n} N={N}", residue_edges == comb_edges,
         {"missing": sorted(map(repr, comb_edges - residue_edges)),
          "extra": sorted(map(repr, residue_edges - comb_edges))}))
-    # nilpotence of the odd operators on L/qL (the table's pair after the
-    # n - 1 even ones): a pole, else the first nonzero residue, is the witness
-    for (name,), fn, _ in table[2 * (n - 1):]:
-        cols, witness = residue_map(lambda v: fn(fn(v)), tensors)
+    # nilpotence of the odd operators on L/qL: a pole, else the first
+    # nonzero residue, is the witness
+    for name, fn in odd.items():
+        cols, witness = residue_map(at_zero(lambda v: fn(fn(v))), tensors)
         if witness is None:
             witness = next(
                 ({"tensor": repr(t), "component": repr(t2),

@@ -27,7 +27,10 @@ result is verified as the exact identity C . C^-1 = I on every tensor of
 the class.  What is kept is, per class tensor, its string decomposition
 and its images under tilde_e and tilde_f: the class columns.  tilde_e,
 tilde_f and string_decomposition read the class column of each key of
-their vector and lift it back, a sum linear in the vector.
+their vector and lift it back, a sum linear in the vector.  The class also
+keeps the images' values at q = 0, or their first poles
+(``residue_at_zero``), which ``lifted_residue`` lifts for one basis tensor
+without a product over the fraction field.
 
 The lift is exact because of a check made once per module, when the
 operators first read one of its tensors at (i, n): on every tensor of the
@@ -190,12 +193,28 @@ def _class_tensors(m: int, a: int) -> list:
 class StringBasis(NamedTuple):
     """The class columns of one block class (m, a), by class tensor c:
     decomposition[c] lists the pairs (k, u_k) with c = sum_k f_1^(k) u_k
-    and e_1 u_k = 0; raised[c] and lowered[c] are tilde_e c and tilde_f c.
+    and e_1 u_k = 0; raised[c] and lowered[c] are tilde_e c and tilde_f c,
+    and raised_at_zero[c] and lowered_at_zero[c] their ``residue_at_zero``.
     Every vector is over class tensors.  Shared: read only."""
 
     decomposition: dict
     raised: dict
     lowered: dict
+    raised_at_zero: dict
+    lowered_at_zero: dict
+
+
+def residue_at_zero(vec: dict) -> tuple:
+    """vec at q = 0: (its residue, None), zeros dropped, or (None, (key,
+    coefficient)) at the first key, in vec's order, with a pole there."""
+    residue = {}
+    for t, c in vec.items():
+        if not c.is_regular_at_zero():
+            return None, (t, c)
+        value = c.at_zero()
+        if value:
+            residue[t] = value
+    return residue, None
 
 
 @lru_cache(maxsize=None)
@@ -240,9 +259,12 @@ def _string_basis(m: int, a: int) -> StringBasis:
             k, w = levels[j]
             by_level[k] = vec_sum(by_level.get(k, {}), vec_scale(c, w))
         decomposition[t] = sorted(by_level.items())
-    return StringBasis(decomposition,
-                       {t: times_inverse(raised, t) for t in tensors},
-                       {t: times_inverse(lowered, t) for t in tensors})
+    raised = {t: times_inverse(raised, t) for t in tensors}
+    lowered = {t: times_inverse(lowered, t) for t in tensors}
+    return StringBasis(
+        decomposition, raised, lowered,
+        {t: residue_at_zero(col) for t, col in raised.items()},
+        {t: residue_at_zero(col) for t, col in lowered.items()})
 
 
 class Block(NamedTuple):
@@ -264,12 +286,9 @@ def _blocks(i: int, n: int) -> dict:
     return {}
 
 
-def _block(blocks: dict, i: int, t, n: int) -> Block:
-    """t's Block from the table of (i, n); on the first read of t's module,
-    check the factorization of e_i and f_i over the whole module."""
-    block = blocks.get(t)
-    if block is not None:
-        return block
+def _lift(i: int, t) -> dict:
+    """The basis tensor of t's module for every unbarred word of length m
+    over 1, 2: t with its m active factors' letters put in their place."""
     active = [p for p, (j, _) in enumerate(t) if i <= j <= i + 1]
     lift = {}
     for w in product(((1, 0), (2, 0)), repeat=len(active)):
@@ -277,6 +296,16 @@ def _block(blocks: dict, i: int, t, n: int) -> Block:
         for p, (j, _) in zip(active, w):
             s[p] = (j + i - 1, t[p][1])
         lift[w] = tuple(s)
+    return lift
+
+
+def _block(blocks: dict, i: int, t, n: int) -> Block:
+    """t's Block from the table of (i, n); on the first read of t's module,
+    check the factorization of e_i and f_i over the whole module."""
+    block = blocks.get(t)
+    if block is not None:
+        return block
+    lift = _lift(i, t)
     for kind in ("e", "f"):
         real, model = op((kind, i)), op((kind, 1))
         for w, s in lift.items():
@@ -310,6 +339,19 @@ def _lifted_sum(i, vec: dict, n: int, part: str) -> dict:
         for x, y in column.items():
             vec_add(out, b.lift[x], c * y)
     return out
+
+
+def lifted_residue(i: int, t, n: int, part: str) -> tuple:
+    """The basis tensor t's ``part`` column ("raised" for tilde_e,
+    "lowered" for tilde_f) at q = 0, read once per class and lifted:
+    ``residue_at_zero(tilde_e(i, unit(t), n))`` for "raised".  i, n and t
+    are taken as checked; t's module is checked on its first read."""
+    b = _block(_blocks(i, n), i, t, n)
+    residue, pole = getattr(_string_basis(*b.block_class),
+                            part + "_at_zero")[b.word]
+    if pole is not None:
+        return None, (b.lift[pole[0]], pole[1])
+    return {b.lift[x]: value for x, value in residue.items()}, None
 
 
 def string_decomposition(vec: dict, i: int, n: int) -> list:

@@ -8,9 +8,10 @@ import pytest
 
 from queercrystals import CrystalGraph, tensor_power_graph
 from queercrystals.graphs import ODD, all_labels
-from queercrystals.qrep import checks
+from queercrystals.qrep import checks, kashiwara
 from queercrystals.qrep.action import (Operator, basis, compose, expr_sum,
-                                       identity_expr, op, vec_add, vec_scale)
+                                       identity_expr, op, unit, vec_add,
+                                       vec_scale)
 from queercrystals.qrep.checks import (comult_formulas, relations_catalogue,
                                        residue_check, verify_comult_odd,
                                        verify_relations)
@@ -280,7 +281,17 @@ def polar(v, *_):
 
 
 def test_a_residue_with_a_pole_fails_lattice_stability(monkeypatch):
-    monkeypatch.setattr(checks, "tilde_e", lambda i, v, n: polar(v))
+    """Every class tensor c's raised column made {c: 1/q}: the residue
+    check reads the class residues, so e_1 fails on both patterns."""
+    real = kashiwara._string_basis
+
+    def polar_raised(m, a):
+        basis = real(m, a)
+        raised = {c: polar(unit(c)) for c in basis.raised}
+        return basis._replace(raised=raised, raised_at_zero={
+            c: kashiwara.residue_at_zero(col) for c, col in raised.items()})
+
+    monkeypatch.setattr(kashiwara, "_string_basis", polar_raised)
     rep = residue_check(2, 1)
     assert rep["passed"] is False
     failed = [r for r in _failures(rep) if r["check"] == "lattice-stability"]

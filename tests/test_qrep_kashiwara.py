@@ -184,12 +184,20 @@ def fresh_blocks():
     kashiwara._blocks.cache_clear()
 
 
+def residue_of(i, vec, n):
+    """The lifted class residue of tilde_e on the one key of vec."""
+    (t,) = vec
+    return kashiwara.lifted_residue(i, t, n, "raised")
+
+
 @pytest.mark.parametrize("kind, operator, key", [
-    ("e", tilde_e, v(2, -3)), ("f", tilde_f, v(1, -3))])
+    ("e", tilde_e, v(2, -3)), ("f", tilde_f, v(1, -3)),
+    ("e", residue_of, v(2, -3))])
 def test_a_column_that_reads_a_spectator_bar_is_refused(
         monkeypatch, fresh_blocks, kind, operator, key):
     """e_1 or f_1 changing sign on a barred spectator letter 3 is no lift
-    of its class column, so the block lift must refuse it."""
+    of its class column, so the block lift must refuse it, on the
+    operators' path and on the residue path."""
     real = kashiwara.op
 
     def patched(sym):
@@ -202,6 +210,43 @@ def test_a_column_that_reads_a_spectator_bar_is_refused(
     monkeypatch.setattr(kashiwara, "op", patched)
     with pytest.raises(ArithmeticError, match="not the lift"):
         operator(1, unit(key), 3)
+
+
+def test_the_lifted_class_residues_equal_the_operators_at_zero():
+    """On every basis tensor and index, the residue read from the class
+    and lifted is tilde_e's or tilde_f's image at q = 0, zeros dropped."""
+    for n, N in ((2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)):
+        for t in basis(n, N):
+            for i in range(1, n):
+                for part, operator in (("raised", tilde_e),
+                                       ("lowered", tilde_f)):
+                    image = operator(i, unit(t), n)
+                    expected = {t2: c.at_zero() for t2, c in image.items()
+                                if c.at_zero()}
+                    assert kashiwara.lifted_residue(i, t, n, part) == (
+                        expected, None), (n, N, i, t, part)
+
+
+def test_a_polar_class_column_lifts_its_pole(monkeypatch):
+    """A pole in a raised column of the class (2, 1) is found at its first
+    polar entry and named as the lifted tensor at i = 2: the letters 1, 2
+    shifted to 2, 3, each active factor's own bar and the spectator
+    factor kept in place."""
+    real = kashiwara._string_basis
+    column = {v(2, 1): Q, v(1, 2): ONE / Q}
+
+    def polar(m, a):
+        basis = real(m, a)
+        if (m, a) != (2, 1):
+            return basis
+        return basis._replace(raised_at_zero={
+            c: kashiwara.residue_at_zero(column) for c in basis.raised})
+
+    monkeypatch.setattr(kashiwara, "_string_basis", polar)
+    assert kashiwara.lifted_residue(2, v(-1, 3, -2), 3, "raised") == (
+        None, (v(-1, 2, -3), ONE / Q))
+    assert kashiwara.lifted_residue(2, v(3, 1, 2), 3, "raised") == (
+        None, (v(2, 1, 3), ONE / Q))
 
 
 @pytest.mark.parametrize("call, bad", [

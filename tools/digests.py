@@ -1,17 +1,22 @@
-"""Digests of the exact side's reports, in three groups.
+"""Digests of the exact side's reports and of the emitted graphs, in five
+groups.
 
     python tools/digests.py                      # print the digests
     python tools/digests.py --check              # compare with the record
     python tools/digests.py > tools/digests.json # re-record, deliberately
 
-The manifest holds 23 reports: ``relations`` is criterion 9's eight
+The manifest holds 139 outputs.  ``relations`` is criterion 9's eight
 ``verify_relations`` instances and ``verify_relations(2, 3,
 which="kbar")``, ``comult`` is ``verify_comult_odd`` for n = 2..4, and
 ``residue`` is ``residue_check`` at (2..6, 1), (2..4, 2), (2, 3), (2, 4)
-and (3, 3).  Each report is the JSON text ``report_to_json`` writes, and a
-group's sha256 is taken over its reports' texts in manifest order, each
-followed by a newline.  The output is JSON: per group the count of
-reports and the sha256, then the sha256 of the groups' lines.
+and (3, 3): each such report is the JSON text ``report_to_json`` writes.
+``crystal`` is ``crystal_of_shape`` for every strict partition of size at
+most 6 with at most n parts, n = 1..3, and ``words`` is
+``tensor_power_graph(n, N)`` for n = 2..5, N >= 1 and n^N <= 3000: each
+such graph as its DOT text, then its JSON text, as the CLI writes them.
+A group's sha256 is taken over its outputs' texts in manifest order,
+each followed by a newline.  The output is JSON: per group the count of
+outputs and the sha256, then the sha256 of the groups' lines.
 
 With ``--check`` the digests are compared with the committed
 ``tools/digests.json``; the exit status is 1 when any group differs, each
@@ -30,28 +35,51 @@ CRITERION_9 = [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (3, 3),
                (4, 3)]
 RESIDUE = [(n, 1) for n in range(2, 7)] + [(n, 2) for n in range(2, 5)] + [
     (2, 3), (2, 4), (3, 3)]
-# group -> reports, each (name of a function of qrep.checks, args, kwargs)
+STRICT_6 = [(1,), (2,), (3,), (2, 1), (4,), (3, 1), (5,), (4, 1), (3, 2),
+            (6,), (5, 1), (4, 2), (3, 2, 1)]
+SHAPES = [(parts, n) for n in (1, 2, 3) for parts in STRICT_6
+          if len(parts) <= n]
+POWERS = [(n, N) for n in range(2, 6) for N in range(1, 12) if n ** N <= 3000]
+# group -> outputs, each (form, function name, args, kwargs): a "report" is
+# a function of qrep.checks, a "dot" or "json" graph a function of the
+# queercrystals package
 MANIFEST = {
-    "relations": [("verify_relations", key, {}) for key in CRITERION_9]
-    + [("verify_relations", (2, 3), {"which": "kbar"})],
-    "comult": [("verify_comult_odd", (n,), {}) for n in range(2, 5)],
-    "residue": [("residue_check", key, {}) for key in RESIDUE],
+    "relations": [("report", "verify_relations", key, {})
+                  for key in CRITERION_9]
+    + [("report", "verify_relations", (2, 3), {"which": "kbar"})],
+    "comult": [("report", "verify_comult_odd", (n,), {}) for n in range(2, 5)],
+    "residue": [("report", "residue_check", key, {}) for key in RESIDUE],
+    "crystal": [(form, "crystal_of_shape", key, {})
+                for key in SHAPES for form in ("dot", "json")],
+    "words": [(form, "tensor_power_graph", key, {})
+              for key in POWERS for form in ("dot", "json")],
 }
+
+
+def render(form: str, name: str, args, kwargs) -> str:
+    """The text of one manifest output."""
+    import queercrystals
+    from queercrystals.qrep import checks
+    from queercrystals.serialize import (graph_to_dot, graph_to_json,
+                                         report_to_json)
+
+    if form == "report":
+        return report_to_json(getattr(checks, name)(*args, **kwargs))
+    graph = getattr(queercrystals, name)(*args, **kwargs)
+    if form == "dot":
+        return graph_to_dot(graph)
+    return report_to_json(graph_to_json(graph))
 
 
 def digests(manifest: dict = MANIFEST) -> dict:
     """{"groups": {group: {"count", "sha256"}}, "total": sha256}."""
     sys.path.insert(0, str(ROOT / "src"))
-    from queercrystals.qrep import checks
-    from queercrystals.serialize import report_to_json
-
     groups = {}
-    for group, reports in manifest.items():
+    for group, outputs in manifest.items():
         h = hashlib.sha256()
-        for name, args, kwargs in reports:
-            text = report_to_json(getattr(checks, name)(*args, **kwargs))
-            h.update(text.encode("utf-8") + b"\n")
-        groups[group] = {"count": len(reports), "sha256": h.hexdigest()}
+        for output in outputs:
+            h.update(render(*output).encode("utf-8") + b"\n")
+        groups[group] = {"count": len(outputs), "sha256": h.hexdigest()}
     lines = "".join(f"{g} {v['count']} {v['sha256']}\n"
                     for g, v in groups.items())
     return {"groups": groups,

@@ -9,18 +9,20 @@ values at q = 0, basis tensors and vectors, the algebra action, the
 checks of its primitive symbols, its generator table and the checks of
 its entry point, operators over Z[q, q^-1], their products, their
 scalars and their RatFunc view, string decompositions by block class,
-their lift and its factorization check, the odd Kashiwara operators,
-the entry checks of the Kashiwara operators)
+their lift and its factorization check, their residues at q = 0 read
+once per class and lifted, the odd Kashiwara operators, the entry checks
+of the Kashiwara operators)
 and the verifiers
 (check records, reading independence and its one scan per distinct word,
 the exact checks, the commuting relations, the release of each checked
 relation).
 
 Each mutant replaces one snippet of one source file by a wrong variant
-and names the test files that must kill it.  It is applied to a fresh
-temporary copy of ``src/`` and ``tests/``, those tests run on that copy,
-and a mutant that leaves them passing is a survivor.  The checkout itself
-is never edited.
+and names the test files that must kill it, or ``tools/digests.py``, which
+kills it when ``--check`` exits nonzero.  It is applied to a fresh
+temporary copy of ``src/``, ``tests/`` and ``tools/``, those tests run on
+that copy, and a mutant that leaves them passing is a survivor.  The
+checkout itself is never edited.
 
     python tools/mutants.py
 
@@ -54,6 +56,8 @@ EXACT = ("tests/test_qrep_action.py", "tests/test_qrep_kashiwara.py",
 MEMO = ("tests/test_tableaux.py",)
 # the staircase model, also against the Schur P character oracle
 STAIRCASE = WORDS + ("tests/test_schur_p.py",)
+# the committed output manifest, run as tools/digests.py --check
+DIGESTS = ("tools/digests.py",)
 
 # (file, snippet, replacement, what the mutant breaks, tests that kill it)
 MUTANTS = (
@@ -395,23 +399,50 @@ MUTANTS = (
      "the divided power divides by [m-1] instead of [m]", EXACT),
     (PKG + "qrep/kashiwara.py", "if k != r and c:", "if k > r and c:",
      "_rref clears below its pivots only", EXACT),
+    (PKG + "qrep/kashiwara.py", "        if value:\n            residue[t]",
+     "        if True:\n            residue[t]",
+     "a residue keeps the entries that vanish at q = 0", EXACT),
+    (PKG + "qrep/kashiwara.py",
+     "        if not c.is_regular_at_zero():\n            return None, (t, c)\n",
+     "", "a residue is taken without testing for a pole at q = 0", EXACT),
+    (PKG + "qrep/kashiwara.py",
+     "return {b.lift[x]: value for x, value in residue.items()}, None",
+     "return dict(residue), None",
+     "the lifted residue keeps the class tensors as its keys", EXACT),
+    (PKG + "qrep/kashiwara.py", "(b.lift[pole[0]], pole[1])", "pole",
+     "the lifted residue names a pole by its class tensor", EXACT),
+    (PKG + "qrep/kashiwara.py", "    b = _block(_blocks(i, n), i, t, n)\n"
+     "    residue, pole",
+     "    lift = _lift(i, t)\n"
+     "    w = next(w for w, s in lift.items() if s == t)\n"
+     "    b = Block(None, (len(w), w.count((1, 0))), w, lift)\n"
+     "    residue, pole",
+     "the residue path lifts without the factorization check", EXACT),
+    (PKG + "serialize.py", '"." * (start - min_col)',
+     '" " * (start - min_col)',
+     "a staircase row's DOT label is indented by spaces, not dots", DIGESTS),
 )
 
 
 def run_tests(tree: pathlib.Path, tests) -> bool:
-    """True when the given test files pass on the copy at ``tree``."""
+    """True when the given test files pass on the copy at ``tree``, and
+    ``tools/digests.py --check`` too where it is named."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                PYTHONDONTWRITEBYTECODE="1")
-    result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--hypothesis-seed=0", *tests],
-        cwd=tree, env=env, stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL)
-    return result.returncode == 0
+    files = [t for t in tests if t not in DIGESTS]
+    commands = [[sys.executable, tool, "--check"]
+                for tool in DIGESTS if tool in tests]
+    if files:
+        commands.append([sys.executable, "-m", "pytest", "-q", "-x", "-p",
+                         "no:cacheprovider", "--hypothesis-seed=0", *files])
+    return all(subprocess.run(command, cwd=tree, env=env,
+                              stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL).returncode == 0
+               for command in commands)
 
 
 def copy_tree(dest: pathlib.Path) -> None:
-    for part in ("src", "tests"):
+    for part in ("src", "tests", "tools"):
         shutil.copytree(ROOT / part, dest / part,
                         ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
