@@ -20,7 +20,7 @@ from .action import (Operator, basis, bracket, compose, expr_sum,
                      parity, pattern, qh_expr, ratfunc_vector, scale, unit,
                      vec_add, vec_sub)
 from .laurent import ONE, Q, RatFunc
-from .kashiwara import (_rows, _rref, ktilde1_expr, lifted_residue,
+from .kashiwara import (_lifted_residue, _rows, _rref, ktilde1_expr,
                         residue_at_zero, tilde_ebar1, tilde_ebar1_expr,
                         tilde_fbar1, tilde_fbar1_expr, tilde_k1)
 
@@ -254,11 +254,9 @@ def residue_check(n: int, N: int) -> dict:
     operators in the order e_1, f_1, ..., e_{n-1}, f_{n-1}, ebar1, fbar1.
 
     The residues of e_i and f_i are read once per block class and lifted
-    (``kashiwara.lifted_residue``), without the per-key check of
-    ``tilde_e`` and ``tilde_f``: the keys are lattice_basis(b), which
-    lattice-dimension compares with the basis tensors of pattern b, so no
-    check is dropped.  The odd operators and ktilde_1 are the public,
-    checked ones, each image taken at q = 0 by ``residue_at_zero``.
+    (``kashiwara._lifted_residue``, which checks i and each tensor as
+    ``tilde_e`` and ``tilde_f`` do).  The odd operators and ktilde_1 are
+    the public ones, each image taken at q = 0 by ``residue_at_zero``.
     """
     _check_rank_and_power(n, N)
     records = []
@@ -281,7 +279,7 @@ def residue_check(n: int, N: int) -> dict:
         else:
             keys = ("e", lab), ("f", lab)
             residues = [lambda t, i=lab, part=part:
-                        lifted_residue(i, t, n, part)
+                        _lifted_residue(i, t, n, part)
                         for part in ("raised", "lowered")]
         table += zip(keys, residues,
                      (graph.predecessors(lab), graph.successors(lab)))

@@ -29,7 +29,7 @@ and its images under tilde_e and tilde_f: the class columns.  tilde_e,
 tilde_f and string_decomposition read the class column of each key of
 their vector and lift it back, a sum linear in the vector.  The class also
 keeps the images' values at q = 0, or their first poles
-(``residue_at_zero``), which ``lifted_residue`` lifts for one basis tensor
+(``residue_at_zero``), which ``_lifted_residue`` lifts for one basis tensor
 without a product over the fraction field.
 
 The lift is exact because of a check made once per module, when the
@@ -341,11 +341,13 @@ def _lifted_sum(i, vec: dict, n: int, part: str) -> dict:
     return out
 
 
-def lifted_residue(i: int, t, n: int, part: str) -> tuple:
+def _lifted_residue(i: int, t, n: int, part: str) -> tuple:
     """The basis tensor t's ``part`` column ("raised" for tilde_e,
     "lowered" for tilde_f) at q = 0, read once per class and lifted:
     ``residue_at_zero(tilde_e(i, unit(t), n))`` for "raised".  i, n and t
-    are taken as checked; t's module is checked on its first read."""
+    are checked as tilde_e checks them, and t's module on its first read."""
+    _check_index(i, n)
+    check_basis_tensor(t, n)
     b = _block(_blocks(i, n), i, t, n)
     residue, pole = getattr(_string_basis(*b.block_class),
                             part + "_at_zero")[b.word]

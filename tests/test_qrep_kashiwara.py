@@ -187,7 +187,7 @@ def fresh_blocks():
 def residue_of(i, vec, n):
     """The lifted class residue of tilde_e on the one key of vec."""
     (t,) = vec
-    return kashiwara.lifted_residue(i, t, n, "raised")
+    return kashiwara._lifted_residue(i, t, n, "raised")
 
 
 @pytest.mark.parametrize("kind, operator, key", [
@@ -223,7 +223,7 @@ def test_the_lifted_class_residues_equal_the_operators_at_zero():
                     image = operator(i, unit(t), n)
                     expected = {t2: c.at_zero() for t2, c in image.items()
                                 if c.at_zero()}
-                    assert kashiwara.lifted_residue(i, t, n, part) == (
+                    assert kashiwara._lifted_residue(i, t, n, part) == (
                         expected, None), (n, N, i, t, part)
 
 
@@ -243,9 +243,9 @@ def test_a_polar_class_column_lifts_its_pole(monkeypatch):
             c: kashiwara.residue_at_zero(column) for c in basis.raised})
 
     monkeypatch.setattr(kashiwara, "_string_basis", polar)
-    assert kashiwara.lifted_residue(2, v(-1, 3, -2), 3, "raised") == (
+    assert kashiwara._lifted_residue(2, v(-1, 3, -2), 3, "raised") == (
         None, (v(-1, 2, -3), ONE / Q))
-    assert kashiwara.lifted_residue(2, v(3, 1, 2), 3, "raised") == (
+    assert kashiwara._lifted_residue(2, v(3, 1, 2), 3, "raised") == (
         None, (v(2, 1, 3), ONE / Q))
 
 
@@ -270,6 +270,10 @@ def test_a_polar_class_column_lifts_its_pole(monkeypatch):
     (lambda: tilde_k1(unit(((1, 0, 0),)), 2), repr(((1, 0, 0),))),
     (lambda: tilde_e(1, {1: ONE}, 2), "1 is not a basis tensor"),
     (lambda: tilde_k1({(): ONE}, 2), "() is not a basis tensor"),
+    (lambda: kashiwara._lifted_residue(True, v(2), 2, "raised"),
+     "index True"),
+    (lambda: kashiwara._lifted_residue(2, v(1, 2), 2, "lowered"), "index 2"),
+    (lambda: kashiwara._lifted_residue(1, v(3), 2, "raised"), repr(v(3))),
 ])
 def test_the_kashiwara_operators_refuse_a_bad_argument(call, bad):
     """A bad rank, index or key is refused by name, with a ValueError; an
@@ -285,7 +289,9 @@ def test_the_kashiwara_operators_refuse_a_bad_argument(call, bad):
      lambda: tilde_k1(unit(((1.0, 0),)), 2)),
     (lambda: tilde_e(1, unit(((2, 0),)), 2),
      lambda: tilde_e(1, unit(((2.0, 0),)), 2)),
-], ids=["tilde_k1", "tilde_e"])
+    (lambda: kashiwara._lifted_residue(1, ((2, 0),), 2, "raised"),
+     lambda: kashiwara._lifted_residue(1, ((2.0, 0),), 2, "raised")),
+], ids=["tilde_k1", "tilde_e", "_lifted_residue"])
 def test_a_key_equal_to_a_cached_one_is_still_refused(first, call):
     """The caches compare keys by equality, so (1.0, 0) would find the
     column of (1, 0); every key is checked on every call, before them."""
