@@ -254,9 +254,11 @@ def residue_check(n: int, N: int) -> dict:
     operators in the order e_1, f_1, ..., e_{n-1}, f_{n-1}, ebar1, fbar1.
 
     The residues of e_i and f_i are read once per block class and lifted
-    (``kashiwara._lifted_residue``, which checks i and each tensor as
-    ``tilde_e`` and ``tilde_f`` do).  The odd operators and ktilde_1 are
-    the public ones, each image taken at q = 0 by ``residue_at_zero``.
+    (``kashiwara._lifted_residue``), without the per-key check of
+    ``tilde_e`` and ``tilde_f``: the keys are lattice_basis(b), which
+    lattice-dimension compares with the basis tensors of pattern b, so no
+    check is dropped.  The odd operators and ktilde_1 are the public,
+    checked ones, each image taken at q = 0 by ``residue_at_zero``.
     """
     _check_rank_and_power(n, N)
     records = []

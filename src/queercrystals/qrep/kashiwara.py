@@ -345,9 +345,7 @@ def _lifted_residue(i: int, t, n: int, part: str) -> tuple:
     """The basis tensor t's ``part`` column ("raised" for tilde_e,
     "lowered" for tilde_f) at q = 0, read once per class and lifted:
     ``residue_at_zero(tilde_e(i, unit(t), n))`` for "raised".  i, n and t
-    are checked as tilde_e checks them, and t's module on its first read."""
-    _check_index(i, n)
-    check_basis_tensor(t, n)
+    are taken as checked; t's module is checked on its first read."""
     b = _block(_blocks(i, n), i, t, n)
     residue, pole = getattr(_string_basis(*b.block_class),
                             part + "_at_zero")[b.word]

@@ -270,10 +270,6 @@ def test_a_polar_class_column_lifts_its_pole(monkeypatch):
     (lambda: tilde_k1(unit(((1, 0, 0),)), 2), repr(((1, 0, 0),))),
     (lambda: tilde_e(1, {1: ONE}, 2), "1 is not a basis tensor"),
     (lambda: tilde_k1({(): ONE}, 2), "() is not a basis tensor"),
-    (lambda: kashiwara._lifted_residue(True, v(2), 2, "raised"),
-     "index True"),
-    (lambda: kashiwara._lifted_residue(2, v(1, 2), 2, "lowered"), "index 2"),
-    (lambda: kashiwara._lifted_residue(1, v(3), 2, "raised"), repr(v(3))),
 ])
 def test_the_kashiwara_operators_refuse_a_bad_argument(call, bad):
     """A bad rank, index or key is refused by name, with a ValueError; an
@@ -289,9 +285,7 @@ def test_the_kashiwara_operators_refuse_a_bad_argument(call, bad):
      lambda: tilde_k1(unit(((1.0, 0),)), 2)),
     (lambda: tilde_e(1, unit(((2, 0),)), 2),
      lambda: tilde_e(1, unit(((2.0, 0),)), 2)),
-    (lambda: kashiwara._lifted_residue(1, ((2, 0),), 2, "raised"),
-     lambda: kashiwara._lifted_residue(1, ((2.0, 0),), 2, "raised")),
-], ids=["tilde_k1", "tilde_e", "_lifted_residue"])
+], ids=["tilde_k1", "tilde_e"])
 def test_a_key_equal_to_a_cached_one_is_still_refused(first, call):
     """The caches compare keys by equality, so (1.0, 0) would find the
     column of (1, 0); every key is checked on every call, before them."""

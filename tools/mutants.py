@@ -418,13 +418,6 @@ MUTANTS = (
      "    b = Block(None, (len(w), w.count((1, 0))), w, lift)\n"
      "    residue, pole",
      "the residue path lifts without the factorization check", EXACT),
-    (PKG + "qrep/kashiwara.py",
-     "    _check_index(i, n)\n    check_basis_tensor(t, n)\n",
-     "    check_basis_tensor(t, n)\n",
-     "the residue path takes its index unchecked", EXACT),
-    (PKG + "qrep/kashiwara.py",
-     "    check_basis_tensor(t, n)\n    b = _block(", "    b = _block(",
-     "the residue path takes its tensor unchecked", EXACT),
     (PKG + "serialize.py", '"." * (start - min_col)',
      '" " * (start - min_col)',
      "a staircase row's DOT label is indented by spaces, not dots", DIGESTS),
