@@ -187,6 +187,13 @@ class CrystalGraph(_Frozen):
         return k
 
 
+def check_graph(*graphs) -> None:
+    """Raise TypeError unless every argument is a ``CrystalGraph``."""
+    for g in graphs:
+        if not isinstance(g, CrystalGraph):
+            raise TypeError(f"{type(g).__name__} is not a CrystalGraph")
+
+
 # ---------------------------------------------------------------------------
 # ops adapters
 
@@ -395,6 +402,7 @@ def tensor(left: CrystalGraph, right: CrystalGraph) -> CrystalGraph:
     the right; fbar1 acts on the left when the right factor's weight
     starts (0, 0), else on the right.
     """
+    check_graph(left, right)
     if left.n != right.n:
         raise ValueError("tensor factors must share the rank")
     size = len(right)
@@ -476,6 +484,7 @@ def graph_components(graph: CrystalGraph) -> list:
     out in the parent's (canonical) order.  Components come in the order
     of their first node, and a connected graph is returned as it is.
     """
+    check_graph(graph)
     steps = _steps(graph)
     seen = [False] * len(graph)
     members = [sorted(_search(steps, start, seen))
@@ -502,6 +511,7 @@ def graph_components(graph: CrystalGraph) -> list:
 
 def highest_weight_nodes(graph: CrystalGraph) -> list:
     """Nodes annihilated by every raising operator, in canonical order."""
+    check_graph(graph)
     targets = {d for succ in graph.arrows for d in succ}
     return [graph.nodes[k] for k in range(len(graph)) if k not in targets
             and all(ebar_ops(graph, i, k) is None for i in range(2, graph.n))]
@@ -541,6 +551,7 @@ def isomorphic(g1: CrystalGraph, g2: CrystalGraph):
     meet the same weight and the same arrows, read as search ranks.
     Returns the node mapping, or None when the graphs are not isomorphic.
     """
+    check_graph(g1, g2)
     searches = []
     for g in (g1, g2):
         hw = highest_weight_nodes(g)

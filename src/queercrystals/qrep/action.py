@@ -316,23 +316,28 @@ def fbar_expr(i: int, n: int) -> Operator:
     return generator_expr(("fbar", i), n)
 
 
-def check_basis_tensor(t, n: int) -> None:
-    """Raise ValueError unless t is a basis tensor of V^(x)N at rank n for
-    some N >= 1: a tuple of (letter, bar) int pairs, letters in 1..n, bars
-    0 or 1."""
-    if not (type(t) is tuple and len(t) >= 1
-            and all(type(s) is tuple and tuple(map(type, s)) == (int, int)
-                    and 1 <= s[0] <= n and s[1] in (0, 1) for s in t)):
-        raise ValueError(f"{t!r} is not a basis tensor at rank {n}")
+def check_vector(vec, n: int) -> None:
+    """Raise TypeError unless vec is a dict, and ValueError unless every
+    key is a basis tensor of V^(x)N at rank n, for the N of the first
+    key: a tuple of N >= 1 (letter, bar) int pairs, letters in 1..n, bars
+    0 or 1.  Made on every call, before any cache reads the keys: the
+    caches compare keys by equality and take (1.0, 0) for (1, 0)."""
+    if not isinstance(vec, dict):
+        raise TypeError(f"a vector is a dict, not {type(vec).__name__}")
+    first = next(iter(vec), None)
+    for t in vec:
+        if not (type(t) is tuple and len(t) >= 1
+                and all(type(s) is tuple and tuple(map(type, s)) == (int, int)
+                        and 1 <= s[0] <= n and s[1] in (0, 1) for s in t)):
+            raise ValueError(f"{t!r} is not a basis tensor at rank {n}")
+        if len(t) != len(first):
+            raise ValueError(f"{t!r} is not a basis tensor at rank {n} "
+                             "of the first key's length")
 
 
 def act_on_tensor(g, vec: dict, n: int) -> dict:
-    """A generator acting on a vector in V^(x)N (any N >= 1).  A key that
-    is not a basis tensor of the first key's length raises ValueError."""
+    """A generator acting on a vector in V^(x)N (any N >= 1), checked by
+    ``check_vector``."""
     expr = generator_expr(g, n)
-    for t in vec:
-        check_basis_tensor(t, n)
-        if len(t) != len(next(iter(vec))):
-            raise ValueError(f"{t!r} is not a basis tensor at rank {n} "
-                             "of the first key's length")
+    check_vector(vec, n)
     return act_expr(expr, vec)

@@ -24,13 +24,19 @@ whose strings pass through it, the matrix C whose columns are their
 images f_1^(k_j) w_j, and C^-1 from one dense RREF over the rational
 functions.  The solve raises unless C is square and invertible, and the
 result is verified as the exact identity C . C^-1 = I on every tensor of
-the class.  What is kept is, per class tensor, its string decomposition
-and its images under tilde_e and tilde_f: the class columns.  tilde_e,
-tilde_f and string_decomposition read the class column of each key of
-their vector and lift it back, a sum linear in the vector.  The class also
-keeps the images' values at q = 0, or their first poles
-(``residue_at_zero``), which ``_lifted_residue`` lifts for one basis tensor
-without a product over the fraction field.
+the class.  What is kept are class columns, each a table {class tensor:
+vector} made by one product with C^-1: per level k the part u_k of the
+string decomposition (``levels``), and the images under tilde_e and
+tilde_f.  The class also keeps the images' values at q = 0, or their
+first poles (``residue_at_zero``).
+
+A table per (i, n) maps each basis tensor t to its class tensor and the
+lift of its module (``_block``).  One reader, ``_lifted``, sums c_t
+times the lift of t's class column over the keys t of a vector: tilde_e
+and tilde_f read one table of columns, string_decomposition one per
+level.  The keys of a weight vector share one weight and so one class,
+whose columns serve them all.  ``_lifted_residue`` lifts the values at
+q = 0 for one basis tensor without a product over the fraction field.
 
 The lift is exact because of a check made once per module, when the
 operators first read one of its tensors at (i, n): on every tensor of the
@@ -48,21 +54,23 @@ with ``scale``, ``compose`` and ``bracket`` over Z[q, q^-1]:
     tilde_ebar1 = -(e_1 kbar_1 - q kbar_1 e_1) q^{k_1 - 1},
     tilde_fbar1 = -(kbar_1 f_1 - q f_1 kbar_1) q^{k_2 - 1}.
 
-The six operators check their arguments with a ValueError that names the
-bad value, on every call and before any cache reads them: the rank n by
-``check_rank``, the index i, an int in 1..n-1 (ebar1 and fbar1 have
-index 1), and every key of the vector as a basis tensor of rank n
-(``action.check_basis_tensor``).
+The six operators check their arguments on every call and before any
+cache reads them: the rank n by ``check_rank``, the index i, an int in
+1..n-1 (ebar1 and fbar1 have index 1), by ``words._check_even_index``,
+and the vector by ``action.check_vector``, a TypeError unless it is a
+dict and a ValueError naming a key that is no basis tensor of rank n of
+the first key's length.  The even operators also refuse, with a
+ValueError, a vector whose keys differ in weight.
 """
 
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
-from ..words import check_rank
-from .action import (Operator, act_expr, act_prim, bracket,
-                     check_basis_tensor, compose, op, qh_expr, scale,
-                     tensor_weight, unit, vec_add, vec_scale, vec_sum)
+from ..words import _check_even_index, check_rank
+from .action import (Operator, act_expr, act_prim, bracket, check_vector,
+                     compose, op, qh_expr, scale, tensor_weight, unit,
+                     vec_add, vec_scale, vec_sum)
 from .laurent import ONE, Q, ZERO, gauss_int
 
 # ---------------------------------------------------------------------------
@@ -153,24 +161,6 @@ def kernel_on_weight_space(i: int, tensors: list, n: int) -> list:
 # string decomposition and the even operators
 
 
-def _check_index(i, n: int) -> None:
-    """n a rank and i an int in 1..n-1, checked before any cache reads
-    them: an lru_cache takes True for 1."""
-    check_rank(n)
-    if not (type(i) is int and 1 <= i < n):
-        raise ValueError(f"index {i!r} is not an int in 1..{n - 1} "
-                         f"at rank {n}")
-
-
-def _checked(vec: dict, n: int) -> dict:
-    """vec, once every key is checked as a basis tensor of rank n: on each
-    call, since the caches compare keys by equality and take (1.0, 0)
-    for (1, 0)."""
-    for t in vec:
-        check_basis_tensor(t, n)
-    return vec
-
-
 def apply_f_power(vec: dict, i: int, k: int) -> dict:
     """Divided power f_i^(k) = f_i^k / [k]!, one divided step at a time."""
     for m in range(1, k + 1):
@@ -191,13 +181,14 @@ def _class_tensors(m: int, a: int) -> list:
 
 
 class StringBasis(NamedTuple):
-    """The class columns of one block class (m, a), by class tensor c:
-    decomposition[c] lists the pairs (k, u_k) with c = sum_k f_1^(k) u_k
-    and e_1 u_k = 0; raised[c] and lowered[c] are tilde_e c and tilde_f c,
-    and raised_at_zero[c] and lowered_at_zero[c] their ``residue_at_zero``.
-    Every vector is over class tensors.  Shared: read only."""
+    """The class columns of one block class (m, a), each a table {class
+    tensor c: vector over class tensors}: levels[k][c] is u_k in c =
+    sum_k f_1^(k) u_k with e_1 u_k = 0, levels in increasing k;
+    raised[c] and lowered[c] are tilde_e c and tilde_f c, and
+    raised_at_zero[c] and lowered_at_zero[c] their ``residue_at_zero``.
+    Shared: read only."""
 
-    decomposition: dict
+    levels: dict
     raised: dict
     lowered: dict
     raised_at_zero: dict
@@ -222,16 +213,16 @@ def _string_basis(m: int, a: int) -> StringBasis:
     """The 1-string basis of the class space (m, a) at rank 2, solved once."""
     tensors = _class_tensors(m, a)
     index = {t: k for k, t in enumerate(tensors)}
-    levels = []  # (k, string top)
+    tops = []  # (k, string top)
     for k in range(m - a + 1):
         # a string top with a + k ones spans exactly a + k - (m - a - k)
         # steps down, so shorter strings cannot reach back to the class
         if 2 * (a + k) - m < k:
             continue
-        levels.extend((k, w) for w in
-                      kernel_on_weight_space(1, _class_tensors(m, a + k), 2))
+        tops.extend((k, w) for w in
+                    kernel_on_weight_space(1, _class_tensors(m, a + k), 2))
     raised, images, lowered = [], [], []
-    for k, w in levels:
+    for k, w in tops:
         # one f_1 chain per string top: f^(k-1) w, then f^(k) w, f^(k+1) w
         # by one step each, using f_1^(m) = f_1 f_1^(m-1) / [m]
         above = apply_f_power(w, 1, k - 1) if k else {}
@@ -244,45 +235,30 @@ def _string_basis(m: int, a: int) -> StringBasis:
     inverse = {t: {j: c for j, c in enumerate(col) if c}
                for t, col in zip(tensors, columns)}
 
-    def times_inverse(vectors, t):
-        """The vectors as matrix columns, times column t of C^-1."""
-        return vec_sum(*(vec_scale(c, vectors[j])
-                         for j, c in inverse[t].items()))
+    def times_inverse(vectors):
+        """The vectors as the columns of a matrix, times C^-1: the table
+        of its column per class tensor."""
+        return {t: vec_sum(*(vec_scale(c, vectors[j]) for j, c in col.items()))
+                for t, col in inverse.items()}
     # resubstitution check: C . C^-1 = I, one class tensor per column
-    for t in tensors:
-        if times_inverse(images, t) != unit(t):
-            raise ArithmeticError("string decomposition failed to reconstruct")
-    decomposition = {}
-    for t in tensors:
-        by_level = {}
-        for j, c in inverse[t].items():
-            k, w = levels[j]
-            by_level[k] = vec_sum(by_level.get(k, {}), vec_scale(c, w))
-        decomposition[t] = sorted(by_level.items())
-    raised = {t: times_inverse(raised, t) for t in tensors}
-    lowered = {t: times_inverse(lowered, t) for t in tensors}
+    if times_inverse(images) != {t: unit(t) for t in tensors}:
+        raise ArithmeticError("string decomposition failed to reconstruct")
+    # level k keeps the string tops of level k, in place, and no other
+    levels = {k: times_inverse([w if top_k == k else {}
+                                for top_k, w in tops])
+              for k in dict.fromkeys(k for k, _ in tops)}
+    raised, lowered = times_inverse(raised), times_inverse(lowered)
     return StringBasis(
-        decomposition, raised, lowered,
+        levels, raised, lowered,
         {t: residue_at_zero(col) for t, col in raised.items()},
         {t: residue_at_zero(col) for t, col in lowered.items()})
 
 
-class Block(NamedTuple):
-    """A basis tensor in its module under e_i and f_i: its weight, its
-    block class (m, a), its class tensor, and lift, the basis tensor of
-    the module for every unbarred word of length m over 1, 2.  The lift
-    is shared by the whole module: read only."""
-
-    weight: tuple
-    block_class: tuple
-    word: tuple
-    lift: dict
-
-
 @lru_cache(maxsize=None)
 def _blocks(i: int, n: int) -> dict:
-    """Basis tensor -> Block at (i, n), filled a module at a time by
-    ``_block``; it holds no solve, only the checked structure."""
+    """Basis tensor -> (class tensor, lift) at (i, n), filled a module at
+    a time by ``_block``; it holds no solve, only the checked structure.
+    A lift is shared by its whole module: read only."""
     return {}
 
 
@@ -299,45 +275,35 @@ def _lift(i: int, t) -> dict:
     return lift
 
 
-def _block(blocks: dict, i: int, t, n: int) -> Block:
-    """t's Block from the table of (i, n); on the first read of t's module,
-    check the factorization of e_i and f_i over the whole module."""
-    block = blocks.get(t)
-    if block is not None:
-        return block
-    lift = _lift(i, t)
-    for kind in ("e", "f"):
-        real, model = op((kind, i)), op((kind, 1))
-        for w, s in lift.items():
-            if real[s] != {(lift[x], k): c
-                           for (x, k), c in model[w].items()}:
-                raise ArithmeticError(
-                    f"{kind}_{i} on {s!r} is not the lift of {kind}_1 on "
-                    f"its class tensor {w!r}")
-    for w, s in lift.items():
-        blocks[s] = Block(tensor_weight(s, n), (len(w), w.count((1, 0))),
-                          w, lift)
-    return blocks[t]
-
-
-def _even_blocks(i, vec: dict, n: int) -> list:
-    """(coefficient, Block) per key of vec, a basis tensor of rank n;
-    ValueError unless the keys share one weight."""
+def _block(i: int, t, n: int) -> tuple:
+    """(class tensor, lift, StringBasis of the class) of the basis tensor
+    t at (i, n); on the first read of t's module, check the factorization
+    of e_i and f_i over the whole module."""
     blocks = _blocks(i, n)
-    pairs = [(c, _block(blocks, i, t, n)) for t, c in vec.items()]
-    if len({b.weight for _, b in pairs}) > 1:
-        raise ValueError("not a weight vector")
-    return pairs
+    if t not in blocks:
+        lift = _lift(i, t)
+        for kind in ("e", "f"):
+            real, model = op((kind, i)), op((kind, 1))
+            for w, s in lift.items():
+                if real[s] != {(lift[x], k): c
+                               for (x, k), c in model[w].items()}:
+                    raise ArithmeticError(
+                        f"{kind}_{i} on {s!r} is not the lift of {kind}_1 "
+                        f"on its class tensor {w!r}")
+        for w, s in lift.items():
+            blocks[s] = w, lift
+    w, lift = blocks[t]
+    return w, lift, _string_basis(len(w), w.count((1, 0)))
 
 
-def _lifted_sum(i, vec: dict, n: int, part: str) -> dict:
-    """sum over the keys t of vec of c_t times t's lifted class column; i
-    and every key are taken as checked."""
+def _lifted(i: int, vec: dict, n: int, columns: dict) -> dict:
+    """sum over the keys t of vec of c_t times the lift of t's column in
+    columns, a table {class tensor: column} of the keys' one class."""
     out = {}
-    for c, b in _even_blocks(i, vec, n):
-        column = getattr(_string_basis(*b.block_class), part)[b.word]
-        for x, y in column.items():
-            vec_add(out, b.lift[x], c * y)
+    for t, c in vec.items():
+        w, lift, _ = _block(i, t, n)
+        for x, y in columns[w].items():
+            vec_add(out, lift[x], c * y)
     return out
 
 
@@ -346,36 +312,43 @@ def _lifted_residue(i: int, t, n: int, part: str) -> tuple:
     "lowered" for tilde_f) at q = 0, read once per class and lifted:
     ``residue_at_zero(tilde_e(i, unit(t), n))`` for "raised".  i, n and t
     are taken as checked; t's module is checked on its first read."""
-    b = _block(_blocks(i, n), i, t, n)
-    residue, pole = getattr(_string_basis(*b.block_class),
-                            part + "_at_zero")[b.word]
+    w, lift, basis = _block(i, t, n)
+    residue, pole = getattr(basis, part + "_at_zero")[w]
     if pole is not None:
-        return None, (b.lift[pole[0]], pole[1])
-    return {b.lift[x]: value for x, value in residue.items()}, None
+        return None, (lift[pole[0]], pole[1])
+    return {lift[x]: value for x, value in residue.items()}, None
+
+
+def _weight_vector(i, vec: dict, n: int) -> StringBasis:
+    """The StringBasis of the class of vec's keys, once the rank n, the
+    even index i and the vector are checked and the keys found to share
+    one weight, else ValueError.  A weight fixes the class (m, a) at i,
+    so its columns serve every key; the zero vector reads none."""
+    check_rank(n)
+    _check_even_index(i, n)
+    check_vector(vec, n)
+    if len({tensor_weight(t, n) for t in vec}) > 1:
+        raise ValueError("not a weight vector")
+    if not vec:
+        return StringBasis({}, {}, {}, {}, {})
+    return _block(i, next(iter(vec)), n)[2]
 
 
 def string_decomposition(vec: dict, i: int, n: int) -> list:
     """Pairs (k, u_k) with vec = sum_k f_i^(k) u_k and e_i u_k = 0."""
-    _check_index(i, n)
-    by_level = {}
-    for c, b in _even_blocks(i, _checked(vec, n), n):
-        for k, u in _string_basis(*b.block_class).decomposition[b.word]:
-            level = by_level.setdefault(k, {})
-            for x, y in u.items():
-                vec_add(level, b.lift[x], c * y)
-    return sorted((k, u) for k, u in by_level.items() if u)
+    levels = _weight_vector(i, vec, n).levels
+    pairs = [(k, _lifted(i, vec, n, columns)) for k, columns in levels.items()]
+    return [(k, u) for k, u in pairs if u]
 
 
 def tilde_e(i: int, vec: dict, n: int) -> dict:
     """Even Kashiwara raising operator at q-level: sum f_i^(k-1) u_k."""
-    _check_index(i, n)
-    return _lifted_sum(i, _checked(vec, n), n, "raised")
+    return _lifted(i, vec, n, _weight_vector(i, vec, n).raised)
 
 
 def tilde_f(i: int, vec: dict, n: int) -> dict:
     """Even Kashiwara lowering operator at q-level: sum f_i^(k+1) u_k."""
-    _check_index(i, n)
-    return _lifted_sum(i, _checked(vec, n), n, "lowered")
+    return _lifted(i, vec, n, _weight_vector(i, vec, n).lowered)
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +379,19 @@ def tilde_fbar1_expr(n: int) -> Operator:
 
 def tilde_k1(vec: dict, n: int) -> dict:
     check_rank(n)
-    return act_expr(ktilde1_expr(n), _checked(vec, n))
+    check_vector(vec, n)
+    return act_expr(ktilde1_expr(n), vec)
 
 
 def tilde_ebar1(vec: dict, n: int) -> dict:
-    _check_index(1, n)
-    return act_expr(tilde_ebar1_expr(n), _checked(vec, n))
+    check_rank(n)
+    _check_even_index(1, n)
+    check_vector(vec, n)
+    return act_expr(tilde_ebar1_expr(n), vec)
 
 
 def tilde_fbar1(vec: dict, n: int) -> dict:
-    _check_index(1, n)
-    return act_expr(tilde_fbar1_expr(n), _checked(vec, n))
+    check_rank(n)
+    _check_even_index(1, n)
+    check_vector(vec, n)
+    return act_expr(tilde_fbar1_expr(n), vec)

@@ -8,7 +8,7 @@ label; the odd edge is dashed and labeled with a barred 1.
 
 import json
 
-from .graphs import ODD, CrystalGraph
+from .graphs import ODD, CrystalGraph, check_graph
 from .tableaux import Tableau, tableau_json
 
 DOT_ODD_LABEL = "1̄"  # 1 with combining macron, as in the usual figures
@@ -25,6 +25,7 @@ def node_payload(node):
 
 
 def graph_to_json(graph: CrystalGraph) -> dict:
+    check_graph(graph)
     return {
         "n": graph.n,
         "nodes": [
@@ -64,6 +65,7 @@ def _node_label(node) -> str:
 
 
 def graph_to_dot(graph: CrystalGraph) -> str:
+    check_graph(graph)
     lines = ["digraph crystal {", "  rankdir=TB;", "  node [shape=box];"]
     for k, b in enumerate(graph.nodes):
         lines.append(f'  {k} [label="{_node_label(b)}"];')

@@ -73,7 +73,8 @@ def check_word(w: Word, n: int) -> None:
 def _check_even_index(i: int, n: int) -> None:
     """An even index is an int in 1..n-1: a float or a bool is refused."""
     if type(i) is not int or not 1 <= i <= n - 1:
-        raise ValueError(f"even index {i!r} is not an int in 1..{n - 1}")
+        raise ValueError(f"even index {i!r} is not an int in 1..{n - 1} "
+                         f"at rank {n}")
 
 
 def weight_of(w: Word, n: int) -> tuple:

@@ -114,6 +114,31 @@ def test_operators_are_linear_on_a_weight_space():
         assert op(1, coeffs, n) == expected
 
 
+def test_multi_key_vectors_at_i_2_with_barred_spectators():
+    """At i = 2 every key's letters 1 are barred spectators, in varying
+    places, so one vector's keys lie in several modules of one class and
+    each key's column is lifted past them.  A sum over a whole weight
+    space and each string top of ker e_2 there (whose other levels sum
+    to zero) must decompose, recompose and shift exactly."""
+    n, i = 3, 2
+    scalars = [Q, ONE + Q * Q, (Q - ONE) / (Q + 2 * ONE), -ONE / Q,
+               2 * ONE, Q * Q * Q - ONE]
+    tops = 0
+    for mu in ((1, 1, 1), (1, 2, 0), (1, 0, 2), (2, 1, 0), (2, 0, 1)):
+        tensors = [t for t in basis(n, 3) if tensor_weight(t, n) == mu
+                   and all(s for j, s in t if j == 1)]
+        whole = {t: scalars[k % len(scalars)]
+                 for k, t in enumerate(tensors)}
+        assert len(whole) > 1
+        _check_string_decomposition(whole, i, n)
+        for top in kernel_on_weight_space(i, tensors, n):
+            if len(top) > 1:
+                tops += 1
+                _check_string_decomposition(top, i, n)
+                assert string_decomposition(top, i, n) == [(0, top)]
+    assert tops
+
+
 def test_solve_in_span_rejects_singular_systems():
     a, b = v(1, 2), v(2, 1)
     index = {a: 0, b: 1}
@@ -190,14 +215,21 @@ def residue_of(i, vec, n):
     return kashiwara._lifted_residue(i, t, n, "raised")
 
 
+def after_a_clean_key(i, vec, n):
+    """tilde_f on vec after a first key of its weight whose module has no
+    barred spectator."""
+    return tilde_f(i, {v(1, 3): ONE, **vec}, n)
+
+
 @pytest.mark.parametrize("kind, operator, key", [
     ("e", tilde_e, v(2, -3)), ("f", tilde_f, v(1, -3)),
-    ("e", residue_of, v(2, -3))])
+    ("e", residue_of, v(2, -3)), ("f", after_a_clean_key, v(1, -3))])
 def test_a_column_that_reads_a_spectator_bar_is_refused(
         monkeypatch, fresh_blocks, kind, operator, key):
     """e_1 or f_1 changing sign on a barred spectator letter 3 is no lift
     of its class column, so the block lift must refuse it, on the
-    operators' path and on the residue path."""
+    operators' path, for every key's module and not only the first
+    key's, and on the residue path."""
     real = kashiwara.op
 
     def patched(sym):

@@ -5,12 +5,12 @@ groups.
     python tools/digests.py --check              # compare with the record
     python tools/digests.py > tools/digests.json # re-record, deliberately
 
-The manifest holds 139 outputs.  ``relations`` is criterion 9's eight
+The manifest holds 140 outputs.  ``relations`` is criterion 9's eight
 ``verify_relations`` instances and ``verify_relations(2, 3,
 which="kbar")``, ``comult`` is ``verify_comult_odd`` for n = 2..4, and
-``residue`` is ``residue_check`` at (2..6, 1), (2..4, 2), (2, 3), (2, 4)
-and (3, 3): each such report is the JSON text ``report_to_json`` writes.
-``crystal`` is ``crystal_of_shape`` for every strict partition of size at
+``residue`` is ``residue_check`` at (2..6, 1), (2..4, 2), (2, 3), (2, 4),
+(3, 3) and (2, 5): each such report is the JSON text ``report_to_json``
+writes.  ``crystal`` is ``crystal_of_shape`` for every strict partition of size at
 most 6 with at most n parts, n = 1..3, and ``words`` is
 ``tensor_power_graph(n, N)`` for n = 2..5, N >= 1 and n^N <= 3000: each
 such graph as its DOT text, then its JSON text, as the CLI writes them.
@@ -34,7 +34,7 @@ DIGESTS = ROOT / "tools" / "digests.json"
 CRITERION_9 = [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (3, 3),
                (4, 3)]
 RESIDUE = [(n, 1) for n in range(2, 7)] + [(n, 2) for n in range(2, 5)] + [
-    (2, 3), (2, 4), (3, 3)]
+    (2, 3), (2, 4), (3, 3), (2, 5)]
 STRICT_6 = [(1,), (2,), (3,), (2, 1), (4,), (3, 1), (5,), (4, 1), (3, 2),
             (6,), (5, 1), (4, 2), (3, 2, 1)]
 SHAPES = [(parts, n) for n in (1, 2, 3) for parts in STRICT_6

@@ -56,6 +56,8 @@ EXACT = ("tests/test_qrep_action.py", "tests/test_qrep_kashiwara.py",
 MEMO = ("tests/test_tableaux.py",)
 # the staircase model, also against the Schur P character oracle
 STAIRCASE = WORDS + ("tests/test_schur_p.py",)
+# the entry contract's wrong-kind objects, graphs and vectors
+CONTRACT = ("tests/test_entry_contract.py",)
 # the committed output manifest, run as tools/digests.py --check
 DIGESTS = ("tools/digests.py",)
 
@@ -333,41 +335,58 @@ MUTANTS = (
     (PKG + "qrep/kashiwara.py", 'for kind in ("e", "f"):',
      'for kind in ("e",):',
      "the factorization check compares only the e_i column", EXACT),
-    (PKG + "qrep/kashiwara.py", "    check_rank(n)\n    if not (type(i)",
-     "    if not (type(i)",
+    (PKG + "qrep/kashiwara.py",
+     "    check_rank(n)\n    _check_even_index(i, n)\n",
+     "    _check_even_index(i, n)\n",
      "the even operators take a rank outside 1..255", EXACT),
-    (PKG + "qrep/kashiwara.py", "(type(i) is int and 1 <= i < n)",
-     "(isinstance(i, int) and 1 <= i < n)",
-     "the even operators take an index of True as 1", EXACT),
-    (PKG + "qrep/kashiwara.py", "(type(i) is int and 1 <= i < n)",
-     "(type(i) is int and 1 <= i <= n)",
-     "the even operators take the index n", EXACT),
+    (PKG + "words.py", "if type(i) is not int or not 1 <= i <= n - 1:",
+     "if not 1 <= i <= n - 1:",
+     "the Kashiwara operators take an index of True as 1", EXACT),
+    (PKG + "words.py", "if type(i) is not int or not 1 <= i <= n - 1:",
+     "if type(i) is not int or not 1 <= i <= n:",
+     "the Kashiwara operators take the index n", EXACT),
     (PKG + "qrep/kashiwara.py",
-     'return _lifted_sum(i, _checked(vec, n), n, "raised")',
-     'return _lifted_sum(i, vec, n, "raised")',
-     "tilde_e takes a key that is not a basis tensor", EXACT),
+     "    check_vector(vec, n)\n    if len({tensor_weight",
+     "    if len({tensor_weight",
+     "the even operators take a key that is not a basis tensor", EXACT),
     (PKG + "qrep/kashiwara.py",
-     "return act_expr(tilde_fbar1_expr(n), _checked(vec, n))",
-     "return act_expr(tilde_fbar1_expr(n), vec)",
+     '        raise ValueError("not a weight vector")',
+     "        pass",
+     "the even operators take keys of two weights", EXACT),
+    (PKG + "qrep/kashiwara.py",
+     "    check_vector(vec, n)\n    return act_expr(tilde_fbar1_expr(n), vec)",
+     "    return act_expr(tilde_fbar1_expr(n), vec)",
      "tilde_fbar1 takes a key that is not a basis tensor", EXACT),
+    (PKG + "qrep/action.py",
+     "    for t in vec:\n        if not (type(t) is tuple",
+     "    seen = check_vector.__dict__.setdefault(\"seen\", set())\n"
+     "    for t in vec.keys() - seen:\n        seen.add(t)\n"
+     "        if not (type(t) is tuple",
+     "the vector check passes a key the first time an equal key was "
+     "seen, as a cache would", EXACT),
+    (PKG + "qrep/action.py", "    if not isinstance(vec, dict):\n",
+     "    if False:\n",
+     "the vector check takes an object that is not a dict", CONTRACT),
+    (PKG + "qrep/action.py", "        if len(t) != len(first):\n",
+     "        if False:\n",
+     "the vector check takes keys of two lengths", EXACT),
+    (PKG + "graphs.py", "        if not isinstance(g, CrystalGraph):\n",
+     "        if False:\n",
+     "the graph functions take an object that is not a graph", CONTRACT),
     (PKG + "qrep/kashiwara.py",
-     "    for t in vec:\n        check_basis_tensor(t, n)\n",
-     "    seen = _checked.__dict__.setdefault(\"seen\", set())\n"
-     "    for t in vec.keys() - seen:\n        check_basis_tensor(t, n)\n"
-     "        seen.add(t)\n",
-     "the Kashiwara operators check a key only the first time an equal "
-     "key is seen, as a cache would", EXACT),
-    (PKG + "qrep/kashiwara.py",
-     "    check_rank(n)\n    return act_expr(ktilde1_expr(n),",
+     "    check_rank(n)\n    check_vector(vec, n)\n"
      "    return act_expr(ktilde1_expr(n),",
+     "    check_vector(vec, n)\n    return act_expr(ktilde1_expr(n),",
      "ktilde_1 takes a rank that is not an int in 1..255", EXACT),
     (PKG + "qrep/kashiwara.py",
-     "    _check_index(1, n)\n    return act_expr(tilde_ebar1_expr(n),",
+     "    _check_even_index(1, n)\n    check_vector(vec, n)\n"
      "    return act_expr(tilde_ebar1_expr(n),",
+     "    check_vector(vec, n)\n    return act_expr(tilde_ebar1_expr(n),",
      "tilde_ebar1 takes rank 1", EXACT),
     (PKG + "qrep/kashiwara.py",
-     "    _check_index(1, n)\n    return act_expr(tilde_fbar1_expr(n),",
-     "    return act_expr(tilde_fbar1_expr(n),",
+     "    check_rank(n)\n    _check_even_index(1, n)\n"
+     "    check_vector(vec, n)\n    return act_expr(tilde_fbar1_expr(n),",
+     "    check_vector(vec, n)\n    return act_expr(tilde_fbar1_expr(n),",
      "tilde_fbar1 takes rank 1 or a rank that is not an int", EXACT),
     (PKG + "qrep/action.py", "c1 * c2)", "c1)",
      "a product keeps the coefficient of its right factor and drops the "
@@ -406,18 +425,31 @@ MUTANTS = (
      "        if not c.is_regular_at_zero():\n            return None, (t, c)\n",
      "", "a residue is taken without testing for a pole at q = 0", EXACT),
     (PKG + "qrep/kashiwara.py",
-     "return {b.lift[x]: value for x, value in residue.items()}, None",
+     "return {lift[x]: value for x, value in residue.items()}, None",
      "return dict(residue), None",
      "the lifted residue keeps the class tensors as its keys", EXACT),
-    (PKG + "qrep/kashiwara.py", "(b.lift[pole[0]], pole[1])", "pole",
+    (PKG + "qrep/kashiwara.py", "(lift[pole[0]], pole[1])", "pole",
      "the lifted residue names a pole by its class tensor", EXACT),
-    (PKG + "qrep/kashiwara.py", "    b = _block(_blocks(i, n), i, t, n)\n"
-     "    residue, pole",
+    (PKG + "qrep/kashiwara.py", "    w, lift, basis = _block(i, t, n)\n",
      "    lift = _lift(i, t)\n"
      "    w = next(w for w, s in lift.items() if s == t)\n"
-     "    b = Block(None, (len(w), w.count((1, 0))), w, lift)\n"
-     "    residue, pole",
+     "    basis = _string_basis(len(w), w.count((1, 0)))\n",
      "the residue path lifts without the factorization check", EXACT),
+    (PKG + "qrep/kashiwara.py", "        w, lift, _ = _block(i, t, n)\n",
+     "        lift = _lift(i, t)\n"
+     "        w = next(w for w, s in lift.items() if s == t)\n",
+     "the one reader lifts a key without its module's factorization "
+     "check", EXACT),
+    (PKG + "qrep/kashiwara.py", "    return [(k, u) for k, u in pairs if u]",
+     "    return pairs",
+     "string_decomposition keeps a level whose part is zero", EXACT),
+    (PKG + "qrep/kashiwara.py",
+     "for k, columns in levels.items()]",
+     "for k, columns in list(levels.items())[1:]]",
+     "string_decomposition drops its lowest level", EXACT),
+    (PKG + "qrep/kashiwara.py",
+     "[w if top_k == k else {}", "[w if top_k <= k else {}",
+     "a class level takes in the string tops of the levels below it", EXACT),
     (PKG + "serialize.py", '"." * (start - min_col)',
      '" " * (start - min_col)',
      "a staircase row's DOT label is indented by spaces, not dots", DIGESTS),
