@@ -88,7 +88,14 @@ class _Frozen:
         return type(self), self._values()
 
 
-class CrystalGraph(_Frozen):
+class _Adapter:
+    """The base of the library's ops adapters: ``WordOps``,
+    ``TableauOps`` and ``CrystalGraph`` (see ``check_ops``)."""
+
+    __slots__ = ()
+
+
+class CrystalGraph(_Frozen, _Adapter):
     """Nodes in canonical order, their weights, and one successor array
     per label: ``arrows[k][s]`` is the index of f(node s) for the k-th
     label of ``all_labels(n)``, or -1 where that operator vanishes.
@@ -194,11 +201,18 @@ def check_graph(*graphs) -> None:
             raise TypeError(f"{type(g).__name__} is not a CrystalGraph")
 
 
+def check_ops(ops) -> None:
+    """Raise TypeError unless ops is one of the library's adapters."""
+    if not isinstance(ops, _Adapter):
+        raise TypeError(f"{type(ops).__name__} is not an ops adapter "
+                        "(WordOps, TableauOps or a CrystalGraph)")
+
+
 # ---------------------------------------------------------------------------
 # ops adapters
 
 
-class WordOps:
+class WordOps(_Adapter):
     """Kashiwara operators on words (kernel-backed)."""
 
     kind = "word"
@@ -313,6 +327,7 @@ def _ordered(ops, elements):
 
 def build_graph(ops, elements) -> CrystalGraph:
     """Crystal graph on a set of elements closed under the operators."""
+    check_ops(ops)
     nodes, weights, index = _ordered(ops, elements)
     lowering = [ops.fbar1 if lab == ODD else partial(ops.f, lab)
                 for lab in all_labels(ops.n)]
@@ -337,6 +352,7 @@ def closure(ops, seed) -> CrystalGraph:
     generic form, for any adapter, is ``build_graph(ops, closure_set(ops,
     seed))``; it gives the same graph.
     """
+    check_ops(ops)
     n = ops.n
     down_letters, up_letters = kernel.edit_letters(n)
     edits = kernel.edits
@@ -364,6 +380,7 @@ def closure(ops, seed) -> CrystalGraph:
 
 def components(ops, elements) -> list:
     """Split a set of elements into connected components (stable order)."""
+    check_ops(ops)
     pool = set(elements)
     seen = set()
     out = []
@@ -524,6 +541,7 @@ def validate(graph: CrystalGraph) -> None:
     the simple root of its label (the odd label shares alpha_1); a graph
     that breaks either raises ``StructureError``.
     """
+    check_graph(graph)
     for lab, succ in zip(all_labels(graph.n), graph.arrows):
         targets = [d for d in succ if d >= 0]
         if len(targets) != len(set(targets)) or any(

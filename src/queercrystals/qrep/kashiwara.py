@@ -19,16 +19,28 @@ active factors, drops their bars and shifts the letters i, i+1 to 1, 2;
 the lift reverses that, shifting the letters back, restoring each
 factor's own bar and putting the spectator factors back in place.
 
-Each class is solved once and cached: the string tops w_j of ker e_1
-whose strings pass through it, the matrix C whose columns are their
-images f_1^(k_j) w_j, and C^-1 from one dense RREF over the rational
-functions.  The solve raises unless C is square and invertible, and the
-result is verified as the exact identity C . C^-1 = I on every tensor of
-the class.  What is kept are class columns, each a table {class tensor:
-vector} made by one product with C^-1: per level k the part u_k of the
-string decomposition (``levels``), and the images under tilde_e and
-tilde_f.  The class also keeps the images' values at q = 0, or their
-first poles (``residue_at_zero``).
+Each class is solved once and cached, over Z[q, q^-1] with integer
+Laurent vectors.  Its string tops w_j, the tops of ker e_1 whose strings
+pass through it, are an orthogonal basis (``_tops``) for the symmetric
+form in which the basis tensors are orthonormal.  For that form <e_1 x,
+y> = <x, q f_1 K^-1 y>, K = q^(k_1 - k_2), so strings from distinct tops
+are orthogonal and the matrix C whose columns are the undivided images
+F_j = f_1^(k_j) w_j has a diagonal C^T C: C^-1 = diag(1 / N_j) C^T, N_j
+= <F_j, F_j>, with no elimination.  The class keeps D C^-1 over one
+denominator D, the lcm of the N_j, and verifies C . (D C^-1) = D I
+exactly on every class tensor; its trace counts the tops, so C is square
+and D C^-1 is D times its inverse.  What is kept are class columns, each
+a table {class tensor: integer Laurent vector}, a numerator over D made
+by one product with D C^-1: per level k the part u_k of the string
+decomposition (``levels``), and the images under tilde_e and tilde_f.
+The class also keeps the images' values at q = 0, or their first poles,
+read off the numerators without a gcd (``_numerator_at_zero``).
+tilde_e, tilde_f and string_decomposition read a RatFunc view of the
+class, built on first use (``_class_view``); the residue path never
+builds it.  ``kernel_on_weight_space``, ``solve_in_span`` and
+``apply_f_power`` solve a class over RatFunc as before, the oracle the
+tests hold the classes to; ``_rref`` also ranks ``residue_check``'s
+residue maps.
 
 A table per (i, n) maps each basis tensor t to its class tensor and the
 lift of its module (``_block``).  One reader, ``_lifted``, sums c_t
@@ -43,7 +55,8 @@ operators first read one of its tensors at (i, n): on every tensor of the
 module the real columns of e_i and f_i must equal the lifts of the columns
 of e_1 and f_1 on its class tensor, else ArithmeticError.  Lifting is then
 an isomorphism of U_q(sl_2)_i-modules from the class spaces onto the
-blocks, so C_block = lift(C_class) and C_block . lift(C_class^-1) = I:
+blocks, so C_block = lift(C_class) and C_block . lift(D C_class^-1) =
+D I:
 every basis tensor is covered by the factorization check and every class
 tensor by the class identity.
 
@@ -68,10 +81,12 @@ from itertools import product
 from typing import NamedTuple
 
 from ..words import _check_even_index, check_rank
-from .action import (Operator, act_expr, act_prim, bracket, check_vector,
-                     compose, op, qh_expr, scale, tensor_weight, unit,
-                     vec_add, vec_scale, vec_sum)
-from .laurent import ONE, Q, ZERO, gauss_int
+from .action import (Operator, _apply, _laurent_terms, _times, act_expr,
+                     act_prim, bracket, check_vector, compose, op, qh_expr,
+                     ratfunc_vector, scale, tensor_weight, vec_add,
+                     vec_scale)
+from .laurent import (ONE, Q, ZERO, RatFunc, gauss_int, pdiv_exact, pgcd,
+                      pmul, pnorm)
 
 # ---------------------------------------------------------------------------
 # linear algebra over the fraction field
@@ -162,16 +177,13 @@ def kernel_on_weight_space(i: int, tensors: list, n: int) -> list:
 
 
 def apply_f_power(vec: dict, i: int, k: int) -> dict:
-    """Divided power f_i^(k) = f_i^k / [k]!, one divided step at a time."""
+    """Divided power f_i^(k) = f_i^k / [k]!, one divided step at a time,
+    using f_i^(m) = f_i f_i^(m-1) / [m]."""
     for m in range(1, k + 1):
-        vec = _divided_step(vec, i, m)
+        vec = act_prim(("f", i), vec)
+        if m >= 2:
+            vec = vec_scale(ONE / gauss_int(m), vec)
     return vec
-
-
-def _divided_step(vec: dict, i: int, m: int) -> dict:
-    """f_i^(m) w from vec = f_i^(m-1) w."""
-    vec = act_prim(("f", i), vec)
-    return vec_scale(ONE / gauss_int(m), vec) if m >= 2 else vec
 
 
 def _class_tensors(m: int, a: int) -> list:
@@ -180,14 +192,92 @@ def _class_tensors(m: int, a: int) -> list:
             if w.count(1) == a]
 
 
+# ---------------------------------------------------------------------------
+# block classes over Z[q, q^-1]
+
+
+def _by_tensor(vec: dict) -> dict:
+    """An integer Laurent vector as {tensor: [(exponent, int), ...]}."""
+    out = {}
+    for (t, k), x in vec.items():
+        out.setdefault(t, []).append((k, x))
+    return out
+
+
+def _polynomial(terms) -> tuple:
+    """(lo, p): the Laurent polynomial of the (exponent, int) pairs as
+    q^lo times the polynomial p, whose constant term is nonzero."""
+    lo = min(k for k, x in terms if x)
+    p = [0] * (max(k for k, _ in terms) - lo + 1)
+    for k, x in terms:
+        p[k - lo] += x
+    return lo, pnorm(p)
+
+
+def _over_gauss_int(vec: dict, k: int) -> dict:
+    """vec / [k] for an integer Laurent vector that [k] divides in
+    Z[q, q^-1]: [k] is num / q^(k-1) in normal form, and each entry is
+    divided by num by integer long division; else ArithmeticError."""
+    g = gauss_int(k)
+    out = {}
+    for t, terms in _by_tensor(vec).items():
+        lo, p = _polynomial(terms)
+        for j, x in enumerate(pdiv_exact(p, g.num)):
+            if x:
+                out[t, lo + len(g.den) - 1 + j] = x
+    return out
+
+
+def _norm(vec: dict) -> tuple:
+    """<vec, vec> as (lo, p), for the symmetric form in which the basis
+    tensors are orthonormal: the sum of each entry's square."""
+    square = {}
+    for terms in _by_tensor(vec).values():
+        for k1, x1 in terms:
+            for k2, x2 in terms:
+                square[k1 + k2] = square.get(k1 + k2, 0) + x1 * x2
+    return _polynomial(square.items())
+
+
+@lru_cache(maxsize=None)
+def _tops(m: int) -> dict:
+    """String tops at rank 2: an orthogonal basis of ker e_1 on V^(x)m,
+    {weight lam = #1 - #2: [integer Laurent vectors]}, for the symmetric
+    form in which the basis tensors are orthonormal.  A top w of V^(x)m-1
+    of weight lam gives w (x) v_1 and, when lam > 0, [lam] w (x) v_2 - q
+    f_1 w (x) v_1, which e_1 kills since e_1 f_1 w = [lam] w; tops with
+    distinct prefixes lie in orthogonal modules.  Every top is checked
+    to be in ker e_1, else ArithmeticError."""
+    if m == 0:
+        return {0: [{((), 0): 1}]}
+    e, f = op(("e", 1)), op(("f", 1))
+    out = {}
+    for lam, prefixes in _tops(m - 1).items():
+        for w in prefixes:
+            out.setdefault(lam + 1, []).append(
+                {(t + ((1, 0),), k): x for (t, k), x in w.items()})
+            if lam:
+                top = _times(_laurent_terms(gauss_int(lam)), {
+                    (t + ((2, 0),), k): x for (t, k), x in w.items()})
+                for (t, k), x in _apply(f, w, {}).items():
+                    vec_add(top, (t + ((1, 0),), k + 1), -x)
+                out.setdefault(lam - 1, []).append(top)
+    if any(_apply(e, w, {}) for tops in out.values() for w in tops):
+        raise ArithmeticError(f"a string top of V^(x){m} is not in ker e_1")
+    return out
+
+
 class StringBasis(NamedTuple):
     """The class columns of one block class (m, a), each a table {class
-    tensor c: vector over class tensors}: levels[k][c] is u_k in c =
-    sum_k f_1^(k) u_k with e_1 u_k = 0, levels in increasing k;
-    raised[c] and lowered[c] are tilde_e c and tilde_f c, and
-    raised_at_zero[c] and lowered_at_zero[c] their ``residue_at_zero``.
-    Shared: read only."""
+    tensor c: integer Laurent vector over class tensors}, a numerator over
+    the class denominator D, a polynomial (its coefficient tuple):
+    levels[k][c] / D is u_k in c = sum_k f_1^(k) u_k with e_1 u_k = 0,
+    levels in increasing k; raised[c] / D and lowered[c] / D are tilde_e
+    c and tilde_f c.  A numerator's keys (tensor, exponent) are sorted.
+    raised_at_zero[c] and lowered_at_zero[c] are the images at q = 0, as
+    ``residue_at_zero`` gives them.  Shared: read only."""
 
+    denominator: tuple
     levels: dict
     raised: dict
     lowered: dict
@@ -208,50 +298,114 @@ def residue_at_zero(vec: dict) -> tuple:
     return residue, None
 
 
+def _numerator_at_zero(column: dict, d: tuple) -> tuple:
+    """``residue_at_zero`` of the vector column / d, read off the
+    numerator without a gcd.  With d = q^v d_0, d_0(0) != 0, an entry is
+    regular at q = 0 just when its numerator has no term below q^v, and
+    its value there is its q^v coefficient over d_0(0).  The keys of
+    column are sorted, so each tensor's lowest term comes first; a pole
+    builds the one RatFunc of its coefficient."""
+    v = next(k for k, x in enumerate(d) if x)
+    residue = {}
+    for (t, k), x in column.items():
+        if k < v:
+            return None, (t, ratfunc_vector(column)[t] / RatFunc.laurent(0, d))
+        if k == v:
+            residue[t] = RatFunc((x,), (d[v],))
+    return residue, None
+
+
 @lru_cache(maxsize=None)
 def _string_basis(m: int, a: int) -> StringBasis:
-    """The 1-string basis of the class space (m, a) at rank 2, solved once."""
+    """The 1-string basis of the class space (m, a) at rank 2, solved once
+    over Z[q, q^-1].  The images F_j = f_1^k w_j of the string tops, the
+    columns of C, are orthogonal, so C^-1 = diag(1 / N_j) C^T with N_j =
+    <F_j, F_j>: D is the lcm of the N_j and D C^-1 has the entries (D /
+    N_j) F_j[c], checked by C . (D C^-1) = D I on every class tensor."""
     tensors = _class_tensors(m, a)
-    index = {t: k for k, t in enumerate(tensors)}
     tops = []  # (k, string top)
     for k in range(m - a + 1):
         # a string top with a + k ones spans exactly a + k - (m - a - k)
         # steps down, so shorter strings cannot reach back to the class
         if 2 * (a + k) - m < k:
             continue
-        tops.extend((k, w) for w in
-                    kernel_on_weight_space(1, _class_tensors(m, a + k), 2))
-    raised, images, lowered = [], [], []
+        tops.extend((k, w) for w in _tops(m).get(2 * (a + k) - m, []))
+    f = op(("f", 1))
+    levels, raised, images, lowered = [], [], [], []
     for k, w in tops:
-        # one f_1 chain per string top: f^(k-1) w, then f^(k) w, f^(k+1) w
-        # by one step each, using f_1^(m) = f_1 f_1^(m-1) / [m]
-        above = apply_f_power(w, 1, k - 1) if k else {}
-        image = _divided_step(above, 1, k) if k else w
-        raised.append(above)
-        images.append(image)
-        lowered.append(_divided_step(image, 1, k + 1))
-    columns = solve_in_span(images, [unit(t) for t in tensors], index)
-    # C^-1 by column: inverse[t] is {j: (C^-1)[j, t]}
-    inverse = {t: {j: c for j, c in enumerate(col) if c}
-               for t, col in zip(tensors, columns)}
+        # f^(k) = f^k / [k]!, so with the undivided images the level is
+        # [k]! w, the raised image [k] f^(k-1) w and the lowered one
+        # f^(k+1) w / [k+1]
+        chain = [w]
+        for _ in range(k + 1):
+            chain.append(_apply(f, chain[-1], {}))
+        for j in range(1, k + 1):
+            w = _times(_laurent_terms(gauss_int(j)), w)
+        levels.append(w)
+        raised.append(_times(_laurent_terms(gauss_int(k)), chain[k - 1])
+                      if k else {})
+        images.append(chain[k])
+        lowered.append(_over_gauss_int(chain[k + 1], k + 1))
+    norms = [_norm(image) for image in images]
+    d = (1,)
+    for p in dict.fromkeys(p for _, p in norms):
+        d = pmul(d, pdiv_exact(p, pgcd(d, p)))
+    # D C^-1 by row j: D / N_j, then F_j[c] per class tensor c
+    ratios = [tuple((k - lo, x) for k, x in enumerate(pdiv_exact(d, p)) if x)
+              for lo, p in norms]
+    entries = {t: [] for t in tensors}
+    for j, image in enumerate(images):
+        for t, terms in _by_tensor(image).items():
+            entries[t].append((j, terms))
 
-    def times_inverse(vectors):
-        """The vectors as the columns of a matrix, times C^-1: the table
-        of its column per class tensor."""
-        return {t: vec_sum(*(vec_scale(c, vectors[j]) for j, c in col.items()))
-                for t, col in inverse.items()}
-    # resubstitution check: C . C^-1 = I, one class tensor per column
-    if times_inverse(images) != {t: unit(t) for t in tensors}:
+    def over_d(vectors):
+        """The vectors as the columns of a matrix, times D C^-1: the
+        table of its column per class tensor, keys sorted."""
+        scaled = [_times(r, vec) for r, vec in zip(ratios, vectors)]
+        out = {}
+        for t, row in entries.items():
+            col = {}
+            for j, terms in row:
+                for key, x in _times(terms, scaled[j]).items():
+                    vec_add(col, key, x)
+            out[t] = dict(sorted(col.items()))
+        return out
+    # resubstitution check: C . (D C^-1) = D I, one class tensor per column
+    if over_d(images) != {t: {(t, k): x for k, x in enumerate(d) if x}
+                          for t in tensors}:
         raise ArithmeticError("string decomposition failed to reconstruct")
     # level k keeps the string tops of level k, in place, and no other
-    levels = {k: times_inverse([w if top_k == k else {}
-                                for top_k, w in tops])
+    levels = {k: over_d([w if top_k == k else {}
+                         for (top_k, _), w in zip(tops, levels)])
               for k in dict.fromkeys(k for k, _ in tops)}
-    raised, lowered = times_inverse(raised), times_inverse(lowered)
+    raised, lowered = over_d(raised), over_d(lowered)
     return StringBasis(
-        levels, raised, lowered,
-        {t: residue_at_zero(col) for t, col in raised.items()},
-        {t: residue_at_zero(col) for t, col in lowered.items()})
+        d, levels, raised, lowered,
+        {t: _numerator_at_zero(col, d) for t, col in raised.items()},
+        {t: _numerator_at_zero(col, d) for t, col in lowered.items()})
+
+
+class _View(NamedTuple):
+    """A class's levels, raised and lowered tables over RatFunc."""
+
+    levels: dict
+    raised: dict
+    lowered: dict
+
+
+@lru_cache(maxsize=None)
+def _class_view(m: int, a: int) -> _View:
+    """The RatFunc view of the class (m, a): each numerator over D as a
+    vector {class tensor: RatFunc}, built once on first use.  Shared:
+    read only."""
+    basis = _string_basis(m, a)
+    inverse = ONE / RatFunc.laurent(0, basis.denominator)
+
+    def view(table):
+        return {t: vec_scale(inverse, ratfunc_vector(col))
+                for t, col in table.items()}
+    return _View({k: view(table) for k, table in basis.levels.items()},
+                 view(basis.raised), view(basis.lowered))
 
 
 @lru_cache(maxsize=None)
@@ -319,8 +473,8 @@ def _lifted_residue(i: int, t, n: int, part: str) -> tuple:
     return {lift[x]: value for x, value in residue.items()}, None
 
 
-def _weight_vector(i, vec: dict, n: int) -> StringBasis:
-    """The StringBasis of the class of vec's keys, once the rank n, the
+def _weight_vector(i, vec: dict, n: int) -> _View:
+    """The RatFunc view of the class of vec's keys, once the rank n, the
     even index i and the vector are checked and the keys found to share
     one weight, else ValueError.  A weight fixes the class (m, a) at i,
     so its columns serve every key; the zero vector reads none."""
@@ -330,8 +484,9 @@ def _weight_vector(i, vec: dict, n: int) -> StringBasis:
     if len({tensor_weight(t, n) for t in vec}) > 1:
         raise ValueError("not a weight vector")
     if not vec:
-        return StringBasis({}, {}, {}, {}, {})
-    return _block(i, next(iter(vec)), n)[2]
+        return _View({}, {}, {})
+    w = _block(i, next(iter(vec)), n)[0]
+    return _class_view(len(w), w.count((1, 0)))
 
 
 def string_decomposition(vec: dict, i: int, n: int) -> list:

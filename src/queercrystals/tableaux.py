@@ -40,8 +40,8 @@ from functools import lru_cache
 
 from . import kernel
 from .errors import StructureError, VerificationError
-from .graphs import (ODD, CrystalGraph, WordOps, _Frozen, _set, all_labels,
-                     build_graph, closure)
+from .graphs import (ODD, CrystalGraph, WordOps, _Adapter, _Frozen, _set,
+                     all_labels, build_graph, closure)
 from .words import _integer, check_rank, check_word
 
 Parts = tuple  # strict partition as a tuple of parts
@@ -209,7 +209,7 @@ def reading_word(t: Tableau, reading: str = "row") -> bytes:
     return bytes(t.entries[k] for k in order)
 
 
-class TableauOps:
+class TableauOps(_Adapter):
     """Kashiwara operators on tableaux of one shape, via a reading."""
 
     kind = "tableau"

@@ -281,15 +281,19 @@ def polar(v, *_):
 
 
 def test_a_residue_with_a_pole_fails_lattice_stability(monkeypatch):
-    """Every class tensor c's raised column made {c: 1/q}: the residue
-    check reads the class residues, so e_1 fails on both patterns."""
+    """Every class tensor c's raised numerator made D / q on c, so that
+    its column is {c: 1/q}: the residue check reads the class residues
+    off the numerators, so e_1 fails on both patterns."""
     real = kashiwara._string_basis
 
     def polar_raised(m, a):
         basis = real(m, a)
-        raised = {c: polar(unit(c)) for c in basis.raised}
+        d = basis.denominator
+        raised = {c: {(c, k - 1): x for k, x in enumerate(d) if x}
+                  for c in basis.raised}
         return basis._replace(raised=raised, raised_at_zero={
-            c: kashiwara.residue_at_zero(col) for c, col in raised.items()})
+            c: kashiwara._numerator_at_zero(col, d)
+            for c, col in raised.items()})
 
     monkeypatch.setattr(kashiwara, "_string_basis", polar_raised)
     rep = residue_check(2, 1)

@@ -176,30 +176,108 @@ def test_rref_pivots_build_no_new_one(monkeypatch):
 
 @pytest.fixture
 def fresh_string_bases():
-    kashiwara._string_basis.cache_clear()
+    caches = (kashiwara._tops, kashiwara._string_basis,
+              kashiwara._class_view)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    kashiwara._string_basis.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 def test_dependent_string_tops_raise(monkeypatch, fresh_string_bases):
-    kernel = kashiwara.kernel_on_weight_space
-    monkeypatch.setattr(kashiwara, "kernel_on_weight_space",
-                        lambda i, tensors, n: 2 * kernel(i, tensors, n))
-    with pytest.raises(ArithmeticError, match="dependent"):
+    """Each top listed twice makes C wider than square; C . (D C^-1) then
+    has the trace D times the number of tops, so it is not D I."""
+    tops = kashiwara._tops
+    monkeypatch.setattr(kashiwara, "_tops", lambda m: {
+        lam: 2 * ws for lam, ws in tops(m).items()})
+    with pytest.raises(ArithmeticError, match="reconstruct"):
         tilde_f(1, unit(v(1, 2)), 2)
 
 
+def test_a_top_outside_the_kernel_is_refused(monkeypatch,
+                                             fresh_string_bases):
+    """[2] taken as the integer 2 builds a top of V^(x)3 that e_1 does
+    not kill."""
+    monkeypatch.setattr(kashiwara, "gauss_int", RatFunc.from_int)
+    with pytest.raises(ArithmeticError, match="not in ker e_1"):
+        tilde_f(1, unit(v(1, 1, 2)), 2)
+
+
 def test_a_wrong_inverse_fails_resubstitution(monkeypatch, fresh_string_bases):
-    solve = kashiwara.solve_in_span
+    """Norms off by their own lowest term give a D C^-1 that is no
+    inverse of C."""
+    norm = kashiwara._norm
 
-    def off_by_one(vectors, targets, index):
-        columns = solve(vectors, targets, index)
-        columns[0][0] = columns[0][0] + ONE
-        return columns
+    def off(vec):
+        lo, p = norm(vec)
+        return lo, (2 * p[0],) + p[1:]
 
-    monkeypatch.setattr(kashiwara, "solve_in_span", off_by_one)
+    monkeypatch.setattr(kashiwara, "_norm", off)
     with pytest.raises(ArithmeticError, match="reconstruct"):
         tilde_e(1, unit(v(2, 1)), 2)
+
+
+def class_oracle(m, a):
+    """The class (m, a) solved over RatFunc as (levels, raised, lowered),
+    each column's keys sorted: the string tops of ker e_1 by
+    kernel_on_weight_space, their images f_1^(k) w by apply_f_power and
+    C^-1 by solve_in_span."""
+    tensors = kashiwara._class_tensors(m, a)
+    tops = [(k, w) for k in range(m - a + 1) if 2 * (a + k) - m >= k
+            for w in kernel_on_weight_space(
+                1, kashiwara._class_tensors(m, a + k), 2)]
+    inverse = solve_in_span([apply_f_power(w, 1, k) for k, w in tops],
+                            [unit(t) for t in tensors],
+                            {t: r for r, t in enumerate(tensors)})
+
+    def table(vectors):
+        return {t: dict(sorted(vec_sum(*(vec_scale(c, x) for c, x in
+                                         zip(col, vectors))).items()))
+                for t, col in zip(tensors, inverse)}
+    levels = {k: table([w if top_k == k else {} for top_k, w in tops])
+              for k in dict.fromkeys(k for k, _ in tops)}
+    return (levels,
+            table([apply_f_power(w, 1, k - 1) if k else {} for k, w in tops]),
+            table([apply_f_power(w, 1, k + 1) for k, w in tops]))
+
+
+def in_order(table):
+    """A residue table with the order of every dict in it, as lists."""
+    return [(t, residue and list(residue.items()), pole)
+            for t, (residue, pole) in table.items()]
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_every_class_equals_the_ratfunc_oracle(m):
+    """The RatFunc view of each class with m <= 5 equals the oracle
+    solve, and its residues at q = 0, read off the numerators, equal
+    residue_at_zero of the oracle's columns, in the same key order."""
+    for a in range(m + 1):
+        levels, raised, lowered = class_oracle(m, a)
+        assert tuple(kashiwara._class_view(m, a)) == (levels, raised,
+                                                      lowered), (m, a)
+        basis = kashiwara._string_basis(m, a)
+        for at_zero, oracle in ((basis.raised_at_zero, raised),
+                                (basis.lowered_at_zero, lowered)):
+            expected = {t: kashiwara.residue_at_zero(col)
+                        for t, col in oracle.items()}
+            assert in_order(at_zero) == in_order(expected), (m, a)
+
+
+def test_a_numerator_is_read_at_q_to_the_v():
+    """Over D = q^2 (-2 + q), v = 2: an entry is regular at q = 0 just
+    when its numerator has no term below q^2, and its value there is its
+    q^2 coefficient over D_0(0) = -2, sign included; a value 0 is
+    dropped.  A term below q^2 is a pole, named with its RatFunc."""
+    d = (0, 0, -2, 1)
+    a, b, c = v(1, 2), v(2, 1), v(2, 2)
+    column = {(a, 2): 4, (a, 5): 1, (b, 3): 7, (c, 2): -1, (c, 4): 3}
+    assert in_order({0: kashiwara._numerator_at_zero(column, d)}) == [
+        (0, [(a, -2), (c, RatFunc((1,), (2,)))], None)]
+    column = {(a, 2): 4, (b, 1): 3, (b, 2): 1, (c, 0): 1}
+    assert kashiwara._numerator_at_zero(column, d) == (
+        None, (b, (3 * ONE + Q) / (Q * (Q - 2 * ONE))))
 
 
 @pytest.fixture

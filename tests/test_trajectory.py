@@ -49,3 +49,16 @@ def test_the_rows_show_the_medians_in_the_files(capsys, monkeypatch):
             cell = (f"{workload} {result['parent']['median']:.4g} -> "
                     f"{result['change']['median']:.4g} {result['verdict']}")
             assert cell in line, (path.name, cell, line)
+
+
+def test_every_row_lists_the_workloads_in_the_benchmarks_order():
+    """The columns line up: each row names its workloads in the order
+    BENCHMARK.json declares them, whatever order the record keeps."""
+    order = [w["name"] for w in _load(ROOT / "BENCHMARK.json")["workloads"]]
+    for path in PATHS:
+        names = [workload for workload, *_ in trajectory.row(_load(path))]
+        assert names == [w for w in order if w in names], path.name
+    record = _load(PATHS[0])
+    record["end_to_end"] = dict(reversed(record["end_to_end"].items()))
+    assert [w for w, *_ in trajectory.row(record)] == [
+        w for w in order if w in record["end_to_end"]]

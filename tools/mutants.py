@@ -9,9 +9,11 @@ values at q = 0, basis tensors and vectors, the algebra action, the
 checks of its primitive symbols, its generator table and the checks of
 its entry point, operators over Z[q, q^-1], their products, their
 scalars and their RatFunc view, string decompositions by block class,
-their lift and its factorization check, their residues at q = 0 read
-once per class and lifted, the odd Kashiwara operators, the entry checks
-of the Kashiwara operators)
+solved over Z[q, q^-1] from orthogonal string tops and checked by C .
+(D C^-1) = D I, their lift and its factorization check, their residues
+at q = 0 read off the numerators once per class and lifted, the odd
+Kashiwara operators, the entry checks of the Kashiwara operators and of
+the graph functions)
 and the verifiers
 (check records, reading independence and its one scan per distinct word,
 the exact checks, the commuting relations, the release of each checked
@@ -373,6 +375,10 @@ MUTANTS = (
     (PKG + "graphs.py", "        if not isinstance(g, CrystalGraph):\n",
      "        if False:\n",
      "the graph functions take an object that is not a graph", CONTRACT),
+    (PKG + "graphs.py", "    if not isinstance(ops, _Adapter):\n",
+     "    if False:\n",
+     "closure, components and build_graph take an object that is not an "
+     "ops adapter", CONTRACT),
     (PKG + "qrep/kashiwara.py",
      "    check_rank(n)\n    check_vector(vec, n)\n"
      "    return act_expr(ktilde1_expr(n),",
@@ -450,6 +456,24 @@ MUTANTS = (
     (PKG + "qrep/kashiwara.py",
      "[w if top_k == k else {}", "[w if top_k <= k else {}",
      "a class level takes in the string tops of the levels below it", EXACT),
+    (PKG + "qrep/kashiwara.py",
+     '        raise ArithmeticError("string decomposition failed to '
+     'reconstruct")',
+     "        pass",
+     "the class solve drops its check C . (D C^-1) = D I", EXACT),
+    (PKG + "qrep/kashiwara.py", "        if k == v:", "        if k == 0:",
+     "a class residue is read at q^0 instead of q^v", EXACT),
+    (PKG + "qrep/kashiwara.py", "RatFunc((x,), (d[v],))",
+     "RatFunc((x,), (abs(d[v]),))",
+     "a class residue drops the sign of D_0(0)", EXACT),
+    (PKG + "qrep/kashiwara.py",
+     "lowered.append(_over_gauss_int(chain[k + 1], k + 1))",
+     "lowered.append(chain[k + 1])",
+     "a lowered class column misses its division by [k+1]", EXACT),
+    (PKG + "qrep/kashiwara.py",
+     "    if any(_apply(e, w, {}) for tops in out.values() for w in tops):",
+     "    if False:",
+     "the string tops are not checked to lie in ker e_1", EXACT),
     (PKG + "serialize.py", '"." * (start - min_col)',
      '" " * (start - min_col)',
      "a staircase row's DOT label is indented by spaces, not dots", DIGESTS),

@@ -5,9 +5,10 @@
 Rows come in the order git added the records; a record that git does not
 know yet comes last, and without git every record is ordered by name.
 Each row gives, per workload, the run_s parent and change medians and
-the verdict the record holds.  A record keeps each workload's metrics
-under ``end_to_end.<workload>.end_to_end``.  It uses only the standard
-library.
+the verdict the record holds, the workloads in ``BENCHMARK.json``'s
+order, so that the columns line up; a workload it does not declare comes
+last.  A record keeps each workload's metrics under
+``end_to_end.<workload>.end_to_end``.  It uses only the standard library.
 """
 
 import json
@@ -16,6 +17,8 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+WORKLOADS = [w["name"] for w in json.loads(
+    (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
 
 
 def metrics_of(record: dict, workload: str) -> dict:
@@ -26,7 +29,8 @@ def metrics_of(record: dict, workload: str) -> dict:
 def row(record: dict) -> list:
     """(workload, parent median, change median, verdict) of run_s."""
     out = []
-    for workload in record["end_to_end"]:
+    for workload in sorted(record["end_to_end"], key=lambda w: (
+            WORKLOADS.index(w) if w in WORKLOADS else len(WORKLOADS))):
         result = metrics_of(record, workload)["run_s"]
         out.append((workload, result["parent"]["median"],
                     result["change"]["median"], result["verdict"]))
