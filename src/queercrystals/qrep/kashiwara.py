@@ -366,9 +366,10 @@ def _string_basis(m: int, a: int) -> StringBasis:
         for t, row in entries.items():
             col = {}
             for j, terms in row:
-                for key, x in _times(terms, scaled[j]).items():
-                    vec_add(col, key, x)
-            out[t] = dict(sorted(col.items()))
+                for (s, k), x in scaled[j].items():
+                    for e, y in terms:
+                        col[s, k + e] = col.get((s, k + e), 0) + x * y
+            out[t] = {key: x for key, x in sorted(col.items()) if x}
         return out
     # resubstitution check: C . (D C^-1) = D I, one class tensor per column
     if over_d(images) != {t: {(t, k): x for k, x in enumerate(d) if x}
