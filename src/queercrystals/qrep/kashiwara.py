@@ -55,10 +55,9 @@ operators first read one of its tensors at (i, n): on every tensor of the
 module the real columns of e_i and f_i must equal the lifts of the columns
 of e_1 and f_1 on its class tensor, else ArithmeticError.  Lifting is then
 an isomorphism of U_q(sl_2)_i-modules from the class spaces onto the
-blocks, so C_block = lift(C_class) and C_block . lift(D C_class^-1) =
-D I:
-every basis tensor is covered by the factorization check and every class
-tensor by the class identity.
+blocks, so C_block = lift(C_class) and C_block . lift(D C_class^-1) = D
+I: every basis tensor is covered by the factorization check and every
+class tensor by the class identity.
 
 The odd operators are the operator polynomials of the paper, written
 with ``scale``, ``compose`` and ``bracket`` over Z[q, q^-1]:

@@ -419,9 +419,10 @@ MUTANTS = (
      "q^h takes a k_j above the rank", EXACT),
     (PKG + "qrep/laurent.py", "        lo += v\n", "        lo = v\n",
      "the Laurent constructor ignores its lowest exponent", LAURENT),
-    (PKG + "qrep/kashiwara.py", "ONE / gauss_int(m)",
-     "ONE / gauss_int(m - 1)",
-     "the divided power divides by [m-1] instead of [m]", EXACT),
+    (PKG + "qrep/kashiwara.py", "        for j in range(1, k + 1):\n",
+     "        for j in range(1, k):\n",
+     "a class level takes [k-1]! where the divided power f^(k) = f^k / "
+     "[k]! asks for [k]!", EXACT),
     (PKG + "qrep/kashiwara.py", "if k != r and c:", "if k > r and c:",
      "_rref clears below its pivots only", EXACT),
     (PKG + "qrep/kashiwara.py", "        if value:\n            residue[t]",
