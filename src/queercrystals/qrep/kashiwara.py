@@ -35,20 +35,21 @@ by one product with D C^-1: per level k the part u_k of the string
 decomposition (``levels``), and the images under tilde_e and tilde_f.
 The class also keeps the images' values at q = 0, or their first poles,
 read off the numerators without a gcd (``_numerator_at_zero``).
-tilde_e, tilde_f and string_decomposition read a RatFunc view of the
-class, built on first use (``_class_view``); the residue path never
-builds it.  ``kernel_on_weight_space``, ``solve_in_span`` and
+tilde_e, tilde_f and string_decomposition read the same numerators as
+the residue path; a RatFunc is built only for their output.
+``kernel_on_weight_space``, ``solve_in_span`` and
 ``apply_f_power`` solve a class over RatFunc as before, the oracle the
 tests hold the classes to; ``_rref`` also ranks ``residue_check``'s
 residue maps.
 
 A table per (i, n) maps each basis tensor t to its class tensor and the
 lift of its module (``_block``).  One reader, ``_lifted``, sums c_t
-times the lift of t's class column over the keys t of a vector: tilde_e
-and tilde_f read one table of columns, string_decomposition one per
-level.  The keys of a weight vector share one weight and so one class,
-whose columns serve them all.  ``_lifted_residue`` lifts the values at
-q = 0 for one basis tensor without a product over the fraction field.
+times the lift of t's class numerator over the keys t of a vector and
+divides the sum by D once: tilde_e and tilde_f read one table of
+columns, string_decomposition one per level.  The keys of a weight
+vector share one weight and so one class and one D, whose columns serve
+them all.  ``_lifted_residue`` lifts the values at q = 0 for one basis
+tensor without a product over the fraction field.
 
 The lift is exact because of a check made once per module, when the
 operators first read one of its tensors at (i, n): on every tensor of the
@@ -77,6 +78,7 @@ ValueError, a vector whose keys differ in weight.
 
 from functools import lru_cache
 from itertools import product
+from operator import attrgetter
 from typing import NamedTuple
 
 from ..words import _check_even_index, check_rank
@@ -385,29 +387,6 @@ def _string_basis(m: int, a: int) -> StringBasis:
         {t: _numerator_at_zero(col, d) for t, col in lowered.items()})
 
 
-class _View(NamedTuple):
-    """A class's levels, raised and lowered tables over RatFunc."""
-
-    levels: dict
-    raised: dict
-    lowered: dict
-
-
-@lru_cache(maxsize=None)
-def _class_view(m: int, a: int) -> _View:
-    """The RatFunc view of the class (m, a): each numerator over D as a
-    vector {class tensor: RatFunc}, built once on first use.  Shared:
-    read only."""
-    basis = _string_basis(m, a)
-    inverse = ONE / RatFunc.laurent(0, basis.denominator)
-
-    def view(table):
-        return {t: vec_scale(inverse, ratfunc_vector(col))
-                for t, col in table.items()}
-    return _View({k: view(table) for k, table in basis.levels.items()},
-                 view(basis.raised), view(basis.lowered))
-
-
 @lru_cache(maxsize=None)
 def _blocks(i: int, n: int) -> dict:
     """Basis tensor -> (class tensor, lift) at (i, n), filled a module at
@@ -450,15 +429,18 @@ def _block(i: int, t, n: int) -> tuple:
     return w, lift, _string_basis(len(w), w.count((1, 0)))
 
 
-def _lifted(i: int, vec: dict, n: int, columns: dict) -> dict:
-    """sum over the keys t of vec of c_t times the lift of t's column in
-    columns, a table {class tensor: column} of the keys' one class."""
-    out = {}
+def _lifted(i: int, vec: dict, n: int, pick) -> dict:
+    """sum over the keys t of vec of c_t times the lift of t's class
+    column pick(basis)[w], a numerator over the class denominator D,
+    divided by D once at the end: the keys of a weight vector share one
+    class and so one D, and (sum c_t y_t) / D is sum c_t (y_t / D)."""
+    out, d = {}, (1,)
     for t, c in vec.items():
-        w, lift, _ = _block(i, t, n)
-        for x, y in columns[w].items():
+        w, lift, basis = _block(i, t, n)
+        d = basis.denominator
+        for x, y in ratfunc_vector(pick(basis)[w]).items():
             vec_add(out, lift[x], c * y)
-    return out
+    return vec_scale(ONE / RatFunc.laurent(0, d), out)
 
 
 def _lifted_residue(i: int, t, n: int, part: str) -> tuple:
@@ -473,37 +455,36 @@ def _lifted_residue(i: int, t, n: int, part: str) -> tuple:
     return {lift[x]: value for x, value in residue.items()}, None
 
 
-def _weight_vector(i, vec: dict, n: int) -> _View:
-    """The RatFunc view of the class of vec's keys, once the rank n, the
-    even index i and the vector are checked and the keys found to share
-    one weight, else ValueError.  A weight fixes the class (m, a) at i,
-    so its columns serve every key; the zero vector reads none."""
+def _weight_vector(i, vec: dict, n: int) -> dict:
+    """The levels of the class of vec's keys, once the rank n, the even
+    index i and the vector are checked and the keys found to share one
+    weight, else ValueError.  A weight fixes the class (m, a) at i, so
+    its levels serve every key; the zero vector has none."""
     check_rank(n)
     _check_even_index(i, n)
     check_vector(vec, n)
     if len({tensor_weight(t, n) for t in vec}) > 1:
         raise ValueError("not a weight vector")
-    if not vec:
-        return _View({}, {}, {})
-    w = _block(i, next(iter(vec)), n)[0]
-    return _class_view(len(w), w.count((1, 0)))
+    return _block(i, next(iter(vec)), n)[2].levels if vec else {}
 
 
 def string_decomposition(vec: dict, i: int, n: int) -> list:
     """Pairs (k, u_k) with vec = sum_k f_i^(k) u_k and e_i u_k = 0."""
-    levels = _weight_vector(i, vec, n).levels
-    pairs = [(k, _lifted(i, vec, n, columns)) for k, columns in levels.items()]
+    pairs = [(k, _lifted(i, vec, n, lambda basis: basis.levels[k]))
+             for k in _weight_vector(i, vec, n)]
     return [(k, u) for k, u in pairs if u]
 
 
 def tilde_e(i: int, vec: dict, n: int) -> dict:
     """Even Kashiwara raising operator at q-level: sum f_i^(k-1) u_k."""
-    return _lifted(i, vec, n, _weight_vector(i, vec, n).raised)
+    _weight_vector(i, vec, n)
+    return _lifted(i, vec, n, attrgetter("raised"))
 
 
 def tilde_f(i: int, vec: dict, n: int) -> dict:
     """Even Kashiwara lowering operator at q-level: sum f_i^(k+1) u_k."""
-    return _lifted(i, vec, n, _weight_vector(i, vec, n).lowered)
+    _weight_vector(i, vec, n)
+    return _lifted(i, vec, n, attrgetter("lowered"))
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,12 @@ class Tableau(_Frozen):
         return kernel.weight_of(self.entries, n)
 
 
+def _check_kind(x, kind) -> None:
+    """Raise TypeError unless x is a ``kind``: a SkewShape or a Tableau."""
+    if not isinstance(x, kind):
+        raise TypeError(f"{type(x).__name__} is not a {kind.__name__}")
+
+
 def shape_from_partition(parts, n: int | None = None) -> SkewShape:
     """Staircase skew diagram of a strict partition."""
     parts = check_strict_partition(parts, n if n is not None else len(parts))
@@ -141,6 +147,7 @@ def _neighbors(boxes: tuple) -> tuple:
 
 def is_semistandard(shape: SkewShape, entries) -> bool:
     """Rows weakly increase left to right, columns strictly top to bottom."""
+    _check_kind(shape, SkewShape)
     return _semistandard(_neighbors(shape.boxes), entries)
 
 
@@ -183,6 +190,8 @@ def _fillings(neighbors: tuple, n: int) -> list:
 def enumerate_ssyt(shape: SkewShape, n: int) -> list:
     """All semistandard fillings as ``Tableau`` objects, in the order of
     ``_fillings``, the one enumerator: by row-major filling sequence."""
+    _check_kind(shape, SkewShape)
+    check_rank(n)
     return [Tableau(shape=shape, entries=entries)
             for entries in _fillings(_neighbors(shape.boxes), n)]
 
@@ -205,6 +214,7 @@ def reading_order(boxes: tuple, reading: str) -> tuple:
 
 def reading_word(t: Tableau, reading: str = "row") -> bytes:
     """Word of a tableau under the chosen reading."""
+    _check_kind(t, Tableau)
     order = reading_order(t.shape.boxes, reading)
     return bytes(t.entries[k] for k in order)
 
@@ -215,6 +225,8 @@ class TableauOps(_Adapter):
     kind = "tableau"
 
     def __init__(self, shape: SkewShape, n: int, reading: str = "row"):
+        _check_kind(shape, SkewShape)
+        check_rank(n)
         self.shape = shape
         self.n = n
         self.reading = reading
@@ -322,11 +334,12 @@ def _decoded(ops: TableauOps, words_ops: _ReadingWordOps,
 def tableau_operator(direction: str, label, t: Tableau, n: int):
     """Apply one operator (direction "e"/"f", label 1..n-1 or "1bar") to a
     semistandard tableau with entries in 1..n."""
+    _check_kind(t, Tableau)
+    check_word(t.entries, n)
     if direction not in ("e", "f"):
         raise ValueError(f"unknown direction {direction!r}")
     if label not in all_labels(n):
         raise ValueError(f"label {label!r} is not one of {all_labels(n)}")
-    check_word(t.entries, n)
     if not is_semistandard(t.shape, t.entries):
         raise ValueError(f"entries {t.entries} are not a semistandard "
                          f"filling of {t.shape.partition}")
@@ -391,6 +404,7 @@ def full_ssyt_graph(parts, n: int):
 
 def tableau_json(t: Tableau) -> dict:
     """JSON form: partition plus explicit cells."""
+    _check_kind(t, Tableau)
     return {
         "shape": list(t.shape.partition),
         "cells": [

@@ -20,9 +20,9 @@ applied to b_lam.
 
 from . import kernel, words
 from .errors import VerificationError
-from .graphs import (ODD, WordOps, all_labels, build_graph, fbar_ops,
-                     graph_components, highest_weight_nodes, isomorphic,
-                     tensor, validate)
+from .graphs import (ODD, WordOps, all_labels, build_graph, check_graph,
+                     fbar_ops, graph_components, highest_weight_nodes,
+                     isomorphic, tensor, validate)
 from .reports import check, record, report
 from .tableaux import (TableauOps, _fillings, b_lambda,
                        check_strict_partition, crystal_of_shape,
@@ -86,6 +86,7 @@ def highest_weight_formula_side(parts, n: int, graph) -> dict:
 
     ``graph`` is ``crystal_of_shape(parts, n)``.
     """
+    check_graph(graph)
     top = graph.node_index[b_lambda(parts, n)]
     out = {}
     for j, _ in strict_successors(parts, n):

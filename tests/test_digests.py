@@ -1,4 +1,4 @@
-"""``tools/digests.py`` on a three-output subset, and its manifest against
+"""``tools/digests.py`` on a four-output subset, and its manifest against
 the committed record, so that neither can rot unnoticed."""
 
 import importlib.util
@@ -6,6 +6,7 @@ import json
 import pathlib
 
 import queercrystals
+from queercrystals import strict_partitions
 from queercrystals.qrep import checks
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -19,22 +20,31 @@ def test_the_manifest_counts_its_outputs_and_matches_the_record():
     record = json.loads(digests.DIGESTS.read_text())
     counts = {g: len(items) for g, items in digests.MANIFEST.items()}
     assert counts == {"relations": 9, "comult": 3, "residue": 12,
-                      "crystal": 62, "words": 54}
+                      "theorems": 340, "crystal": 62, "words": 54}
     assert {g: v["count"] for g, v in record["groups"].items()} == counts
     for items in digests.MANIFEST.values():
         for form, name, _, _ in items:
             module = checks if form == "report" else queercrystals
-            assert form in ("report", "dot", "json"), form
+            assert form in ("report", "theorem", "dot", "json"), form
             assert callable(getattr(module, name)), name
+
+
+def test_the_theorems_group_sweeps_criteria_3_to_5():
+    assert digests.SWEEP == [(lam, n) for n in (2, 3, 4)
+                             for lam in strict_partitions(8, n)]
+    assert len(digests.SWEEP) == 68
 
 
 def test_check_passes_on_its_own_record_and_names_a_differing_group(
         tmp_path, capsys):
     subset = {"residue": [("report", "residue_check", (2, 1), {})],
+              "theorems": [("theorem", "verify_decomposition", ((2,), 2),
+                            {})],
               "words": [("dot", "tensor_power_graph", (2, 1), {}),
                         ("json", "tensor_power_graph", (2, 1), {})]}
     got = digests.digests(subset)
     assert got["groups"]["residue"]["count"] == 1
+    assert got["groups"]["theorems"]["count"] == 1
     assert got["groups"]["words"]["count"] == 2
     record = tmp_path / "digests.json"
     record.write_text(json.dumps(got))

@@ -1,7 +1,8 @@
-"""The entry contract's first row: an object of the wrong kind where a
-graph, an ops adapter or a vector is expected is refused with a
-TypeError, before any work, not with whatever error Python raises
-first."""
+"""The entry contract's first two rows: an object of the wrong kind
+where a graph, an ops adapter, a vector, a shape or a tableau is expected
+is refused with a TypeError, and a rank that fails ``check_rank`` with a
+ValueError, before any work, not with whatever error Python raises first
+or with an empty result."""
 
 import pytest
 
@@ -12,6 +13,11 @@ from queercrystals.graphs import (build_graph, components, graph_components,
 from queercrystals.qrep.action import act_on_tensor
 from queercrystals.qrep.kashiwara import tilde_e, tilde_k1
 from queercrystals.serialize import graph_to_dot, graph_to_json
+from queercrystals.tableaux import (TableauOps, enumerate_ssyt,
+                                    is_semistandard, reading_word,
+                                    shape_from_partition, tableau_json,
+                                    tableau_operator)
+from queercrystals.theorems import highest_weight_formula_side
 
 T = ((1, 0),)
 W = b"\x02"  # the word 2
@@ -33,10 +39,29 @@ W = b"\x02"  # the word 2
     lambda: closure(5, W),
     lambda: components(vector_crystal(2).nodes, [W]),
     lambda: build_graph(None, [W]),
+    lambda: TableauOps(5, 2),
+    lambda: enumerate_ssyt(5, 2),
+    lambda: is_semistandard(5, (1,)),
+    lambda: reading_word(5),
+    lambda: tableau_json(5),
+    lambda: tableau_operator("e", 1, 5, 2),
+    lambda: highest_weight_formula_side((2, 1), 3, None),
 ], ids=["graph_to_json", "graph_to_dot", "tensor", "tensor-right",
         "isomorphic", "isomorphic-second", "graph_components",
         "highest_weight_nodes", "tilde_e", "tilde_k1", "act_on_tensor",
-        "validate", "closure", "components", "build_graph"])
+        "validate", "closure", "components", "build_graph", "TableauOps",
+        "enumerate_ssyt", "is_semistandard", "reading_word", "tableau_json",
+        "tableau_operator", "highest_weight_formula_side"])
 def test_an_object_of_the_wrong_kind_is_a_type_error(call):
     with pytest.raises(TypeError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_ssyt(shape_from_partition((2, 1)), 0),
+    lambda: enumerate_ssyt(shape_from_partition((2, 1)), "x"),
+    lambda: TableauOps(shape_from_partition((2, 1)), "x"),
+], ids=["enumerate_ssyt-0", "enumerate_ssyt-str", "TableauOps-str"])
+def test_a_tableau_rank_that_fails_check_rank_is_a_value_error(call):
+    with pytest.raises(ValueError, match="rank must be"):
         call()

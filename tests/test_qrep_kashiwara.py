@@ -4,8 +4,8 @@ import pytest
 
 from queercrystals.qrep import kashiwara
 from queercrystals.qrep.action import (Operator, act_prim, basis,
-                                       tensor_weight, unit, vec_scale,
-                                       vec_sum)
+                                       ratfunc_vector, tensor_weight, unit,
+                                       vec_scale, vec_sum)
 from queercrystals.qrep.kashiwara import (apply_f_power,
                                           kernel_on_weight_space,
                                           solve_in_span,
@@ -52,8 +52,8 @@ def _check_string_decomposition(vec, i, n):
 
 
 def test_string_decomposition_reconstructs_every_basis_tensor():
-    # the string basis is verified once per weight space (C . C^-1 = I);
-    # this recomposes each decomposition separately
+    # each class is verified once, by C . (D C^-1) = D I on every class
+    # tensor; this recomposes each decomposition separately
     for n, N in ((2, 1), (2, 2), (3, 2), (2, 3)):
         for t in basis(n, N):
             for i in range(1, n):
@@ -176,8 +176,7 @@ def test_rref_pivots_build_no_new_one(monkeypatch):
 
 @pytest.fixture
 def fresh_string_bases():
-    caches = (kashiwara._tops, kashiwara._string_basis,
-              kashiwara._class_view)
+    caches = (kashiwara._tops, kashiwara._string_basis)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -248,16 +247,28 @@ def in_order(table):
             for t, (residue, pole) in table.items()]
 
 
+def ratfunc_view(basis):
+    """The class's (levels, raised, lowered) tables over RatFunc: each
+    numerator as a vector {class tensor: RatFunc} times 1 / D."""
+    inverse = ONE / RatFunc.laurent(0, basis.denominator)
+
+    def view(table):
+        return {t: vec_scale(inverse, ratfunc_vector(col))
+                for t, col in table.items()}
+    return ({k: view(table) for k, table in basis.levels.items()},
+            view(basis.raised), view(basis.lowered))
+
+
 @pytest.mark.parametrize("m", range(1, 6))
 def test_every_class_equals_the_ratfunc_oracle(m):
-    """The RatFunc view of each class with m <= 5 equals the oracle
-    solve, and its residues at q = 0, read off the numerators, equal
-    residue_at_zero of the oracle's columns, in the same key order."""
+    """The RatFunc view of each class with m <= 5, its numerators over
+    D, equals the oracle solve, and its residues at q = 0, read off the
+    numerators, equal residue_at_zero of the oracle's columns, in the
+    same key order."""
     for a in range(m + 1):
         levels, raised, lowered = class_oracle(m, a)
-        assert tuple(kashiwara._class_view(m, a)) == (levels, raised,
-                                                      lowered), (m, a)
         basis = kashiwara._string_basis(m, a)
+        assert ratfunc_view(basis) == (levels, raised, lowered), (m, a)
         for at_zero, oracle in ((basis.raised_at_zero, raised),
                                 (basis.lowered_at_zero, lowered)):
             expected = {t: kashiwara.residue_at_zero(col)

@@ -1,10 +1,12 @@
-"""``tools/reach.py`` with a tiny budget: the series stop at their first
-instance over it, each instance runs once, and the report digests agree
-with the texts that ``tools/digests.py`` hashes."""
+"""``tools/reach.py`` with a tiny budget: for each check, the series stop
+at their first instance over it, each instance runs once, and the report
+digests agree with the texts that ``tools/digests.py`` hashes."""
 
 import hashlib
 import importlib.util
 import pathlib
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -20,9 +22,13 @@ def _tool(name):
 reach, digests = _tool("reach"), _tool("digests")
 
 
-def test_a_tiny_budget_stops_every_series_and_agrees_with_the_digests():
+@pytest.mark.parametrize("check, recorded", [
+    ("residue_check", digests.RESIDUE),
+    ("verify_relations", digests.CRITERION_9)])
+def test_a_tiny_budget_stops_every_series_and_agrees_with_the_digests(
+        check, recorded):
     budget = 0.01
-    rows = list(reach.table(budget))
+    rows = list(reach.table(check, budget))
     sizes = [(row["n"], row["N"]) for row in rows]
     assert len(sizes) == len(set(sizes))
     assert {(2, 1), (3, 1)} <= set(sizes)
@@ -36,11 +42,10 @@ def test_a_tiny_budget_stops_every_series_and_agrees_with_the_digests():
             k += 1
         walked.add(size(k))
     assert walked == set(sizes)
-    shared = [row for row in rows if (row["n"], row["N"]) in digests.RESIDUE]
+    shared = [row for row in rows if (row["n"], row["N"]) in recorded]
     assert shared
     for row in shared:
-        text = digests.render("report", "residue_check",
-                              (row["n"], row["N"]), {})
+        text = digests.render("report", check, (row["n"], row["N"]), {})
         assert row["sha256"] == hashlib.sha256(
             text.encode("utf-8")).hexdigest(), row
         assert row["records"] > 0 and row["maxrss_mb"] > 0

@@ -1,17 +1,23 @@
-"""Digests of the exact side's reports and of the emitted graphs, in five
-groups.
+"""Digests of the exact side's reports, of the theorem reports and of the
+emitted graphs, in six groups.
 
     python tools/digests.py                      # print the digests
     python tools/digests.py --check              # compare with the record
     python tools/digests.py > tools/digests.json # re-record, deliberately
 
-The manifest holds 140 outputs.  ``relations`` is criterion 9's eight
+The manifest holds 480 outputs.  ``relations`` is criterion 9's eight
 ``verify_relations`` instances and ``verify_relations(2, 3,
 which="kbar")``, ``comult`` is ``verify_comult_odd`` for n = 2..4, and
 ``residue`` is ``residue_check`` at (2..6, 1), (2..4, 2), (2, 3), (2, 4),
 (3, 3) and (2, 5): each such report is the JSON text ``report_to_json``
-writes.  ``crystal`` is ``crystal_of_shape`` for every strict partition of size at
-most 6 with at most n parts, n = 1..3, and ``words`` is
+writes.  ``theorems`` is criteria 3-5's sweep, every strict partition
+of size at most 8 with at most n parts for n = 2..4, through
+``verify_unique_highest_weight``, ``verify_highest_weight_formula``,
+``verify_decomposition``, ``verify_reading_independence`` and
+``explore_conjecture``, one verifier at a time over the sweep: each
+report as the JSON text ``report_to_json`` writes.  ``crystal`` is
+``crystal_of_shape`` for every strict partition of size at most 6 with
+at most n parts, n = 1..3, and ``words`` is
 ``tensor_power_graph(n, N)`` for n = 2..5, N >= 1 and n^N <= 3000: each
 such graph as its DOT text, then its JSON text, as the CLI writes them.
 A group's sha256 is taken over its outputs' texts in manifest order,
@@ -39,16 +45,27 @@ STRICT_6 = [(1,), (2,), (3,), (2, 1), (4,), (3, 1), (5,), (4, 1), (3, 2),
             (6,), (5, 1), (4, 2), (3, 2, 1)]
 SHAPES = [(parts, n) for n in (1, 2, 3) for parts in STRICT_6
           if len(parts) <= n]
+# strict_partitions(8, 4) in its order; criteria 3-5 sweep each n = 2..4
+STRICT_8 = [(1,), (2,), (2, 1), (3,), (3, 1), (4,), (3, 2), (4, 1), (5,),
+            (3, 2, 1), (4, 2), (5, 1), (6,), (4, 2, 1), (4, 3), (5, 2),
+            (6, 1), (7,), (4, 3, 1), (5, 2, 1), (5, 3), (6, 2), (7, 1), (8,)]
+SWEEP = [(parts, n) for n in (2, 3, 4) for parts in STRICT_8
+         if len(parts) <= n]
+THEOREMS = ["verify_unique_highest_weight", "verify_highest_weight_formula",
+            "verify_decomposition", "verify_reading_independence",
+            "explore_conjecture"]
 POWERS = [(n, N) for n in range(2, 6) for N in range(1, 12) if n ** N <= 3000]
 # group -> outputs, each (form, function name, args, kwargs): a "report" is
-# a function of qrep.checks, a "dot" or "json" graph a function of the
-# queercrystals package
+# a function of qrep.checks; a "theorem" report and a "dot" or "json" graph
+# are a function of the queercrystals package
 MANIFEST = {
     "relations": [("report", "verify_relations", key, {})
                   for key in CRITERION_9]
     + [("report", "verify_relations", (2, 3), {"which": "kbar"})],
     "comult": [("report", "verify_comult_odd", (n,), {}) for n in range(2, 5)],
     "residue": [("report", "residue_check", key, {}) for key in RESIDUE],
+    "theorems": [("theorem", name, key, {})
+                 for name in THEOREMS for key in SWEEP],
     "crystal": [(form, "crystal_of_shape", key, {})
                 for key in SHAPES for form in ("dot", "json")],
     "words": [(form, "tensor_power_graph", key, {})
@@ -65,10 +82,10 @@ def render(form: str, name: str, args, kwargs) -> str:
 
     if form == "report":
         return report_to_json(getattr(checks, name)(*args, **kwargs))
-    graph = getattr(queercrystals, name)(*args, **kwargs)
+    value = getattr(queercrystals, name)(*args, **kwargs)
     if form == "dot":
-        return graph_to_dot(graph)
-    return report_to_json(graph_to_json(graph))
+        return graph_to_dot(value)
+    return report_to_json(graph_to_json(value) if form == "json" else value)
 
 
 def digests(manifest: dict = MANIFEST) -> dict:

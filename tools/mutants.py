@@ -10,14 +10,14 @@ checks of its primitive symbols, its generator table and the checks of
 its entry point, operators over Z[q, q^-1], their products, their
 scalars and their RatFunc view, string decompositions by block class,
 solved over Z[q, q^-1] from orthogonal string tops and checked by C .
-(D C^-1) = D I, their lift and its factorization check, their residues
-at q = 0 read off the numerators once per class and lifted, the odd
-Kashiwara operators, the entry checks of the Kashiwara operators and of
-the graph functions)
+(D C^-1) = D I, their lift, its one division by D and its factorization
+check, their residues at q = 0 read off the numerators once per class
+and lifted, the odd Kashiwara operators, the entry checks of the
+Kashiwara operators, of the graph functions and of the tableau layer)
 and the verifiers
 (check records, reading independence and its one scan per distinct word,
 the exact checks, the commuting relations, the release of each checked
-relation).
+relation, the theorem reports).
 
 Each mutant replaces one snippet of one source file by a wrong variant
 and names the test files that must kill it, or ``tools/digests.py``, which
@@ -379,6 +379,20 @@ MUTANTS = (
      "    if False:\n",
      "closure, components and build_graph take an object that is not an "
      "ops adapter", CONTRACT),
+    (PKG + "tableaux.py", "    if not isinstance(x, kind):\n",
+     "    if False:\n",
+     "the tableau functions take a shape or a tableau of the wrong kind",
+     CONTRACT),
+    (PKG + "tableaux.py",
+     "        _check_kind(shape, SkewShape)\n        check_rank(n)\n",
+     "        _check_kind(shape, SkewShape)\n",
+     "TableauOps takes a rank that is not an int in 1..255", CONTRACT),
+    (PKG + "tableaux.py",
+     "    check_rank(n)\n    return [Tableau(", "    return [Tableau(",
+     "enumerate_ssyt takes rank 0 and finds no filling", CONTRACT),
+    (PKG + "theorems.py", "    check_graph(graph)\n    top =", "    top =",
+     "highest_weight_formula_side takes an object that is not a graph",
+     CONTRACT),
     (PKG + "qrep/kashiwara.py",
      "    check_rank(n)\n    check_vector(vec, n)\n"
      "    return act_expr(ktilde1_expr(n),",
@@ -437,23 +451,36 @@ MUTANTS = (
      "the lifted residue keeps the class tensors as its keys", EXACT),
     (PKG + "qrep/kashiwara.py", "(lift[pole[0]], pole[1])", "pole",
      "the lifted residue names a pole by its class tensor", EXACT),
-    (PKG + "qrep/kashiwara.py", "    w, lift, basis = _block(i, t, n)\n",
+    (PKG + "qrep/kashiwara.py",
+     "    w, lift, basis = _block(i, t, n)\n    residue, pole",
      "    lift = _lift(i, t)\n"
      "    w = next(w for w, s in lift.items() if s == t)\n"
-     "    basis = _string_basis(len(w), w.count((1, 0)))\n",
+     "    basis = _string_basis(len(w), w.count((1, 0)))\n    residue, pole",
      "the residue path lifts without the factorization check", EXACT),
-    (PKG + "qrep/kashiwara.py", "        w, lift, _ = _block(i, t, n)\n",
+    (PKG + "qrep/kashiwara.py", "        w, lift, basis = _block(i, t, n)\n",
      "        lift = _lift(i, t)\n"
-     "        w = next(w for w, s in lift.items() if s == t)\n",
+     "        w = next(w for w, s in lift.items() if s == t)\n"
+     "        basis = _string_basis(len(w), w.count((1, 0)))\n",
      "the one reader lifts a key without its module's factorization "
      "check", EXACT),
     (PKG + "qrep/kashiwara.py", "    return [(k, u) for k, u in pairs if u]",
      "    return pairs",
      "string_decomposition keeps a level whose part is zero", EXACT),
     (PKG + "qrep/kashiwara.py",
-     "for k, columns in levels.items()]",
-     "for k, columns in list(levels.items())[1:]]",
+     "for k in _weight_vector(i, vec, n)]",
+     "for k in list(_weight_vector(i, vec, n))[1:]]",
      "string_decomposition drops its lowest level", EXACT),
+    (PKG + "qrep/kashiwara.py", "for k, u in pairs if u]",
+     "for k, u in pairs if u is not None]",
+     "string_decomposition keeps an empty level, testing for None where "
+     "it means zero", EXACT),
+    (PKG + "qrep/kashiwara.py",
+     "    return vec_scale(ONE / RatFunc.laurent(0, d), out)",
+     "    return out",
+     "the one reader returns the class numerators undivided by D", EXACT),
+    (PKG + "qrep/kashiwara.py", "vec_scale(ONE / RatFunc.laurent(0, d), out)",
+     "vec_scale(ONE / RatFunc.laurent(1, d), out)",
+     "the one reader divides by q D where D belongs", EXACT),
     (PKG + "qrep/kashiwara.py",
      "[w if top_k == k else {}", "[w if top_k <= k else {}",
      "a class level takes in the string tops of the levels below it", EXACT),
@@ -475,6 +502,10 @@ MUTANTS = (
      "    if any(_apply(e, w, {}) for tops in out.values() for w in tops):",
      "    if False:",
      "the string tops are not checked to lie in ker e_1", EXACT),
+    (PKG + "theorems.py", "max_depth = sum(parts) + 1",
+     "max_depth = sum(parts)",
+     "explore_conjecture's default search stops one odd step short",
+     DIGESTS),
     (PKG + "serialize.py", '"." * (start - min_col)',
      '" " * (start - min_col)',
      "a staircase row's DOT label is indented by spaces, not dots", DIGESTS),
