@@ -37,6 +37,7 @@ from types import MappingProxyType
 
 from . import kernel
 from .errors import StructureError
+from .words import check_rank, check_word
 
 ODD = "1bar"
 
@@ -218,6 +219,7 @@ class WordOps(_Adapter):
     kind = "word"
 
     def __init__(self, n: int):
+        check_rank(n)
         self.n = n
 
     def weight(self, w):
@@ -344,7 +346,9 @@ def build_graph(ops, elements) -> CrystalGraph:
 def closure(ops, seed) -> CrystalGraph:
     """Connected component of the seed word as a crystal graph.
 
-    ``ops`` is a word adapter.  One ``kernel.edits`` scan per node gives
+    ``ops`` is a word adapter, anything else is refused with TypeError,
+    and the seed is checked to be a word over 1..n once, here, as the scan
+    does not check letters.  One ``kernel.edits`` scan per node gives
     the positions its lowering operators (f_1..f_{n-1}, fbar1) and its
     raising ones edit, and ``kernel._put`` writes each result.  Every new
     result is queued, and the lowering row becomes the node's arrows once
@@ -352,8 +356,11 @@ def closure(ops, seed) -> CrystalGraph:
     generic form, for any adapter, is ``build_graph(ops, closure_set(ops,
     seed))``; it gives the same graph.
     """
-    check_ops(ops)
+    if not isinstance(ops, WordOps):
+        raise TypeError(f"{type(ops).__name__} is not a word adapter "
+                        "(WordOps)")
     n = ops.n
+    check_word(seed, n)
     down_letters, up_letters = kernel.edit_letters(n)
     edits = kernel.edits
     put = kernel._put

@@ -33,6 +33,7 @@ def _check_rank_and_power(n: int, N: int) -> None:
 
 def relations_catalogue(n: int) -> list:
     """Named operator identities (lhs, rhs) defining the algebra at rank n."""
+    check_rank(n)
     rels = []
     qinv = ONE / Q
     h_samples = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
@@ -198,6 +199,9 @@ def _assemble_two_factor(terms, x, y) -> dict:
 def comult_formulas(n: int) -> list:
     """The three odd comultiplication identities as (name, lhs, rhs-terms),
     each term (A, B, parity of B) standing for A (x) B."""
+    check_rank(n)
+    if n < 2:
+        raise ValueError(f"odd comultiplication needs rank >= 2, got {n}")
     ident = identity_expr()
     ktilde = ktilde1_expr(n)
     etilde = tilde_ebar1_expr(n)
@@ -224,9 +228,6 @@ def comult_formulas(n: int) -> list:
 
 def verify_comult_odd(n: int) -> dict:
     """Odd operators on V (x) V match their comultiplication formulas."""
-    check_rank(n)
-    if n < 2:
-        raise ValueError(f"odd comultiplication needs rank >= 2, got {n}")
     records = []
     for name, whole_expr, terms in comult_formulas(n):
         # the right side as an operator: its column t = x + y is at x (x) y

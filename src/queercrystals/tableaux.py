@@ -125,6 +125,14 @@ def _check_kind(x, kind) -> None:
         raise TypeError(f"{type(x).__name__} is not a {kind.__name__}")
 
 
+def _check_tableau(t) -> None:
+    """Raise TypeError unless t is a Tableau on a SkewShape.  Public entries
+    call this once per call; ``Tableau.__init__``, which runs per node of a
+    tableau crystal, checks nothing."""
+    _check_kind(t, Tableau)
+    _check_kind(t.shape, SkewShape)
+
+
 def shape_from_partition(parts, n: int | None = None) -> SkewShape:
     """Staircase skew diagram of a strict partition."""
     parts = check_strict_partition(parts, n if n is not None else len(parts))
@@ -214,7 +222,7 @@ def reading_order(boxes: tuple, reading: str) -> tuple:
 
 def reading_word(t: Tableau, reading: str = "row") -> bytes:
     """Word of a tableau under the chosen reading."""
-    _check_kind(t, Tableau)
+    _check_tableau(t)
     order = reading_order(t.shape.boxes, reading)
     return bytes(t.entries[k] for k in order)
 
@@ -334,7 +342,7 @@ def _decoded(ops: TableauOps, words_ops: _ReadingWordOps,
 def tableau_operator(direction: str, label, t: Tableau, n: int):
     """Apply one operator (direction "e"/"f", label 1..n-1 or "1bar") to a
     semistandard tableau with entries in 1..n."""
-    _check_kind(t, Tableau)
+    _check_tableau(t)
     check_word(t.entries, n)
     if direction not in ("e", "f"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -404,7 +412,7 @@ def full_ssyt_graph(parts, n: int):
 
 def tableau_json(t: Tableau) -> dict:
     """JSON form: partition plus explicit cells."""
-    _check_kind(t, Tableau)
+    _check_tableau(t)
     return {
         "shape": list(t.shape.partition),
         "cells": [

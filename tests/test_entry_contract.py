@@ -1,19 +1,20 @@
 """The entry contract's first two rows: an object of the wrong kind
 where a graph, an ops adapter, a vector, a shape or a tableau is expected
-is refused with a TypeError, and a rank that fails ``check_rank`` with a
-ValueError, before any work, not with whatever error Python raises first
-or with an empty result."""
+is refused with a TypeError, and a rank that fails ``check_rank`` or a
+letter out of range with a ValueError, before any work, not with whatever
+error Python raises first or with an empty result."""
 
 import pytest
 
-from queercrystals import (closure, highest_weight_nodes, isomorphic, tensor,
-                           vector_crystal)
+from queercrystals import (WordOps, closure, highest_weight_nodes,
+                           isomorphic, tensor, vector_crystal)
 from queercrystals.graphs import (build_graph, components, graph_components,
                                   validate)
 from queercrystals.qrep.action import act_on_tensor
+from queercrystals.qrep.checks import comult_formulas, relations_catalogue
 from queercrystals.qrep.kashiwara import tilde_e, tilde_k1
 from queercrystals.serialize import graph_to_dot, graph_to_json
-from queercrystals.tableaux import (TableauOps, enumerate_ssyt,
+from queercrystals.tableaux import (Tableau, TableauOps, enumerate_ssyt,
                                     is_semistandard, reading_word,
                                     shape_from_partition, tableau_json,
                                     tableau_operator)
@@ -64,4 +65,26 @@ def test_an_object_of_the_wrong_kind_is_a_type_error(call):
 ], ids=["enumerate_ssyt-0", "enumerate_ssyt-str", "TableauOps-str"])
 def test_a_tableau_rank_that_fails_check_rank_is_a_value_error(call):
     with pytest.raises(ValueError, match="rank must be"):
+        call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: closure(TableauOps(shape_from_partition((2, 1)), 3), W),
+     TypeError, "not a word adapter"),
+    (lambda: closure(vector_crystal(3), 0), TypeError, "not a word adapter"),
+    (lambda: reading_word(Tableau(5, (1,))), TypeError, "not a SkewShape"),
+    (lambda: tableau_json(Tableau(5, (1,))), TypeError, "not a SkewShape"),
+    (lambda: closure(WordOps(2), b"\x00"), ValueError, "letter 0"),
+    (lambda: closure(WordOps(2), b"\x03"), ValueError, "letter 3"),
+    (lambda: WordOps(300), ValueError, "rank must be"),
+    (lambda: relations_catalogue(2.0), ValueError, "rank must be"),
+    (lambda: comult_formulas("3"), ValueError, "rank must be"),
+    (lambda: comult_formulas(1), ValueError, "rank >= 2"),
+], ids=["closure-TableauOps", "closure-graph", "reading_word-shape",
+        "tableau_json-shape", "closure-letter-0", "closure-letter-3",
+        "WordOps-300", "relations_catalogue-float", "comult_formulas-str",
+        "comult_formulas-1"])
+def test_a_word_adapter_seed_tableau_shape_and_catalogue_rank_are_checked(
+        call, error, message):
+    with pytest.raises(error, match=message):
         call()

@@ -41,7 +41,7 @@ def _check_table(check, recorded):
     shared = [row for row in rows if (row["n"], row["N"]) in recorded]
     assert shared
     for row in shared:
-        text = digests.render("report", check, (row["n"], row["N"]), {})
+        text = digests.render("report", f"{check}({row['n']}, {row['N']})")
         assert row["sha256"] == hashlib.sha256(
             text.encode("utf-8")).hexdigest(), row
         assert row["records"] > 0 and row["maxrss_mb"] > 0

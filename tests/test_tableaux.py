@@ -10,7 +10,7 @@ from queercrystals import (WordOps, b_lambda, closure, crystal_of_shape,
                            kernel, reading_word, shape_from_partition,
                            tableau_operator, verify_unique_highest_weight,
                            word)
-from queercrystals.errors import StructureError
+from queercrystals.errors import StructureError, VerificationError
 from queercrystals.graphs import (ODD, all_labels, build_graph, closure_set,
                                   graph_components, highest_weight_nodes,
                                   is_highest_weight_ops)
@@ -160,6 +160,21 @@ def test_b_lambda_examples():
     assert t.weight(3) == (2, 1, 0)
     t = b_lambda((1,), 4)
     assert t.entries == (1,)
+
+
+@pytest.mark.parametrize("target, wrong, message", [
+    ("queercrystals.tableaux.is_semistandard",
+     lambda shape, entries: False, "not semistandard"),
+    ("queercrystals.tableaux.partition_weight",
+     lambda parts, n: (0,) * n, "wrong weight"),
+    ("queercrystals.kernel.is_q_highest", lambda w, n: False,
+     "not a highest weight vector"),
+], ids=["semistandard", "weight", "highest"])
+def test_a_canonical_tableau_that_fails_its_checks_raises(
+        monkeypatch, target, wrong, message):
+    monkeypatch.setattr(target, wrong)
+    with pytest.raises(VerificationError, match=message):
+        b_lambda((2, 1), 3)
 
 
 def test_crystal_of_shape_examples():

@@ -13,6 +13,7 @@ from queercrystals import (crystal_of_shape, decompose_product,
                            verify_unique_highest_weight)
 from queercrystals import kernel, tableaux, theorems
 from queercrystals.errors import StructureError, VerificationError
+from queercrystals.graphs import CrystalGraph, all_labels
 from queercrystals.reports import check, report
 from queercrystals.tableaux import strict_partitions
 from queercrystals.theorems import highest_weight_formula_side
@@ -123,6 +124,16 @@ def test_a_formula_that_names_the_wrong_node_is_a_failed_record(monkeypatch):
         "status": "fail",
         "witness": {"missing": [{"letter": 2, "weight": [2, 1]}],
                     "extra": [{"letter": 1, "weight": [3, 0]}]}}]
+
+
+def test_a_vanishing_f_i_in_the_formula_side_raises():
+    """A graph holding b_lam with no arrows: f_1 b_lam vanishes for j = 2."""
+    top = tableaux.b_lambda((2,), 3)
+    graph = CrystalGraph(n=3, kind="tableau", nodes=(top,),
+                         weights=(top.weight(3),),
+                         arrows=tuple((-1,) for _ in all_labels(3)))
+    with pytest.raises(VerificationError, match="f_1 vanished .* j=2"):
+        highest_weight_formula_side((2,), 3, graph)
 
 
 def test_highest_weight_formula_examples():

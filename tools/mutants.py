@@ -13,11 +13,12 @@ solved over Z[q, q^-1] from orthogonal string tops and checked by C .
 (D C^-1) = D I, their lift, its one division by D and its factorization
 check, their residues at q = 0 read off the numerators once per class
 and lifted, the odd Kashiwara operators, the entry checks of the
-Kashiwara operators, of the graph functions and of the tableau layer)
-and the verifiers
+Kashiwara operators, of the graph functions, of the word adapter and
+closure's seed, of the tableau layer and of the relation and
+comultiplication catalogues) and the verifiers
 (check records, reading independence and its one scan per distinct word,
 the exact checks, the commuting relations, the release of each checked
-relation, the theorem reports).
+relation, a relation rescaled on both sides, the theorem reports).
 
 Each mutant replaces one snippet of one source file by a wrong variant
 and names the test files that must kill it, or ``tools/digests.py``, which
@@ -502,6 +503,33 @@ MUTANTS = (
      "    if any(_apply(e, w, {}) for tops in out.values() for w in tops):",
      "    if False:",
      "the string tops are not checked to lie in ker e_1", EXACT),
+    (PKG + "graphs.py", "        check_rank(n)\n        self.n = n\n",
+     "        self.n = n\n", "WordOps takes a rank outside 1..255", CONTRACT),
+    (PKG + "graphs.py", "    if not isinstance(ops, WordOps):\n",
+     "    if False:\n",
+     "closure takes an adapter that is not a word adapter", CONTRACT),
+    (PKG + "graphs.py", "    check_word(seed, n)\n", "",
+     "closure takes a seed with a letter outside 1..n", CONTRACT),
+    (PKG + "tableaux.py", "    _check_kind(t.shape, SkewShape)\n", "",
+     "the tableau functions take a Tableau on a shape of the wrong kind",
+     CONTRACT),
+    (PKG + "qrep/checks.py", "at rank n.\"\"\"\n    check_rank(n)\n",
+     "at rank n.\"\"\"\n",
+     "relations_catalogue takes a rank that is not an int", CONTRACT),
+    (PKG + "qrep/checks.py", "    check_rank(n)\n    if n < 2:\n",
+     "    if n < 2:\n",
+     "comult_formulas takes a rank that is not an int", CONTRACT),
+    (PKG + "qrep/checks.py", "    if n < 2:\n        raise ValueError(",
+     "    if False:\n        raise ValueError(",
+     "comult_formulas takes rank 1", CONTRACT),
+    (PKG + "qrep/checks.py",
+     "bracket(kbar[i], e[i], Q),\n"
+     "                     compose(ebar[i], qh_expr(n, (i, -1)))))",
+     "scale(-ONE, bracket(kbar[i], e[i], Q)),\n"
+     "                     scale(-ONE, compose(ebar[i], qh_expr(n, (i, -1))))))",
+     "the kbar-e-twist relation is checked with both sides times -1, a "
+     "true identity that verify_relations passes",
+     ("tests/test_pinned_output.py",) + DIGESTS),
     (PKG + "theorems.py", "max_depth = sum(parts) + 1",
      "max_depth = sum(parts)",
      "explore_conjecture's default search stops one odd step short",
